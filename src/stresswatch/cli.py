@@ -49,6 +49,10 @@ FEATURES_HEADER = ("rmssd_ms", "sdsd_ms", "nn50", "gsrh_uS", "gsrl_s")
 ECG_HEADER = ("time_s", "ecg")
 GSR_HEADER = ("time_s", "gsr_uS")
 
+# classify runs each kernel on blocks of this many rows: faster than one call
+# per file, at a fraction of its peak memory
+CLASSIFY_BLOCK_ROWS = 256
+
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
@@ -221,22 +225,27 @@ def cmd_classify(args) -> int:
             f"model takes {float_net.n_inputs} inputs, "
             f"features have {features.shape[1]} columns"
         )
+    x = features
+    if norm is not None and x.shape[0]:
+        if norm[0].size != x.shape[1]:
+            raise ShapeError("normalization sidecar length does not match features")
+        x = (x - norm[0]) / norm[1]
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise InsufficientDataError(f"feature row {bad[0]} contains a non-finite value")
 
-    rows = []
+    outputs = np.empty((x.shape[0], float_net.n_outputs))
     max_disc = 0.0
-    for i in range(features.shape[0]):
-        x = features[i]
-        if norm is not None:
-            if norm[0].size != x.size:
-                raise ShapeError("normalization sidecar length does not match features")
-            x = (x - norm[0]) / norm[1]
-        out_float = nn_core.infer_float(float_net, x)
-        out = infer_fixed(fixed_net, x) if use_fixed else out_float
+    for start in range(0, x.shape[0], CLASSIFY_BLOCK_ROWS):
+        block = x[start:start + CLASSIFY_BLOCK_ROWS]
+        out_float = nn_core.infer_float(float_net, block)
+        out = infer_fixed(fixed_net, block) if use_fixed else out_float
         if use_fixed:
             max_disc = max(max_disc, float(np.max(np.abs(out - out_float))))
-        order = np.sort(out)[::-1]
-        margin = float(order[0] - order[1]) if out.size >= 2 else float(order[0])
-        rows.append((i, int(np.argmax(out)), margin, out))
+        outputs[start:start + block.shape[0]] = out
+    labels = np.argmax(outputs, axis=1).tolist()
+    order = np.sort(outputs, axis=1)[:, ::-1]
+    margins = (order[:, 0] - order[:, 1] if order.shape[1] >= 2 else order[:, 0]).tolist()
 
     if args.json:
         _emit_json(
@@ -246,9 +255,9 @@ def cmd_classify(args) -> int:
                         "row": i,
                         "label": label,
                         "margin": margin,
-                        "outputs": [float(v) for v in out],
+                        "outputs": out.tolist(),
                     }
-                    for i, label, margin, out in rows
+                    for i, (label, margin, out) in enumerate(zip(labels, margins, outputs))
                 ],
                 "fixed": use_fixed,
                 "max_abs_discrepancy": max_disc if use_fixed else None,
@@ -257,7 +266,7 @@ def cmd_classify(args) -> int:
         )
     else:
         lines = ["row,label,margin"]
-        for i, label, margin, _ in rows:
+        for i, (label, margin) in enumerate(zip(labels, margins)):
             lines.append(f"{i},{label},{margin:.9g}")
         _emit("\n".join(lines) + "\n", args.output)
         if use_fixed:

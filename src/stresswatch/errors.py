@@ -24,7 +24,8 @@ class ShapeError(StressWatchError):
 
 
 class InsufficientDataError(StressWatchError):
-    """Not enough samples/intervals to compute the requested quantity."""
+    """Not enough samples/intervals to compute the requested quantity, or
+    input data that cannot be used at all (e.g. non-finite feature values)."""
 
 
 class EmptySeriesError(InsufficientDataError):

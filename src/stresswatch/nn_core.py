@@ -167,22 +167,35 @@ def build_network_b(seed: int | None = 0) -> NetworkModel:
     return build_mlp([100] + hidden + [8], seed=seed)
 
 
-def _check_input(net: NetworkModel, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != net.n_inputs:
-        raise ShapeError(f"expected {net.n_inputs} inputs, got {x.shape[0]}")
-    if not np.isfinite(x).all():
-        raise ShapeError("input contains non-finite values")
-    return x
+def _input_rows(x, n_inputs: int) -> tuple[np.ndarray, bool]:
+    """``x`` as a float64 ``(rows, n_inputs)`` matrix, and whether it was a
+    single row. A single row is a batch of one."""
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim < 2
+    rows = x.reshape(1, -1) if single else x
+    if rows.ndim != 2:
+        raise ShapeError(f"expected a row or a (rows, inputs) matrix, got shape {x.shape}")
+    if rows.shape[1] != n_inputs:
+        raise ShapeError(f"expected {n_inputs} inputs, got {rows.shape[1]}")
+    return rows, single
 
 
 def infer_float(net: NetworkModel, x) -> np.ndarray:
-    """Forward pass in float64. Returns the output-layer activations."""
-    a = _check_input(net, x)
+    """Forward pass in float64. Returns the output-layer activations.
+
+    ``x`` is one row of shape ``(inputs,)`` or a matrix of shape
+    ``(rows, inputs)``; the result is ``(outputs,)`` or ``(rows, outputs)``.
+    Each row goes through its own vector-matrix product, so a row's result
+    is bit-identical whether it is passed alone or inside a matrix (a plain
+    2-D matmul may round differently in the last place).
+    """
+    a, single = _input_rows(x, net.n_inputs)
+    if not np.isfinite(a).all():
+        raise ShapeError("input contains non-finite values")
     for w, spec in zip(net.weights, net.layers[1:]):
-        z = a @ w[:-1] + w[-1]
+        z = (a[:, None, :] @ w[:-1])[:, 0, :] + w[-1]
         a = np.tanh(z) if spec.activation is Activation.TANH else z
-    return a
+    return a[0] if single else a
 
 
 def classify(net: NetworkModel, x) -> int:

@@ -22,8 +22,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import FixedPointRangeError, ShapeError
-from .nn_core import Activation, LayerSpec, NetworkModel
+from .errors import FixedPointRangeError
+from .nn_core import Activation, LayerSpec, NetworkModel, _input_rows
 
 LUT_KNOTS = 257          # over [-4, 4] -> knot spacing 1/32
 LUT_X_MAX = 4.0
@@ -204,35 +204,26 @@ def dequantize_network(fp: FixedPointNet) -> NetworkModel:
     )
 
 
-def _accumulate(a_ext: np.ndarray, w: np.ndarray, half: int) -> np.ndarray | list:
-    """Wide dot products of the bias-extended activation row with w.
+def _accumulate(a_ext: np.ndarray, w: np.ndarray, half: int) -> np.ndarray:
+    """Wide dot products of the bias-extended activation rows with w.
 
-    Uses the int64 fast path when the worst-case |accumulator| + half
-    provably fits; otherwise falls back to exact unbounded integers so
-    saturation is always a clamp, never a wraparound.
+    Uses one int64 matmul when the worst-case |accumulator| + half over the
+    whole block provably fits; otherwise the block goes through a matmul of
+    exact Python integers, so saturation is always a clamp, never a
+    wraparound.
     """
     col_bound = int(np.abs(w).sum(axis=0).max())
-    a_bound = int(np.abs(a_ext).max())
+    a_bound = int(np.abs(a_ext).max(initial=0))
     if col_bound * a_bound + half < 2**63:
         return a_ext @ w
-    cols = w.shape[1]
-    a_py = [int(v) for v in a_ext]
-    return [
-        sum(a_py[i] * int(w[i, j]) for i in range(len(a_py))) for j in range(cols)
-    ]
+    return a_ext.astype(object) @ w.astype(object)
 
 
-def _rescale_saturate(acc, scale: int, half: int) -> np.ndarray:
+def _rescale_saturate(acc: np.ndarray, scale: int, half: int) -> np.ndarray:
     """Round-half-away-from-zero rescale by the format scale, then clamp
     into the 32-bit range."""
-    if isinstance(acc, np.ndarray):
-        q = np.where(acc >= 0, (acc + half) // scale, -((-acc + half) // scale))
-        return np.clip(q, INT32_MIN, INT32_MAX)
-    out = []
-    for v in acc:
-        q = (v + half) // scale if v >= 0 else -((-v + half) // scale)
-        out.append(min(max(q, INT32_MIN), INT32_MAX))
-    return np.array(out, dtype=np.int64)
+    q = np.where(acc >= 0, (acc + half) // scale, -((-acc + half) // scale))
+    return np.clip(q, INT32_MIN, INT32_MAX).astype(np.int64, copy=False)
 
 
 def quantize_inputs(x, fmt: QFormat) -> np.ndarray:
@@ -254,20 +245,21 @@ def quantize_inputs(x, fmt: QFormat) -> np.ndarray:
 def infer_fixed(fp: FixedPointNet, x) -> np.ndarray:
     """Forward pass entirely in integer arithmetic; result dequantized.
 
+    ``x`` is one row of shape ``(inputs,)`` or a matrix of shape
+    ``(rows, inputs)``; the result is ``(outputs,)`` or ``(rows, outputs)``.
     Per connection layer: bias-extended activations (bias input is 1.0 in
     fixed point) are accumulated wide, rescaled once per neuron, saturated,
     then passed through the tanh table (or left as-is for linear layers).
     """
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if x.shape[0] != fp.n_inputs:
-        raise ShapeError(f"expected {fp.n_inputs} inputs, got {x.shape[0]}")
+    rows, single = _input_rows(x, fp.n_inputs)
     fmt = fp.qformat
     scale = fmt.scale
     half = scale >> 1
-    a = quantize_inputs(x, fmt)
+    a = quantize_inputs(rows, fmt).reshape(rows.shape)
+    bias = np.full((a.shape[0], 1), scale, dtype=np.int64)
     for w, spec in zip(fp.weights, fp.layers[1:]):
-        a_ext = np.append(a, scale)
-        acc = _accumulate(a_ext, w, half)
+        acc = _accumulate(np.hstack((a, bias)), w, half)
         z = _rescale_saturate(acc, scale, half)
         a = tanh_lut_eval(z, fp.tanh_lut) if spec.activation is Activation.TANH else z
-    return a / scale
+    out = a / scale
+    return out[0] if single else out

@@ -12,7 +12,15 @@ import json
 import numpy as np
 import pytest
 
-from stresswatch import builtin_calibration, calibration_report, load_fann
+from stresswatch import (
+    builtin_calibration,
+    calibration_report,
+    dequantize_network,
+    infer_fixed,
+    infer_float,
+    load_fann,
+    quantize,
+)
 from stresswatch.cli import main as cli_main
 
 
@@ -201,6 +209,78 @@ def test_classify_header_only_input(capsys, data_dir, tmp_path):
     )
     assert code == 0
     assert stdout == "row,label,margin\n"
+
+
+@pytest.mark.parametrize("model", ["network_a_random.net", "network_a_q16.net"])
+def test_classify_non_finite_feature_is_a_data_error(capsys, data_dir, tmp_path, model):
+    # the bad row sits in the second block; nothing may be written
+    rows = ["0.1,0.2,0.3,0.4,0.5"] * 300
+    rows[261] = "0.1,0.2,nan,0.4,0.5"
+    feats = tmp_path / "nan.csv"
+    feats.write_text("rmssd_ms,sdsd_ms,nn50,gsrh_uS,gsrl_s\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "labels.csv"
+    code, stdout, stderr = run_cli(
+        capsys, "classify", str(feats), "--model", str(data_dir / model), "-o", str(out),
+    )
+    assert code == 3
+    assert "row 261" in stderr
+    assert stdout == ""
+    assert not out.exists()
+
+
+def classify_rows_reference(float_net, fixed_net, xs):
+    """Labels, margins, outputs and the fixed/float discrepancy, computed
+    one row at a time with one-row kernel calls."""
+    rows, disc = [], 0.0
+    for x in xs:
+        out = infer_float(float_net, x)
+        if fixed_net is not None:
+            fixed = infer_fixed(fixed_net, x)
+            disc = max(disc, float(np.max(np.abs(fixed - out))))
+            out = fixed
+        order = np.sort(out)[::-1]
+        rows.append((int(np.argmax(out)), float(order[0] - order[1]), out.tolist()))
+    return rows, disc
+
+
+@pytest.mark.parametrize("mode", ["float", "fixed", "file"])
+def test_classify_blocks_match_row_at_a_time(capsys, data_dir, tmp_path, mode):
+    # 600 rows: two full blocks and a partial third
+    xs = np.random.default_rng(29).uniform(-2.0, 2.0, size=(600, 5))
+    feats = tmp_path / "rows.csv"
+    feats.write_text(
+        "rmssd_ms,sdsd_ms,nn50,gsrh_uS,gsrl_s\n"
+        + "".join(",".join(repr(float(v)) for v in x) + "\n" for x in xs)
+    )
+    float_path = data_dir / "network_a_random.net"
+    float_net = load_fann(float_path.read_text())
+    if mode == "float":
+        model, extra, fixed_net = float_path, (), None
+    elif mode == "fixed":
+        model, extra, fixed_net = float_path, ("--fixed",), quantize(float_net)
+    else:
+        model, extra = data_dir / "network_a_q16.net", ()
+        fixed_net = load_fann(model.read_text())
+        float_net = dequantize_network(fixed_net)
+    want, disc = classify_rows_reference(float_net, fixed_net, xs)
+
+    code, stdout, stderr = run_cli(capsys, "classify", str(feats), "--model", str(model), *extra)
+    assert code == 0
+    lines = stdout.splitlines()
+    assert lines[0] == "row,label,margin"
+    assert lines[1:] == [f"{i},{label},{margin:.9g}" for i, (label, margin, _) in enumerate(want)]
+    if fixed_net is not None:
+        assert stderr == f"max |fixed - float| output discrepancy: {disc:.3g}\n"
+
+    code, stdout, _ = run_cli(
+        capsys, "classify", str(feats), "--model", str(model), *extra, "--json"
+    )
+    assert code == 0
+    doc = json.loads(stdout)
+    assert [(r["row"], r["label"], r["margin"], r["outputs"]) for r in doc["rows"]] == [
+        (i, *row) for i, row in enumerate(want)
+    ]
+    assert doc["max_abs_discrepancy"] == (disc if fixed_net is not None else None)
 
 
 def test_classify_shape_mismatch(capsys, data_dir):

@@ -122,6 +122,35 @@ def test_network_a_forward_against_oracle():
         )
 
 
+def test_batch_rows_are_bit_identical_to_single_rows():
+    """A matrix of rows gives, row for row, exactly the bits of one-row
+    calls and of the per-row ``x @ w[:-1] + w[-1]`` product, so classify
+    output does not depend on how rows are grouped."""
+
+    def per_row(net, x):
+        a = np.asarray(x, dtype=np.float64)
+        for w, spec in zip(net.weights, net.layers[1:]):
+            z = a @ w[:-1] + w[-1]
+            a = np.tanh(z) if spec.activation is Activation.TANH else z
+        return a
+
+    rng = np.random.default_rng(17)
+    nets = [
+        build_network_a(seed=4),
+        build_mlp([3, 7, 2], seed=5, output_activation=Activation.LINEAR),
+        build_mlp([1, 4, 1], seed=6),
+    ]
+    for net in nets:
+        xs = rng.normal(scale=2.0, size=(300, net.n_inputs))
+        got = infer_float(net, xs)
+        assert got.shape == (300, net.n_outputs)
+        for i, x in enumerate(xs):
+            assert got[i].tolist() == infer_float(net, x).tolist()
+            assert got[i].tolist() == per_row(net, x).tolist()
+        assert infer_float(net, xs[:0]).shape == (0, net.n_outputs)
+        assert infer_float(net, xs[:1]).shape == (1, net.n_outputs)
+
+
 def test_tanh_outputs_stay_inside_open_interval():
     net = build_mlp([3, 8, 2], seed=11, weights=None)
     big = np.array([1e6, -1e6, 1e6])
@@ -135,6 +164,10 @@ def test_infer_shape_errors():
         infer_float(net, np.zeros(4))
     with pytest.raises(ShapeError):
         infer_float(net, np.array([1.0, 2.0, np.nan, 0.0, 0.0]))
+    with pytest.raises(ShapeError):
+        infer_float(net, np.zeros((3, 4)))
+    with pytest.raises(ShapeError):
+        infer_float(net, np.zeros((2, 3, 5)))
 
 
 def test_classify_is_argmax():

@@ -30,6 +30,7 @@ from stresswatch import (
     save_fann,
     tanh_lut_eval,
 )
+from stresswatch.quantizer import _accumulate
 
 I32_MIN = -(2**31)
 I32_MAX = 2**31 - 1
@@ -278,6 +279,26 @@ def test_fixed_matches_oracle_on_ordinary_nets():
         assert got.tolist() == want
 
 
+def test_fixed_batch_matches_oracle_row_by_row():
+    """A (rows, inputs) matrix goes through one call; each output row must
+    equal the oracle on that row alone, across shapes, a linear output
+    layer and other fraction widths."""
+    rng = np.random.default_rng(37)
+    cases = [(build_mlp(sizes, seed=1100 + i), QFormat())
+             for i, sizes in enumerate([[2, 3, 1], [4, 6, 6, 2], [5, 8, 3], [1, 2, 2, 2, 1]])]
+    cases.append((build_mlp([4, 8, 2], seed=1200, output_activation=Activation.LINEAR),
+                  QFormat()))
+    cases += [(build_network_a(seed=1300 + f), QFormat(f)) for f in (12, 20)]
+    for net, fmt in cases:
+        fp = quantize(net, fmt)
+        xs = rng.uniform(-3, 3, size=(40, net.n_inputs))
+        got = infer_fixed(fp, xs)
+        assert got.shape == (40, net.n_outputs)
+        for x, row in zip(xs, got):
+            assert row.tolist() == oracle_forward_q(fp, quantize_inputs(x, fmt))
+        assert infer_fixed(fp, xs[:0]).shape == (0, net.n_outputs)
+
+
 def test_fixed_matches_oracle_under_forced_overflow():
     """Weights and inputs at the 32-bit extremes push the per-neuron
     accumulator far beyond int64; the exact fallback must keep the result
@@ -290,6 +311,7 @@ def test_fixed_matches_oracle_under_forced_overflow():
         LayerSpec(2, Activation.TANH),
     )
     rng = np.random.default_rng(41)
+    exact_blocks = 0
     for trial in range(25):
         w0 = rng.integers(I32_MIN, I32_MAX, size=(5, 3), endpoint=True)
         w1 = rng.integers(I32_MIN, I32_MAX, size=(4, 2), endpoint=True)
@@ -304,6 +326,23 @@ def test_fixed_matches_oracle_under_forced_overflow():
         got = infer_fixed(fp, x_q / fmt.scale)
         want = oracle_forward_q(fp, x_q)
         assert got.tolist() == want
+
+        # 2-D: one all-I32_MAX row among ordinary ones sends the whole block
+        # down the exact path; every row must still match the oracle
+        block = rng.integers(-fmt.scale, fmt.scale, size=(7, 4), endpoint=True)
+        extreme = trial % 7
+        block[extreme] = I32_MAX
+        a_ext = np.hstack((block, np.full((7, 1), fmt.scale)))
+        half = fmt.scale >> 1
+        assert _accumulate(np.delete(a_ext, extreme, 0), w0, half).dtype == np.int64
+        path = _accumulate(a_ext, w0, half).dtype
+        assert path == _accumulate(a_ext[extreme:extreme + 1], w0, half).dtype
+        exact_blocks += path == object
+        got = infer_fixed(fp, block / fmt.scale)
+        for row_q, row in zip(block, got):
+            assert row.tolist() == oracle_forward_q(fp, row_q)
+    # the random weights trip the int64 bound in most trials, not all
+    assert exact_blocks >= 20
 
     # show the guard is load-bearing: an int64 dot of the pinned case wraps
     a_ext = np.append(np.full(4, I32_MAX), fmt.scale).astype(np.int64)
