@@ -48,6 +48,7 @@ EXIT_CONFIG = 5
 FEATURES_HEADER = ("rmssd_ms", "sdsd_ms", "nn50", "gsrh_uS", "gsrl_s")
 ECG_HEADER = ("time_s", "ecg")
 GSR_HEADER = ("time_s", "gsr_uS")
+LABELS_HEADER = ("label",)
 
 # classify runs each kernel on blocks of this many rows: faster than one call
 # per file, at a fraction of its peak memory
@@ -70,80 +71,34 @@ def _emit_json(obj, path: str | None) -> None:
     _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
 
 
-def _read_two_column_csv(path: str, header: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
-    left, right = [], []
+def _read_csv(path: str, header: tuple[str, ...], kind: type = float) -> np.ndarray:
+    """Rows under a checked header as a ``(rows, len(header))`` array of ``kind``."""
+    values = []
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            cells = [c.strip() for c in row]
             if lineno == 1:
+                cells = [c.strip() for c in row]
                 if cells != list(header):
                     raise ParseError(
                         f"expected header {','.join(header)!r}, got {','.join(cells)!r}",
                         line=1,
                     )
                 continue
-            if len(cells) != 2:
-                raise ParseError(f"expected 2 columns, got {len(cells)}", line=lineno)
-            try:
-                left.append(float(cells[0]))
-                right.append(float(cells[1]))
-            except ValueError:
-                raise ParseError(f"non-numeric value in {cells!r}", line=lineno) from None
-    return np.array(left), np.array(right)
-
-
-def _read_features_csv(path: str) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            cells = [c.strip() for c in row]
-            if lineno == 1:
-                if cells != list(FEATURES_HEADER):
-                    raise ParseError(
-                        f"expected header {','.join(FEATURES_HEADER)!r}, "
-                        f"got {','.join(cells)!r}",
-                        line=1,
-                    )
-                continue
-            if len(cells) != len(FEATURES_HEADER):
+            if len(row) != len(header):
                 raise ParseError(
-                    f"expected {len(FEATURES_HEADER)} columns, got {len(cells)}",
-                    line=lineno,
+                    f"expected {len(header)} column(s), got {len(row)}", line=lineno
                 )
             try:
-                rows.append([float(c) for c in cells])
+                # float() and int() skip surrounding whitespace themselves
+                values.extend(map(kind, row))
             except ValueError:
-                raise ParseError(f"non-numeric value in {cells!r}", line=lineno) from None
-    return np.array(rows, dtype=np.float64).reshape(-1, len(FEATURES_HEADER))
-
-
-def _read_labels_csv(path: str) -> np.ndarray:
-    labels = []
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            cells = [c.strip() for c in row]
-            if lineno == 1:
-                if cells != ["label"]:
-                    raise ParseError(
-                        f"expected header 'label', got {','.join(cells)!r}", line=1
-                    )
-                continue
-            if len(cells) != 1:
-                raise ParseError(f"expected 1 column, got {len(cells)}", line=lineno)
-            try:
-                labels.append(int(cells[0]))
-            except ValueError:
-                raise ParseError(f"label {cells[0]!r} is not an integer", line=lineno) from None
-    return np.array(labels, dtype=np.int64)
+                raise ParseError(
+                    f"expected {kind.__name__} values, got {row!r}", line=lineno
+                ) from None
+    return np.array(values, dtype=kind).reshape(-1, len(header))
 
 
 def _features_to_csv(vectors) -> str:
@@ -175,13 +130,20 @@ def _load_norm(model_path: str, norm_file: str | None, disabled: bool):
 
 
 def cmd_features(args) -> int:
-    ecg_t, ecg_x = _read_two_column_csv(args.ecg, ECG_HEADER)
-    gsr_t, gsr_x = _read_two_column_csv(args.gsr, GSR_HEADER)
+    try:
+        cfg = bf.WindowConfig(args.window_s, args.overlap)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    # contiguous columns: numpy float sums over strided views can round differently
+    ecg_t, ecg_x = np.ascontiguousarray(_read_csv(args.ecg, ECG_HEADER).T)
+    gsr_t, gsr_x = np.ascontiguousarray(_read_csv(args.gsr, GSR_HEADER).T)
+    for path, t in ((args.ecg, ecg_t), (args.gsr, gsr_t)):
+        if not (np.diff(t) > 0).all():
+            raise InsufficientDataError(f"{path}: time_s must be strictly increasing")
     if gsr_t.size < 2:
         raise InsufficientDataError("GSR recording has fewer than 2 samples")
     gsr_rate = (gsr_t.size - 1) / (gsr_t[-1] - gsr_t[0])
     trace = bf.GsrTrace(gsr_t, gsr_x, gsr_rate)
-    cfg = bf.WindowConfig(args.window_s, args.overlap)
     vectors = bf.extract_window_features(
         ecg_t, ecg_x, trace, cfg, gsr_threshold_us=args.gsr_threshold
     )
@@ -207,7 +169,7 @@ def cmd_features(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    features = _read_features_csv(args.features)
+    features = _read_csv(args.features, FEATURES_HEADER)
     model = nn_core.read_fann(args.model)
     norm = _load_norm(args.model, args.norm_file, args.no_norm)
 
@@ -285,8 +247,8 @@ def _parse_sizes(text: str) -> list[int]:
 
 
 def cmd_train(args) -> int:
-    features = _read_features_csv(args.features)
-    labels = _read_labels_csv(args.labels)
+    features = _read_csv(args.features, FEATURES_HEADER)
+    labels = _read_csv(args.labels, LABELS_HEADER, int)[:, 0]
     if features.shape[0] == 0:
         raise InsufficientDataError("training set is empty")
     if labels.shape[0] != features.shape[0]:

@@ -17,10 +17,10 @@ A scenario is a 24 h schedule of segments, each with a set of active
                      clock; the pessimistic sustainability baseline.
 * ``outdoor-1h``   - a single hour of outdoor sun, nothing else.
 
-The state-of-charge simulator quantizes power to whole nanowatts and steps
-one second at a time in integer nanojoules, so its energy bookkeeping is
-exact: intake - served - spilled always equals the charge delta, to the
-last nanojoule.
+The state-of-charge simulator quantizes power to whole nanowatts and
+advances one segment at a time in integer nanojoules, so its energy
+bookkeeping is exact: intake - served - spilled always equals the charge
+delta, to the last nanojoule.
 """
 
 from __future__ import annotations
@@ -107,8 +107,8 @@ class BatteryState:
     charge_j: float = field(default=-1.0)
 
     def __post_init__(self):
-        if not self.capacity_j > 0:
-            raise ConfigError("battery capacity must be positive")
+        if not 0 < self.capacity_j < math.inf:
+            raise ConfigError("battery capacity must be positive and finite")
         if self.charge_j < 0:  # default: start full
             object.__setattr__(self, "charge_j", self.capacity_j)
         if not 0 <= self.charge_j <= self.capacity_j:
@@ -251,19 +251,22 @@ def simulate_soc(
     sources: dict[str, SourceModel] | None = None,
     record: bool = False,
 ) -> SocSimResult:
-    """Second-by-second state of charge over the scenario repeated daily.
+    """State of charge over the scenario repeated daily, one segment at a time.
 
     The detection load is spread as constant average power (rate times
     detection energy over a minute). Charge is clamped to [0, capacity];
     intake beyond a full battery is counted as spilled, demand beyond an
-    empty one as unmet. A step with unmet demand is a brownout. All
+    empty one as unmet. A second with unmet demand is a brownout. All
     bookkeeping is integer nanojoules, so the conservation identity
-    final - initial == intake - served - spilled holds exactly.
+    final - initial == intake - served - spilled holds exactly, and the
+    recorded series holds the charge at the end of every second.
     """
     if days < 1:
         raise ConfigError("days must be >= 1")
-    if rate_per_minute < 0:
-        raise ConfigError("rate must be >= 0")
+    if not 0 <= rate_per_minute < math.inf:
+        raise ConfigError("rate must be finite and >= 0")
+    if not math.isfinite(detection_energy_j):
+        raise ConfigError("detection energy must be finite")
     _require_full_day(scenario)
     if sources is None:
         sources = builtin_sources()
@@ -281,33 +284,28 @@ def simulate_soc(
     step = 0
     for _ in range(days):
         for seconds, p in plan:
-            gain = p - load
-            for _ in range(seconds):
-                z = c + gain
-                if z < 0:
-                    unmet += -z
-                    served += c + p
-                    if brownout_step < 0 and load > 0:
-                        brownout_step = step
-                    c = 0
-                elif z > cap:
-                    served += load
-                    spilled += z - cap
-                    c = cap
-                else:
-                    served += load
-                    c = z
-                intake += p
-                if series is not None:
-                    series[step] = c
-                step += 1
             # Within a segment the net rate is constant, so charge moves
-            # monotonically (then pins at a bound): checking the segment
-            # endpoints is enough to track the extremes.
-            if c < lo:
-                lo = c
-            if c > hi:
-                hi = c
+            # linearly and then pins at a bound: the unclamped endpoint gives
+            # the unmet demand below 0 and the spill above capacity, and the
+            # clamped endpoints are enough to track the extremes.
+            gain = p - load
+            end = c + gain * seconds
+            if end < 0 and brownout_step < 0 and load > 0:
+                brownout_step = step + c // -gain
+            deficit = max(-end, 0)
+            unmet += deficit
+            served += load * seconds - deficit
+            spilled += max(end - cap, 0)
+            intake += p * seconds
+            if series is not None:
+                # seconds before the charge reaches a bound and stays there
+                inside = seconds if gain == 0 else min(
+                    seconds, (c if gain < 0 else cap - c) // abs(gain))
+                series[step:step + inside] = c + gain * np.arange(1, inside + 1)
+                series[step + inside:step + seconds] = 0 if gain < 0 else cap
+            c = min(max(end, 0), cap)
+            lo, hi = min(lo, c), max(hi, c)
+            step += seconds
 
     assert c - c_init == intake - served - spilled
     return SocSimResult(

@@ -133,6 +133,34 @@ def test_features_too_short_recording_is_a_data_error(capsys, tmp_path):
     assert "error:" in stderr
 
 
+def test_features_non_increasing_ecg_time_is_a_data_error(capsys, data_dir, tmp_path):
+    src = (data_dir / "ecg_60s.csv").read_text().splitlines()
+    src[3], src[4] = src[4], src[3]
+    ecg = tmp_path / "ecg.csv"
+    ecg.write_text("\n".join(src) + "\n")
+    code, _, stderr = run_cli(capsys, "features", str(ecg), str(data_dir / "gsr_60s.csv"))
+    assert code == 3
+    assert str(ecg) in stderr and "strictly increasing" in stderr
+
+
+def test_features_repeated_gsr_time_is_a_data_error(capsys, data_dir, tmp_path):
+    gsr = tmp_path / "gsr.csv"
+    gsr.write_text("time_s,gsr_uS\n0.5,2.0\n0.5,2.1\n")
+    code, _, stderr = run_cli(capsys, "features", str(data_dir / "ecg_60s.csv"), str(gsr))
+    assert code == 3
+    assert str(gsr) in stderr and "strictly increasing" in stderr
+
+
+@pytest.mark.parametrize("flag,value", [("--overlap", "1.5"), ("--window-s", "0")])
+def test_features_bad_window_flags_are_config_errors(capsys, data_dir, flag, value):
+    code, _, stderr = run_cli(
+        capsys, "features", str(data_dir / "ecg_60s.csv"),
+        str(data_dir / "gsr_60s.csv"), flag, value,
+    )
+    assert code == 5
+    assert "error:" in stderr
+
+
 def test_missing_input_file_is_a_parse_error(capsys, tmp_path):
     code, _, _ = run_cli(
         capsys, "features", str(tmp_path / "nope.csv"), str(tmp_path / "nope2.csv")
@@ -593,6 +621,16 @@ def test_budget_start_charge_validation(capsys):
     )
     assert code == 5
     assert "--start-charge" in stderr
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--rate", "nan"), ("--rate", "inf"), ("--battery-volts", "inf")]
+)
+def test_budget_non_finite_arguments_are_config_errors(capsys, flag, value):
+    code, stdout, stderr = run_cli(capsys, "budget", "--days", "1", flag, value)
+    assert code == 5
+    assert stdout == ""
+    assert "finite" in stderr
 
 
 def test_budget_scenario_file(capsys, tmp_path):

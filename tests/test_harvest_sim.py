@@ -4,9 +4,11 @@ Intake figures are recomputed in-test from the measured source powers
 (0.9 mW indoor solar, 24.711 mW outdoor, 24/55.5/155.4 uW TEG), so the
 builtin scenarios are pinned against hand arithmetic. The SoC simulator is
 checked on its integer bookkeeping: conservation to the nanojoule, charge
-bounds, and closed-form brownout timing on constructed scenarios.
+bounds, closed-form brownout timing on constructed scenarios, and field-for-
+field agreement with a reference that steps the battery one second at a time.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +20,7 @@ from stresswatch import (
     ConfigError,
     HarvestScenario,
     Segment,
+    SocSimResult,
     SourceModel,
     builtin_scenarios,
     builtin_sources,
@@ -43,8 +46,11 @@ def dark_scenario():
     return HarvestScenario("dark", (Segment(float(DAY_S)),))
 
 
+TEG_CONDITIONS = builtin_sources()["teg"].condition_power_w
+
+
 def random_day(rng):
-    conds = {"solar": ["outdoor", "indoor"], "teg": list(builtin_sources()["teg"].condition_power_w)}
+    conds = {"solar": ["outdoor", "indoor"], "teg": list(TEG_CONDITIONS)}
     remaining = DAY_S
     segs = []
     while remaining > 0:
@@ -204,6 +210,133 @@ def test_soc_conservation_and_bounds_randomized():
             assert res.max_charge_j == max(start, float(series.max()))
 
 
+def per_second_soc(scenario, battery, rate_per_minute, detection_energy_j, days, record):
+    """Reference simulator: the same integer-nanojoule battery stepped one
+    second at a time. ``simulate_soc`` must agree with it on every field."""
+    srcs = builtin_sources()
+    plan = [
+        (int(round(seg.duration_s)), int(round(segment_power_w(seg, srcs) * 1e9)))
+        for seg in scenario.segments
+    ]
+    load = int(round(rate_per_minute * detection_energy_j * 1e9 / 60.0))
+    cap = nj(battery.capacity_j)
+    c = nj(battery.charge_j)
+    lo = hi = c
+    intake = served = spilled = unmet = 0
+    first = None
+    series = []
+    step = 0
+    for _ in range(days):
+        for seconds, p in plan:
+            gain = p - load
+            for _ in range(seconds):
+                z = c + gain
+                if z < 0:
+                    unmet += -z
+                    served += c + p
+                    if first is None and load > 0:
+                        first = step
+                    c = 0
+                elif z > cap:
+                    served += load
+                    spilled += z - cap
+                    c = cap
+                else:
+                    served += load
+                    c = z
+                intake += p
+                series.append(c)
+                step += 1
+            lo, hi = min(lo, c), max(hi, c)
+    return SocSimResult(
+        days=days,
+        final_charge_j=c / 1e9,
+        min_charge_j=lo / 1e9,
+        max_charge_j=hi / 1e9,
+        brownout=first is not None,
+        first_brownout_s=None if first is None else float(first),
+        intake_j=intake / 1e9,
+        served_j=served / 1e9,
+        spilled_j=spilled / 1e9,
+        unmet_j=unmet / 1e9,
+        charge_series_j=np.array(series, dtype=np.int64) / 1e9 if record else None,
+    )
+
+
+def assert_matches_per_second(scenario, battery, rate, energy, days, record=False):
+    got = simulate_soc(scenario, battery, rate, energy, days=days, record=record)
+    want = per_second_soc(scenario, battery, rate, energy, days, record)
+    for f in dataclasses.fields(SocSimResult):
+        if f.name != "charge_series_j":
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+    if record:
+        assert np.array_equal(got.charge_series_j, want.charge_series_j)
+    else:
+        assert got.charge_series_j is None
+    return got
+
+
+def choppy_day(rng):
+    """A random day of mostly short segments, many only a few seconds long."""
+    conds = {"solar": ["outdoor", "indoor"], "teg": list(TEG_CONDITIONS)}
+    remaining = DAY_S
+    segs = []
+    while remaining > 0:
+        longest = int(rng.choice([3, 60, 5000, 40000]))
+        dur = min(int(rng.integers(1, longest + 1)), remaining)
+        pairs = []
+        for _ in range(int(rng.integers(0, 3))):
+            kind = str(rng.choice(["solar", "teg"]))
+            pairs.append((kind, str(rng.choice(conds[kind]))))
+        segs.append(Segment(float(dur), tuple(pairs)))
+        remaining -= dur
+    return HarvestScenario("choppy-day", tuple(segs))
+
+
+@pytest.mark.parametrize("seed", range(9))
+def test_soc_matches_per_second_reference_randomized(seed):
+    rng = np.random.default_rng(100 + seed)
+    cap = float(rng.uniform(1e-3, 5.0))
+    # every pairing of an empty, full or part-charged start with no load, a
+    # load near the intake (up to ~1 mW) and an overdraw (up to ~30 mW)
+    charge = [0.0, cap, float(rng.uniform(0.0, cap))][seed // 3]
+    rate = [0.0, float(rng.uniform(0.0, 100.0)), float(rng.uniform(0.0, 3000.0))][seed % 3]
+    assert_matches_per_second(
+        choppy_day(rng), BatteryState(capacity_j=cap, charge_j=charge), rate,
+        602.2e-6, days=2, record=seed % 2 == 0,
+    )
+
+
+def test_soc_matches_per_second_reference_on_a_day_two_brownout():
+    # 30/min outruns the indoor day by ~4.5 J a day: a 20 J battery rides out
+    # day 1 and runs dry during the TEG-only stretch of day 2
+    res = assert_matches_per_second(
+        indoor_day_scenario(), BatteryState(capacity_j=20.0), 30.0, 602.2e-6,
+        days=3, record=True,
+    )
+    assert DAY_S + 6 * 3600 < res.first_brownout_s < 2 * DAY_S
+
+
+def test_soc_matches_per_second_reference_from_empty():
+    # no charge and a net drain: the very first second is already unmet
+    res = assert_matches_per_second(
+        dark_scenario(), BatteryState(capacity_j=1.0, charge_j=0.0), 60.0, 1e-3,
+        days=2, record=True,
+    )
+    assert res.first_brownout_s == 0.0
+
+
+def test_soc_matches_per_second_reference_full_and_idle():
+    # a full battery with no load spills the sunny hour and holds still
+    # (zero net rate) through the dark rest of the day
+    res = assert_matches_per_second(
+        outdoor_hour_scenario(), BatteryState(capacity_j=3.0), 0.0, 602.2e-6,
+        days=2, record=True,
+    )
+    assert res.final_charge_j == res.min_charge_j == 3.0
+    assert res.spilled_j == res.intake_j
+
+
 def test_soc_brownout_timing_closed_form():
     # constant 1 mJ/s load in the dark from a 1 J battery: dry at t = 1000 s
     battery = BatteryState(capacity_j=1.0)
@@ -260,6 +393,10 @@ def test_soc_bad_arguments():
         simulate_soc(indoor_day_scenario(), battery, -1.0, 602.2e-6)
     with pytest.raises(ConfigError):
         simulate_soc(indoor_day_scenario(), battery, 1.0, 602.2e-6, days=0)
+    for rate, energy in ((math.nan, 602.2e-6), (math.inf, 602.2e-6), (1.0, math.inf),
+                         (1.0, math.nan)):
+        with pytest.raises(ConfigError, match="finite"):
+            simulate_soc(indoor_day_scenario(), battery, rate, energy)
     ragged = HarvestScenario(
         "ragged", (Segment(0.5), Segment(DAY_S - 0.5))
     )
@@ -268,8 +405,9 @@ def test_soc_bad_arguments():
 
 
 def test_battery_state_validation():
-    with pytest.raises(ConfigError):
-        BatteryState(capacity_j=0.0)
+    for capacity in (0.0, math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            BatteryState(capacity_j=capacity)
     with pytest.raises(ConfigError):
         BatteryState(capacity_j=10.0, charge_j=11.0)
     assert BatteryState(capacity_j=10.0, charge_j=0.0).charge_j == 0.0
