@@ -170,11 +170,18 @@ def detect_r_peaks(signal, sample_rate_hz: float) -> RRSeries:
     refractory = int(round(_REFRACTORY_S * sample_rate_hz))
     search = max(1, int(round(_PEAK_SEARCH_S * sample_rate_hz)))
 
+    # candidate c refines to the first maximum of x[c+1 : c+1+search]; the
+    # -inf tail keeps every window full length without ever winning
+    crossings = np.flatnonzero(energy >= threshold)
+    ahead = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((x[1:], np.full(search - 1, -np.inf))), search
+    )
+    refined = crossings + 1 + np.argmax(ahead[crossings], axis=1)
+    # refined peaks never decrease with c, and a repeat is always inside the
+    # refractory period, so the pass over distinct peaks keeps the same beats
     peaks: list[int] = []
     last = -refractory
-    for c in np.flatnonzero(energy >= threshold):
-        stop = min(c + 1 + search, x.size)
-        j = c + 1 + int(np.argmax(x[c + 1:stop])) if c + 1 < stop else c
+    for j in np.unique(refined).tolist():
         if j - last >= refractory:
             peaks.append(j)
             last = j
@@ -240,7 +247,8 @@ def extract_window_features(
         raise ValueError("ECG time and value arrays differ in length")
     if t.size < 2:
         raise InsufficientDataError("ECG recording has fewer than 2 samples")
-    if (np.diff(t) <= 0).any():
+    # written so that a nan time fails it too: searchsorted below needs order
+    if not (np.diff(t) > 0).all():
         raise ValueError("ECG time base must be strictly increasing")
     sample_rate = (t.size - 1) / (t[-1] - t[0])
     dt = 1.0 / sample_rate
@@ -252,17 +260,20 @@ def extract_window_features(
         )
 
     n_windows = int(np.floor((span - cfg.window_length_s) / cfg.stride_s + 1e-9)) + 1
+    starts = t[0] + np.arange(n_windows) * cfg.stride_s
+    stops = starts + cfg.window_length_s
+    # on a strictly increasing time base, [lo, hi) holds exactly the samples
+    # with start - 1e-9 <= time < stop - 1e-9
+    lo, hi = np.searchsorted(t, starts - 1e-9), np.searchsorted(t, stops - 1e-9)
+    glo = np.searchsorted(gsr.times_s, starts - 1e-9)
+    ghi = np.searchsorted(gsr.times_s, stops - 1e-9)
 
     out: list[FeatureVector] = []
-    for k in range(n_windows):
-        start = t[0] + k * cfg.stride_s
-        stop = start + cfg.window_length_s
-        sel = (t >= start - 1e-9) & (t < stop - 1e-9)
-        r, s, n = _window_hrv(x[sel], sample_rate)
-        gsel = (gsr.times_s >= start - 1e-9) & (gsr.times_s < stop - 1e-9)
-        if np.count_nonzero(gsel) >= 2:
+    for a, b, ga, gb in zip(lo.tolist(), hi.tolist(), glo.tolist(), ghi.tolist()):
+        r, s, n = _window_hrv(x[a:b], sample_rate)
+        if gb - ga >= 2:
             window_trace = GsrTrace(
-                gsr.times_s[gsel], gsr.conductance_us[gsel], gsr.sample_rate_hz
+                gsr.times_s[ga:gb], gsr.conductance_us[ga:gb], gsr.sample_rate_hz
             )
             gh, gl = gsr_slope_features(window_trace, gsr_threshold_us)
         else:

@@ -21,9 +21,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import shutil
 import sys
+import warnings
 
 import numpy as np
 
@@ -53,6 +55,8 @@ LABELS_HEADER = ("label",)
 # classify runs each kernel on blocks of this many rows: faster than one call
 # per file, at a fraction of its peak memory
 CLASSIFY_BLOCK_ROWS = 256
+# budget --soc-out formats and writes this many per-second lines at a time
+SOC_OUT_CHUNK_LINES = 65536
 
 
 def _fmt(x: float) -> str:
@@ -72,7 +76,35 @@ def _emit_json(obj, path: str | None) -> None:
 
 
 def _read_csv(path: str, header: tuple[str, ...], kind: type = float) -> np.ndarray:
-    """Rows under a checked header as a ``(rows, len(header))`` array of ``kind``."""
+    """Rows under a checked header as a ``(rows, len(header))`` array of ``kind``.
+
+    The body is parsed in bulk by ``np.loadtxt``. Any file it does not take
+    cleanly (an error, a warning, a column count other than the header's)
+    goes through ``_scan_csv``, which defines what is accepted and reports
+    the offending line, so both paths give the same array or the same error.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        first = fh.readline()
+        if '"' not in first and [c.strip() for c in first.split(",")] == list(header):
+            try:
+                with warnings.catch_warnings():
+                    # a header-only file warns "input contained no data"
+                    warnings.simplefilter("error")
+                    rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=kind)
+            except (ValueError, Warning):
+                pass
+            else:
+                if rows.shape[1] == len(header):
+                    return rows
+    return _scan_csv(path, header, kind)
+
+
+def _scan_csv(path: str, header: tuple[str, ...], kind: type) -> np.ndarray:
+    """The reference reader behind ``_read_csv``, one ``csv`` row at a time.
+
+    It alone takes quoted cells, Python number syntax such as ``1_0``, and
+    whitespace-only lines, and it raises ``ParseError`` with the line number.
+    """
     values = []
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -134,9 +166,16 @@ def cmd_features(args) -> int:
         cfg = bf.WindowConfig(args.window_s, args.overlap)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if not math.isfinite(args.gsr_threshold):
+        raise ConfigError(f"--gsr-threshold must be finite, got {args.gsr_threshold}")
+    ecg, gsr = _read_csv(args.ecg, ECG_HEADER), _read_csv(args.gsr, GSR_HEADER)
+    for path, rows in ((args.ecg, ecg), (args.gsr, gsr)):
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if bad.size:
+            raise InsufficientDataError(f"{path}: data row {bad[0]} contains a non-finite value")
     # contiguous columns: numpy float sums over strided views can round differently
-    ecg_t, ecg_x = np.ascontiguousarray(_read_csv(args.ecg, ECG_HEADER).T)
-    gsr_t, gsr_x = np.ascontiguousarray(_read_csv(args.gsr, GSR_HEADER).T)
+    ecg_t, ecg_x = np.ascontiguousarray(ecg.T)
+    gsr_t, gsr_x = np.ascontiguousarray(gsr.T)
     for path, t in ((args.ecg, ecg_t), (args.gsr, gsr_t)):
         if not (np.diff(t) > 0).all():
             raise InsufficientDataError(f"{path}: time_s must be strictly increasing")
@@ -437,10 +476,12 @@ def cmd_budget(args) -> int:
             record=args.soc_out is not None,
         )
         if args.soc_out is not None:
-            lines = ["t_s,charge_j"]
-            for i, q in enumerate(sim.charge_series_j):
-                lines.append(f"{i},{q:.12g}")
-            _emit("\n".join(lines) + "\n", args.soc_out)
+            series = sim.charge_series_j
+            with open(args.soc_out, "w", encoding="ascii", newline="") as fh:
+                fh.write("t_s,charge_j\n")
+                for s in range(0, series.size, SOC_OUT_CHUNK_LINES):
+                    chunk = series[s:s + SOC_OUT_CHUNK_LINES].tolist()
+                    fh.write("".join(f"{i},{q:.12g}\n" for i, q in enumerate(chunk, s)))
 
     if args.json:
         doc = {

@@ -4,6 +4,8 @@ The HRV and GSR oracles are plain Python loops written straight from the
 definitions; the production numpy paths must agree to float precision.
 Beat-detector tests use synthetic spike trains whose peak indices are known
 exactly, so expected RR intervals are index arithmetic, not approximations.
+The vectorized detector and the searchsorted windowing are also held to
+their former loop forms, kept here as oracles and compared with ``==``.
 """
 
 import math
@@ -57,6 +59,68 @@ def gsr_oracle(t, g, threshold):
     rises = [g[j] - g[i] for i, j in kept]
     durs = [t[j] - t[i] for i, j in kept]
     return sum(rises) / len(rises), sum(durs) / len(durs)
+
+
+def per_crossing_r_peaks(signal, fs):
+    """The detector as a loop: refine each above-threshold sample on its own."""
+    x = np.asarray(signal, dtype=np.float64)
+    if fs < 100.0:
+        raise InsufficientDataError("rate")
+    if x.size < 2.0 * fs:
+        raise InsufficientDataError("short")
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite")
+    energy = (np.diff(x) * fs) ** 2
+    peak_energy = energy.max()
+    if peak_energy <= 0.0:
+        raise EmptySeriesError("flat")
+    threshold = 0.25 * peak_energy
+    refractory = int(round(0.25 * fs))
+    search = max(1, int(round(0.10 * fs)))
+    peaks = []
+    last = -refractory
+    for c in np.flatnonzero(energy >= threshold):
+        stop = min(c + 1 + search, x.size)
+        j = c + 1 + int(np.argmax(x[c + 1:stop]))
+        if j - last >= refractory:
+            peaks.append(j)
+            last = j
+    if len(peaks) < 2:
+        raise EmptySeriesError("fewer than two beats")
+    return RRSeries(np.diff(np.array(peaks, dtype=np.float64) / fs) * 1000.0)
+
+
+def masked_window_features(t, x, gsr, cfg, threshold=DEFAULT_GSR_THRESHOLD_US):
+    """The windowing as a loop: two full-length boolean masks per window."""
+    rate = (t.size - 1) / (t[-1] - t[0])
+    span = t[-1] - t[0] + 1.0 / rate
+    n_windows = int(np.floor((span - cfg.window_length_s) / cfg.stride_s + 1e-9)) + 1
+    out = []
+    for k in range(n_windows):
+        start = t[0] + k * cfg.stride_s
+        stop = start + cfg.window_length_s
+        sel = (t >= start - 1e-9) & (t < stop - 1e-9)
+        try:
+            rr = detect_r_peaks(x[sel], rate)
+            hrv = (rmssd(rr) if len(rr) >= 2 else 0.0,
+                   sdsd(rr) if len(rr) >= 3 else 0.0,
+                   nn50(rr) if len(rr) >= 2 else 0)
+        except (EmptySeriesError, InsufficientDataError):
+            hrv = (0.0, 0.0, 0)
+        gsel = (gsr.times_s >= start - 1e-9) & (gsr.times_s < stop - 1e-9)
+        gh, gl = 0.0, 0.0
+        if np.count_nonzero(gsel) >= 2:
+            piece = GsrTrace(gsr.times_s[gsel], gsr.conductance_us[gsel], gsr.sample_rate_hz)
+            gh, gl = gsr_slope_features(piece, threshold)
+        out.append(FeatureVector(*hrv, gh, gl))
+    return out
+
+
+def detector_outcome(fn, x, fs):
+    try:
+        return fn(x, fs).intervals_ms.tolist()
+    except (EmptySeriesError, InsufficientDataError, ValueError) as exc:
+        return type(exc).__name__
 
 
 def spike_train(beat_times_s, fs, duration_s, height=1.0):
@@ -211,6 +275,52 @@ def test_detect_respects_refractory():
     assert np.array_equal(rr.intervals_ms, np.full(2, 1000.0))
 
 
+def random_ecg(rng, fs):
+    """2-12 s of one of: spiky beats in noise, coarse integer levels (ties
+    everywhere), or beats plus bursts longer than the refractory period."""
+    n = int(rng.integers(int(2 * fs), int(12 * fs)))
+    kind = int(rng.integers(3))
+    if kind == 1:
+        return rng.integers(0, int(rng.integers(2, 6)), size=n).astype(np.float64)
+    x = rng.normal(0.0, float(rng.uniform(0.0, 0.3)), size=n)
+    i = int(rng.integers(0, int(0.5 * fs)))
+    while i < n:
+        x[i] += float(rng.uniform(0.8, 1.2))
+        i += int(rng.uniform(0.2, 1.4) * fs)
+    if kind == 2:
+        for _ in range(int(rng.integers(1, 4))):
+            a = int(rng.integers(0, n))
+            b = min(n, a + int(rng.uniform(0.3, 1.5) * fs))
+            x[a:b] = np.where(np.arange(b - a) % 2, 1.0, -1.0) * float(rng.choice([1.0, 2.0]))
+    return x
+
+
+@pytest.mark.parametrize("fs", [100.0, 128.0, 250.0, 256.0, 360.0, 500.0, 1000.0])
+def test_detect_matches_per_crossing_loop(fs):
+    rng = np.random.default_rng(int(fs))
+    for _ in range(40):
+        x = random_ecg(rng, fs)
+        assert detector_outcome(detect_r_peaks, x, fs) == detector_outcome(
+            per_crossing_r_peaks, x, fs
+        )
+
+
+def test_detect_matches_loop_on_edge_shapes():
+    fs = 256.0
+    n = int(4 * fs)
+    flat_top = spike_train([0.5, 1.5, 2.5, 3.5], fs, 4.0)
+    for i in (128, 384, 640, 896):
+        flat_top[i:i + 5] = 1.0                          # ties inside the search span
+    square = np.zeros(n)
+    square[100:700:2] = 1.0                              # one 2.3 s burst of crossings
+    tail = spike_train([0.5, 1.5], fs, 4.0)
+    tail[-1] = 3.0                                       # a crossing on the last sample
+    ramp = np.repeat(np.arange(n // 64, dtype=np.float64), 64)
+    for x in (flat_top, square, tail, ramp, -square):
+        want = detector_outcome(per_crossing_r_peaks, x, fs)
+        assert detector_outcome(detect_r_peaks, x, fs) == want
+
+
 # ---------------------------------------------------------------------------
 # GSR run features
 
@@ -329,6 +439,60 @@ def test_windows_compose_from_parts():
         assert vec.nn50 == nn50(rr)
         assert vec.gsrh_us == gh
         assert vec.gsrl_s == gl
+
+
+def jittered_recording(rng, fs, gsr_fs, duration_s, jitter):
+    """Time bases with up to +-jitter of a sample period of noise; the GSR
+    starts up to a second before or after the ECG."""
+    n = int(round(duration_s * fs))
+    t = (np.arange(n) + rng.uniform(-jitter, jitter, size=n)) / fs
+    if rng.random() < 0.2:
+        x = np.resize(random_ecg(rng, fs), n)
+    else:
+        beats = spike_train(np.arange(0.3, 3.0, 0.8), fs, 3.0)
+        x = np.resize(beats, n) + rng.normal(0.0, 0.05, size=n)
+    gn = int(round((duration_s + 2.0) * gsr_fs))
+    gt = float(rng.uniform(-1.0, 1.0)) + (
+        np.arange(gn) + rng.uniform(-jitter, jitter, size=gn)
+    ) / gsr_fs
+    gv = 2.0 + np.cumsum(rng.normal(0.0, 0.04, size=gn))
+    return t, x, GsrTrace(gt, gv, gsr_fs)
+
+
+@pytest.mark.parametrize("fs,gsr_fs", [(100.0, 4.0), (256.0, 32.0), (500.0, 7.3), (1000.0, 50.0)])
+def test_windows_match_masked_loop(fs, gsr_fs):
+    rng = np.random.default_rng(int(fs + gsr_fs))
+    for trial in range(6):
+        duration = float(rng.uniform(12.0, 40.0))
+        jitter = 0.0 if trial % 3 == 0 else 0.3
+        t, x, gsr = jittered_recording(rng, fs, gsr_fs, duration, jitter)
+        span = t[-1] - t[0] + (t[-1] - t[0]) / (t.size - 1)
+        # the last case is one window that ends at the last sample
+        for cfg in (WindowConfig(float(rng.uniform(2.0, 10.0)), float(rng.uniform(0.0, 0.9))),
+                    WindowConfig(4.0, 0.5), WindowConfig(span / 3.0, 0.0), WindowConfig(span, 0.0)):
+            threshold = float(rng.uniform(0.0, 0.2))
+            got = extract_window_features(t, x, gsr, cfg, threshold)
+            assert got == masked_window_features(t, x, gsr, cfg, threshold)
+
+
+def test_windows_match_masked_loop_at_boundary_samples():
+    # samples placed on, and within 1e-9 s of, every window edge: the
+    # tolerance and the strictness of each bound decide their window
+    fs, gfs, stride = 256.0, 32.0, 2.0
+    cfg = WindowConfig(window_length_s=2 * stride, overlap=0.5)
+    t = np.arange(int(30 * fs)) / fs
+    gt = np.arange(int(30 * gfs)) / gfs
+    nudges = [lambda b: b - 2e-9, lambda b: b - 1e-9, lambda b: b - 5e-10,
+              lambda b: b, lambda b: b + 5e-10]
+    for k in range(1, 15):
+        edge = k * stride
+        t[int(edge * fs)] = nudges[k % 5](edge)
+        gt[int(edge * gfs)] = nudges[(k + 2) % 5](edge)
+    x = spike_train(np.arange(0.3, 30.0, 0.7), fs, 30.0)
+    gsr = GsrTrace(gt, 2.0 + 0.3 * np.sin(gt), gfs)
+    vecs = extract_window_features(t, x, gsr, cfg)
+    assert vecs == masked_window_features(t, x, gsr, cfg)
+    assert len(vecs) == 14
 
 
 def test_window_without_beats_gets_zero_hrv():

@@ -21,7 +21,10 @@ from stresswatch import (
     load_fann,
     quantize,
 )
+from stresswatch import cli, perf_model
+from stresswatch import harvest_sim as hs
 from stresswatch.cli import main as cli_main
+from stresswatch.errors import ParseError
 
 
 def run_cli(capsys, *args):
@@ -161,11 +164,113 @@ def test_features_bad_window_flags_are_config_errors(capsys, data_dir, flag, val
     assert "error:" in stderr
 
 
+@pytest.mark.parametrize("which,row", [("ecg", 19), ("gsr", 8)])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_features_non_finite_sample_is_a_data_error(capsys, data_dir, tmp_path, which, row, value):
+    paths = {"ecg": data_dir / "ecg_60s.csv", "gsr": data_dir / "gsr_60s.csv"}
+    lines = paths[which].read_text().splitlines()
+    lines[row + 1] = lines[row + 1].split(",")[0] + "," + value
+    paths[which] = tmp_path / f"{which}.csv"
+    paths[which].write_text("\n".join(lines) + "\n")
+    code, stdout, stderr = run_cli(capsys, "features", str(paths["ecg"]), str(paths["gsr"]))
+    assert code == 3
+    assert stdout == ""
+    assert str(paths[which]) in stderr and f"data row {row}" in stderr
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_features_non_finite_gsr_threshold_is_a_config_error(capsys, tmp_path, value):
+    # checked before any input is opened: the missing files would exit 2
+    code, stdout, stderr = run_cli(
+        capsys, "features", str(tmp_path / "no_ecg.csv"), str(tmp_path / "no_gsr.csv"),
+        f"--gsr-threshold={value}",
+    )
+    assert code == 5
+    assert stdout == ""
+    assert "--gsr-threshold" in stderr
+
+
 def test_missing_input_file_is_a_parse_error(capsys, tmp_path):
     code, _, _ = run_cli(
         capsys, "features", str(tmp_path / "nope.csv"), str(tmp_path / "nope2.csv")
     )
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# CSV input: the bulk reader against the row scanner
+
+ECG_H = ("time_s", "ecg")
+CSV_CASES = {
+    "plain": (b"time_s,ecg\n0,1.5\n0.5,-2e-3\n", ECG_H, float, [[0, 1.5], [0.5, -2e-3]]),
+    "blank lines": (b"time_s,ecg\n\n0,1\n\n\n2,3\n\n", ECG_H, float, [[0, 1], [2, 3]]),
+    "whitespace-only line": (b"time_s,ecg\n0,1\n  \t \n2,3\n", ECG_H, float, [[0, 1], [2, 3]]),
+    "crlf": (b"time_s,ecg\r\n0,1\r\n2,3\r\n", ECG_H, float, [[0, 1], [2, 3]]),
+    "cr only": (b"time_s,ecg\r0,1\r2,3\r", ECG_H, float, [[0, 1], [2, 3]]),
+    "bom": (b"\xef\xbb\xbftime_s,ecg\n0,1\n", ECG_H, float, [[0, 1]]),
+    "padded header and cells": (b" time_s , ecg \n 0 , 1 \n", ECG_H, float, [[0, 1]]),
+    "no final newline": (b"time_s,ecg\n0,1\n2,3", ECG_H, float, [[0, 1], [2, 3]]),
+    "quoted cells": (b'time_s,ecg\n"0",1\n2,"3"\n', ECG_H, float, [[0, 1], [2, 3]]),
+    "quoted header": (b'"time_s",ecg\n0,1\n', ECG_H, float, [[0, 1]]),
+    "underscore digits": (b"time_s,ecg\n0,1_0\n", ECG_H, float, [[0, 10]]),
+    "trailing comma": (b"time_s,ecg\n0,1\n2,3,\n", ECG_H, float, 3),
+    "empty cell": (b"time_s,ecg\n0,1\n,3\n", ECG_H, float, 3),
+    "three columns throughout": (b"time_s,ecg\n0,1,2\n3,4,5\n", ECG_H, float, 2),
+    "non-numeric cell": (b"time_s,ecg\n0,1\n2,3\noops,4\n", ECG_H, float, 4),
+    "bad header": (b"time,ecg\n0,1\n", ECG_H, float, 1),
+    "blank first line": (b"\ntime_s,ecg\n0,1\n", ECG_H, float, 2),
+    "header only": (b"time_s,ecg\n", ECG_H, float, []),
+    "header only, no newline": (b"time_s,ecg", ECG_H, float, []),
+    "int labels": (b"label\n0\n2\n\n1\n", ("label",), int, [[0], [2], [1]]),
+    "int labels written as 1.0": (b"label\n0\n1.0\n", ("label",), int, 3),
+    "int label with underscore digits": (b"label\n0\n1_0\n", ("label",), int, [[0], [10]]),
+}
+
+
+def read_outcome(reader, path, header, kind):
+    try:
+        rows = reader(str(path), header, kind)
+    except ParseError as exc:
+        return exc.line, str(exc)
+    return rows.dtype, rows.shape, rows.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
+def test_read_csv_matches_row_scanner(tmp_path, case):
+    raw, header, kind, expected = CSV_CASES[case]
+    path = tmp_path / "in.csv"
+    path.write_bytes(raw)
+    got = read_outcome(cli._read_csv, path, header, kind)
+    assert got == read_outcome(cli._scan_csv, path, header, kind)
+    if isinstance(expected, int):
+        assert got[0] == expected                        # the ParseError's line
+    else:
+        want = np.array(expected, dtype=kind).reshape(-1, len(header))
+        assert got == (want.dtype, want.shape, want.tobytes())
+
+
+def test_read_csv_matches_row_scanner_on_random_files(tmp_path):
+    tokens = ["1", "-2.5", " 3 ", "1e400", "nan", "-inf", "1_0", '"7"', "", " ", "x",
+              "1.0", "+4", "\u00a05", "\u0663", "99999999999999999999"]
+    rng = np.random.default_rng(41)
+    path = tmp_path / "in.csv"
+    for _ in range(400):
+        header, kind = [(ECG_H, float), (("label",), int), (cli.FEATURES_HEADER, float)][
+            int(rng.integers(3))]
+        lines = [",".join(header)]
+        for _ in range(int(rng.integers(0, 5))):
+            ncol = len(header) + int(rng.choice([0, 0, 0, -1, 1]))
+            pool = tokens if rng.random() < 0.5 else tokens[:3]
+            lines.append(",".join(str(rng.choice(pool)) for _ in range(max(ncol, 0))))
+        eol = str(rng.choice(["\n", "\r\n", "\r"]))
+        path.write_bytes((eol.join(lines) + eol).encode())
+        try:
+            want = read_outcome(cli._scan_csv, path, header, kind)
+        except OverflowError:                             # int64 cannot hold the label
+            with pytest.raises(OverflowError):
+                cli._read_csv(str(path), header, kind)
+            continue
+        assert read_outcome(cli._read_csv, path, header, kind) == want
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +718,27 @@ def test_budget_soc_csv(capsys, tmp_path):
     assert lines[1].split(",")[0] == "0"
     final = json.loads(stdout)["simulation"]["final_charge_j"]
     assert float(lines[-1].split(",")[1]) == pytest.approx(final, rel=1e-10)
+
+
+@pytest.mark.parametrize("chunk", [None, 7, 1000, 86400])
+def test_budget_soc_csv_is_the_same_across_chunk_boundaries(capsys, tmp_path, monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(cli, "SOC_OUT_CHUNK_LINES", chunk)
+    soc = tmp_path / "soc.csv"
+    code, _, _ = run_cli(
+        capsys, "budget", "--days", "1", "--rate", "24",
+        "--start-charge", "0.5", "--soc-out", str(soc),
+    )
+    assert code == 0
+    scenario = hs.indoor_day_scenario(solar_hours=6.0, teg_hours=24.0)
+    e_det = perf_model.detection_energy("ri5cy_multi8", builtin_calibration())
+    cap = hs.BATTERY_CAPACITY_MAH * 3.6 * hs.BATTERY_NOMINAL_V
+    battery = hs.BatteryState(capacity_j=cap, charge_j=cap * 0.5)
+    sim = hs.simulate_soc(scenario, battery, 24.0, e_det, days=1, record=True)
+    want = "t_s,charge_j\n" + "".join(
+        f"{i},{q:.12g}\n" for i, q in enumerate(sim.charge_series_j)
+    )
+    assert soc.read_bytes() == want.encode("ascii")
 
 
 def test_budget_start_charge_validation(capsys):
