@@ -106,6 +106,7 @@ def _scan_csv(path: str, header: tuple[str, ...], kind: type) -> np.ndarray:
     whitespace-only lines, and it raises ``ParseError`` with the line number.
     """
     values = []
+    linenos = []  # the line of each data row
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         for lineno, row in enumerate(reader, start=1):
@@ -130,7 +131,16 @@ def _scan_csv(path: str, header: tuple[str, ...], kind: type) -> np.ndarray:
                 raise ParseError(
                     f"expected {kind.__name__} values, got {row!r}", line=lineno
                 ) from None
-    return np.array(values, dtype=kind).reshape(-1, len(header))
+            linenos.append(lineno)
+    try:
+        return np.array(values, dtype=kind).reshape(-1, len(header))
+    except OverflowError:
+        # only an int cell beyond the int64 range gets here
+        bad = next(i for i, v in enumerate(values) if not -(2**63) <= v < 2**63)
+        raise ParseError(
+            f"value {values[bad]} is outside the 64-bit integer range",
+            line=linenos[bad // len(header)],
+        ) from None
 
 
 def _features_to_csv(vectors) -> str:

@@ -1,9 +1,12 @@
 """Fully connected stress-classifier networks.
 
-Defines the network container plus the operations the rest of the pipeline
-builds on: the two reference topologies (the small 5-50-50-3 classifier and
-the large 100-input benchmark net), float inference, batch gradient-descent
-training, and the target device's memory-footprint model.
+Defines the two network containers, the float ``NetworkModel`` and its
+32-bit fixed-point mirror ``FixedPointNet`` (with its ``QFormat``), which
+share one set of structural checks, and the text format both serialize to.
+Also the operations the rest of the pipeline builds on: the two reference
+topologies (the small 5-50-50-3 classifier and the large 100-input
+benchmark net), float inference, batch gradient-descent training, and the
+target device's memory-footprint model.
 
 Weight layout follows the bias-as-extra-row convention: the connection
 matrix from layer l to layer l+1 has shape (size(l) + 1, size(l + 1)) and
@@ -12,13 +15,13 @@ its last row holds the biases, as if fed by a constant input of 1.0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, ParseError, ShapeError
+from .errors import DivergenceError, FixedPointRangeError, ParseError, ShapeError
 
 # Storage costs of the embedded runtime, in bytes. Each neuron is described
 # by 4 integers (activation id, index bookkeeping), each weight is a 32-bit
@@ -26,6 +29,9 @@ from .errors import DivergenceError, ParseError, ShapeError
 BYTES_PER_NEURON = 16
 BYTES_PER_WEIGHT = 4
 BYTES_PER_LAYER = 8
+
+INT32_MIN = -(2**31)
+INT32_MAX = 2**31 - 1
 
 
 class Activation(Enum):
@@ -56,15 +62,48 @@ class FootprintReport:
 
 
 @dataclass(frozen=True)
-class NetworkModel:
-    """Immutable MLP: layer specs plus one weight matrix per connection.
+class QFormat:
+    """32-bit fixed-point format with ``frac_bits`` fractional bits."""
+
+    frac_bits: int = 16
+    TOTAL_BITS: ClassVar[int] = 32
+
+    def __post_init__(self):
+        if not 1 <= self.frac_bits <= 30:
+            raise ValueError(f"frac_bits must be in [1, 30], got {self.frac_bits}")
+
+    @property
+    def scale(self) -> int:
+        return 1 << self.frac_bits
+
+    @property
+    def min_value(self) -> float:
+        return INT32_MIN / self.scale
+
+    @property
+    def max_value(self) -> float:
+        return INT32_MAX / self.scale
+
+    @property
+    def resolution(self) -> float:
+        return 1.0 / self.scale
+
+    def dequantize(self, q) -> np.ndarray:
+        return np.asarray(q, dtype=np.float64) / self.scale
+
+
+@dataclass(frozen=True)
+class _Network:
+    """Layer specs plus one weight matrix per connection, checked and frozen.
 
     weights[l] has shape ``(layers[l].size + 1, layers[l + 1].size)`` with
-    the bias row last. Arrays are copied and frozen at construction.
+    the bias row last. Arrays are copied to ``DTYPE`` and frozen at
+    construction; each subclass adds the rule its values must satisfy.
     """
 
     layers: tuple[LayerSpec, ...]
     weights: tuple[np.ndarray, ...]
+    DTYPE: ClassVar[type]
 
     def __post_init__(self):
         layers = tuple(self.layers)
@@ -78,18 +117,20 @@ class NetworkModel:
             )
         frozen = []
         for l, w in enumerate(self.weights):
-            w = np.array(w, dtype=np.float64)
+            w = np.array(w, dtype=self.DTYPE)
             want = (layers[l].size + 1, layers[l + 1].size)
             if w.shape != want:
                 raise ShapeError(
                     f"weight matrix {l}: expected shape {want}, got {w.shape}"
                 )
-            if not np.isfinite(w).all():
-                raise ShapeError(f"weight matrix {l} contains non-finite values")
+            self._check_values(l, w)
             w.setflags(write=False)
             frozen.append(w)
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "weights", tuple(frozen))
+
+    def _check_values(self, l: int, w: np.ndarray) -> None:
+        raise NotImplementedError
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
@@ -114,6 +155,36 @@ class NetworkModel:
     @property
     def n_outputs(self) -> int:
         return self.layers[-1].size
+
+
+@dataclass(frozen=True)
+class NetworkModel(_Network):
+    """Immutable float MLP; every weight is a finite float64."""
+
+    DTYPE: ClassVar[type] = np.float64
+
+    def _check_values(self, l: int, w: np.ndarray) -> None:
+        if not np.isfinite(w).all():
+            raise ShapeError(f"weight matrix {l} contains non-finite values")
+
+
+@dataclass(frozen=True)
+class FixedPointNet(_Network):
+    """Quantized mirror of a NetworkModel.
+
+    ``weights`` holds int64 arrays whose values fit the 32-bit range of
+    ``qformat``. ``saturated_weights`` counts weights clamped during
+    quantization (None for nets loaded from files, where the original float
+    values are unknown).
+    """
+
+    qformat: QFormat
+    saturated_weights: int | None = field(default=None, kw_only=True)
+    DTYPE: ClassVar[type] = np.int64
+
+    def _check_values(self, l: int, w: np.ndarray) -> None:
+        if w.min(initial=0) < INT32_MIN or w.max(initial=0) > INT32_MAX:
+            raise FixedPointRangeError("weight outside the 32-bit range")
 
 
 def _init_weights(sizes: Sequence[int], rng: np.random.Generator) -> list[np.ndarray]:
@@ -330,10 +401,8 @@ def _check_serializable(layers: tuple[LayerSpec, ...]) -> None:
             )
 
 
-def save_fann(model) -> str:
+def save_fann(model: _Network) -> str:
     """Render a float or fixed-point network to the text format."""
-    from .quantizer import FixedPointNet  # here to avoid a module cycle
-
     fixed = isinstance(model, FixedPointNet)
     _check_serializable(model.layers)
     sizes = " ".join(str(s) for s in model.layer_sizes)
@@ -361,7 +430,7 @@ def _header_field(line: str, key: str, lineno: int) -> str:
     return line[len(prefix):]
 
 
-def load_fann(text: str):
+def load_fann(text: str) -> NetworkModel | FixedPointNet:
     """Parse the text format into a NetworkModel or FixedPointNet.
 
     Raises ParseError (with a 1-based line number) on any structural
@@ -465,15 +534,7 @@ def load_fann(text: str):
         pos += n
 
     if fixed:
-        from .quantizer import FixedPointNet, QFormat, build_tanh_lut
-
-        fmt = QFormat(frac_bits)
-        return FixedPointNet(
-            layers=layers,
-            weights=tuple(weights),
-            qformat=fmt,
-            tanh_lut=build_tanh_lut(fmt),
-        )
+        return FixedPointNet(layers, tuple(weights), QFormat(frac_bits))
     return NetworkModel(layers, tuple(weights))
 
 

@@ -55,6 +55,9 @@ CORTEX_M4_FLOAT_CYCLES_A = 38478
 
 POWER_CONSISTENCY_LIMIT = 0.03
 
+# One detection's acquisition and feature costs. Only the two energies enter
+# the model; the duration, front-end powers and feature time are the measured
+# figures behind them, kept for reference.
 ACQUISITION_ENERGY_J = 600e-6
 ACQUISITION_DURATION_S = 3.0
 ECG_FRONTEND_POWER_W = 171e-6
@@ -118,14 +121,12 @@ class DetectionEnergyModel:
 
     The acquisition energy is a measured whole-front-end figure for the
     3 s sampling window; it is close to, but not exactly, the sum of the
-    two front-end powers times the window (kept here for reference).
+    two front-end powers times the window (the module constants
+    ``ECG_FRONTEND_POWER_W``, ``GSR_FRONTEND_POWER_W`` and
+    ``ACQUISITION_DURATION_S``, kept for reference).
     """
 
     acquisition_energy_j: float
-    acquisition_duration_s: float
-    ecg_frontend_power_w: float
-    gsr_frontend_power_w: float
-    feature_time_s: float
     feature_energy_j: float
     classify_energy_j: dict[str, float]
 
@@ -250,10 +251,6 @@ def detection_energy_model(table: CalibrationTable | None = None) -> DetectionEn
     _validate_table(table)
     return DetectionEnergyModel(
         acquisition_energy_j=ACQUISITION_ENERGY_J,
-        acquisition_duration_s=ACQUISITION_DURATION_S,
-        ecg_frontend_power_w=ECG_FRONTEND_POWER_W,
-        gsr_frontend_power_w=GSR_FRONTEND_POWER_W,
-        feature_time_s=FEATURE_TIME_S,
         feature_energy_j=FEATURE_ENERGY_J,
         classify_energy_j={
             p: table.energy_uj[p]["A"] * 1e-6 for p in table.cycles

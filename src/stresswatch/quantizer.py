@@ -11,58 +11,34 @@ mirrors that kernel bit-exactly in pure integer arithmetic:
   construction, clamped to +/-(1 - 2^-frac_bits) outside.
 
 Nothing in this path depends on float rounding, so results are reproducible
-across runs and platforms.
+across runs and platforms. The containers this arithmetic works on,
+``QFormat`` and ``FixedPointNet``, live in ``nn_core`` beside the float net
+and the text format; they are importable from here as well.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
 from .errors import FixedPointRangeError
-from .nn_core import Activation, LayerSpec, NetworkModel, _input_rows
+from .nn_core import (
+    INT32_MAX,
+    INT32_MIN,
+    Activation,
+    FixedPointNet,
+    NetworkModel,
+    QFormat,
+    _input_rows,
+)
 
 LUT_KNOTS = 257          # over [-4, 4] -> knot spacing 1/32
 LUT_X_MAX = 4.0
 _KNOTS_PER_UNIT = 32
 _CENTER = (LUT_KNOTS - 1) // 2
-
-INT32_MIN = -(2**31)
-INT32_MAX = 2**31 - 1
-
-
-@dataclass(frozen=True)
-class QFormat:
-    """32-bit fixed-point format with ``frac_bits`` fractional bits."""
-
-    frac_bits: int = 16
-    TOTAL_BITS: ClassVar[int] = 32
-
-    def __post_init__(self):
-        if not 1 <= self.frac_bits <= 30:
-            raise ValueError(f"frac_bits must be in [1, 30], got {self.frac_bits}")
-
-    @property
-    def scale(self) -> int:
-        return 1 << self.frac_bits
-
-    @property
-    def min_value(self) -> float:
-        return INT32_MIN / self.scale
-
-    @property
-    def max_value(self) -> float:
-        return INT32_MAX / self.scale
-
-    @property
-    def resolution(self) -> float:
-        return 1.0 / self.scale
-
-    def dequantize(self, q) -> np.ndarray:
-        return np.asarray(q, dtype=np.float64) / self.scale
 
 
 @dataclass(frozen=True)
@@ -78,62 +54,14 @@ class TanhTable:
         return (1 << self.frac_bits) - 1
 
 
-@dataclass(frozen=True)
-class FixedPointNet:
-    """Quantized mirror of a NetworkModel.
-
-    ``weights`` holds int64 arrays whose values fit the 32-bit range of
-    ``qformat``. ``saturated_weights`` counts weights clamped during
-    quantization (None for nets loaded from files, where the original float
-    values are unknown).
-    """
-
-    layers: tuple[LayerSpec, ...]
-    weights: tuple[np.ndarray, ...]
-    qformat: QFormat
-    tanh_lut: TanhTable
-    saturated_weights: int | None = None
-
-    def __post_init__(self):
-        frozen = []
-        for w in self.weights:
-            w = np.array(w, dtype=np.int64)
-            if w.min(initial=0) < INT32_MIN or w.max(initial=0) > INT32_MAX:
-                raise FixedPointRangeError("weight outside the 32-bit range")
-            w.setflags(write=False)
-            frozen.append(w)
-        object.__setattr__(self, "weights", tuple(frozen))
-
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return tuple(spec.size for spec in self.layers)
-
-    @property
-    def weight_count(self) -> int:
-        return int(sum(w.size for w in self.weights))
-
-    @property
-    def neuron_count(self) -> int:
-        return int(sum(self.layer_sizes))
-
-    @property
-    def layer_count(self) -> int:
-        return len(self.layers)
-
-    @property
-    def n_inputs(self) -> int:
-        return self.layers[0].size
-
-    @property
-    def n_outputs(self) -> int:
-        return self.layers[-1].size
-
-
+@functools.lru_cache(maxsize=None)
 def build_tanh_lut(fmt: QFormat) -> TanhTable:
     """Tabulate round-to-nearest tanh at the 257 knots.
 
     Only the non-negative half is computed; the negative half is its mirror
-    image, which makes eval(-x) == -eval(x) exact by construction.
+    image, which makes eval(-x) == -eval(x) exact by construction. The table
+    depends on ``fmt.frac_bits`` alone, so it is built once per format and
+    the read-only result is shared.
     """
     scale = fmt.scale
     values = np.zeros(LUT_KNOTS, dtype=np.int64)
@@ -192,7 +120,6 @@ def quantize(net: NetworkModel, fmt: QFormat = QFormat()) -> FixedPointNet:
         layers=net.layers,
         weights=tuple(q_weights),
         qformat=fmt,
-        tanh_lut=build_tanh_lut(fmt),
         saturated_weights=saturated,
     )
 
@@ -255,11 +182,12 @@ def infer_fixed(fp: FixedPointNet, x) -> np.ndarray:
     fmt = fp.qformat
     scale = fmt.scale
     half = scale >> 1
+    lut = build_tanh_lut(fmt)
     a = quantize_inputs(rows, fmt).reshape(rows.shape)
     bias = np.full((a.shape[0], 1), scale, dtype=np.int64)
     for w, spec in zip(fp.weights, fp.layers[1:]):
         acc = _accumulate(np.hstack((a, bias)), w, half)
         z = _rescale_saturate(acc, scale, half)
-        a = tanh_lut_eval(z, fp.tanh_lut) if spec.activation is Activation.TANH else z
+        a = tanh_lut_eval(z, lut) if spec.activation is Activation.TANH else z
     out = a / scale
     return out[0] if single else out

@@ -252,12 +252,11 @@ def test_acceptance_07_fixed_point_fidelity():
 
     # adversarial extremes: accumulators overflow int64, results must still
     # match the unbounded-integer oracle exactly (no wraparound, ever)
-    lut = build_tanh_lut(fmt)
     layers = (LayerSpec(4, Activation.LINEAR), LayerSpec(3, Activation.TANH))
     for trial in range(5):
         w = rng.integers(I32_MIN, I32_MAX, size=(5, 3), endpoint=True)
         w[:, 0] = I32_MAX
-        fp = FixedPointNet(layers, (w,), fmt, lut)
+        fp = FixedPointNet(layers, (w,), fmt)
         x_q = np.full(4, I32_MAX)
         if infer_fixed(fp, x_q / fmt.scale).tolist() != _oracle_fixed_forward(fp, x_q):
             oracle_mismatches += 1

@@ -224,6 +224,7 @@ CSV_CASES = {
     "int labels": (b"label\n0\n2\n\n1\n", ("label",), int, [[0], [2], [1]]),
     "int labels written as 1.0": (b"label\n0\n1.0\n", ("label",), int, 3),
     "int label with underscore digits": (b"label\n0\n1_0\n", ("label",), int, [[0], [10]]),
+    "int label beyond int64": (b"label\n0\n99999999999999999999\n", ("label",), int, 3),
 }
 
 
@@ -505,6 +506,17 @@ def test_train_label_count_mismatch(capsys, tmp_path):
         "--sizes", "5,6,3", "--epochs", "5",
     )
     assert code == 4
+
+
+def test_train_label_beyond_int64_is_a_parse_error(capsys, tmp_path):
+    feat, lab, _ = write_training_set(tmp_path)
+    lab.write_text("label\n0\n99999999999999999999\n")
+    code, _, stderr = run_cli(
+        capsys, "train", str(feat), str(lab), "-o", str(tmp_path / "x.net"),
+        "--sizes", "5,6,3", "--epochs", "5",
+    )
+    assert code == 2
+    assert "line 3" in stderr and "Traceback" not in stderr
 
 
 def test_train_bad_sizes_flag(capsys, tmp_path):

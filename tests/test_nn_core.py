@@ -8,9 +8,12 @@ import pytest
 from stresswatch import (
     Activation,
     DivergenceError,
+    FixedPointNet,
+    FixedPointRangeError,
     LayerSpec,
     NetworkModel,
     ParseError,
+    QFormat,
     ShapeError,
     build_mlp,
     build_network_a,
@@ -71,12 +74,30 @@ def test_weight_count_formula_matches_storage():
         assert net.neuron_count == sum(sizes)
 
 
-def test_weight_matrix_shapes_validated():
-    layers = (LayerSpec(2, Activation.LINEAR), LayerSpec(3, Activation.TANH))
+@pytest.mark.parametrize(
+    "make, bad_value, value_error",
+    [
+        (NetworkModel, np.nan, ShapeError),
+        (lambda layers, weights: FixedPointNet(layers, weights, QFormat()),
+         2**31, FixedPointRangeError),
+    ],
+    ids=["NetworkModel", "FixedPointNet"],
+)
+def test_weight_matrix_shapes_validated(make, bad_value, value_error):
+    lin2, tanh3 = LayerSpec(2, Activation.LINEAR), LayerSpec(3, Activation.TANH)
+    layers = (lin2, tanh3)
     with pytest.raises(ShapeError):
-        NetworkModel(layers, (np.zeros((2, 3)),))  # needs (2+1) x 3
+        make(layers, (np.zeros((2, 3)),))  # needs (2+1) x 3
     with pytest.raises(ShapeError):
-        NetworkModel(layers, (np.full((3, 3), np.nan),))
+        make((lin2,), ())  # a single layer
+    with pytest.raises(ShapeError):
+        make((LayerSpec(2, Activation.TANH), tanh3), (np.zeros((3, 3)),))
+    with pytest.raises(ShapeError):
+        make(layers, (np.zeros((3, 3)), np.zeros((4, 3))))  # one too many
+    with pytest.raises(ShapeError):
+        make((lin2, tanh3, tanh3), (np.zeros((3, 3)),))  # one too few
+    with pytest.raises(value_error):
+        make(layers, (np.full((3, 3), bad_value),))
 
 
 def test_builds_are_deterministic_per_seed():

@@ -27,6 +27,7 @@ from stresswatch import (
     quantize,
     speedup,
 )
+from stresswatch import perf_model
 from stresswatch.perf_model import CORTEX_M4_FLOAT_CYCLES_A
 
 PLATFORMS = ("cortex_m4", "ibex", "ri5cy_single", "ri5cy_multi8")
@@ -233,10 +234,10 @@ def test_detection_energy_values():
 def test_detection_energy_model_fields():
     model = detection_energy_model()
     assert model.acquisition_energy_j == 600e-6
-    assert model.acquisition_duration_s == 3.0
+    assert perf_model.ACQUISITION_DURATION_S == 3.0
     assert model.feature_energy_j == 1e-6
     # the measured figure sits near, not on, power x duration
-    budget = (model.ecg_frontend_power_w + model.gsr_frontend_power_w) * 3.0
+    budget = (perf_model.ECG_FRONTEND_POWER_W + perf_model.GSR_FRONTEND_POWER_W) * 3.0
     assert abs(model.acquisition_energy_j - budget) / budget < 0.01
     with pytest.raises(ConfigError, match="unknown platform"):
         model.total_j("esp32")

@@ -150,10 +150,9 @@ def test_quantization_error_within_half_ulp():
 
 
 def test_fixed_net_rejects_out_of_range_weights():
-    lut = build_tanh_lut(QFormat())
     layers = (LayerSpec(1, Activation.LINEAR), LayerSpec(1, Activation.TANH))
     with pytest.raises(FixedPointRangeError):
-        FixedPointNet(layers, (np.array([[2**31], [0]]),), QFormat(), lut)
+        FixedPointNet(layers, (np.array([[2**31], [0]]),), QFormat())
 
 
 def test_fixed_net_counts_match_float_counts():
@@ -165,6 +164,12 @@ def test_fixed_net_counts_match_float_counts():
 
 # ---------------------------------------------------------------------------
 # tanh lookup table
+
+def test_lut_is_built_once_per_format():
+    assert build_tanh_lut(QFormat(16)) is build_tanh_lut(QFormat())
+    assert build_tanh_lut(QFormat(8)).frac_bits == 8
+    assert not build_tanh_lut(QFormat(8)).values.flags.writeable
+
 
 def test_lut_knots_match_oracle():
     for frac_bits in (8, 16, 24):
@@ -304,7 +309,6 @@ def test_fixed_matches_oracle_under_forced_overflow():
     accumulator far beyond int64; the exact fallback must keep the result
     identical to the big-integer oracle (a wraparound would be wildly off)."""
     fmt = QFormat()
-    lut = build_tanh_lut(fmt)
     layers = (
         LayerSpec(4, Activation.LINEAR),
         LayerSpec(3, Activation.TANH),
@@ -322,7 +326,7 @@ def test_fixed_matches_oracle_under_forced_overflow():
             w1 = np.full((4, 2), I32_MIN)
             x_q = np.full(4, I32_MAX)
         x_q[0] = I32_MAX  # guarantees the accumulator bound trips
-        fp = FixedPointNet(layers, (w0, w1), fmt, lut)
+        fp = FixedPointNet(layers, (w0, w1), fmt)
         got = infer_fixed(fp, x_q / fmt.scale)
         want = oracle_forward_q(fp, x_q)
         assert got.tolist() == want
@@ -360,7 +364,7 @@ def test_saturated_accumulator_lands_on_lut_clamp():
     lut = build_tanh_lut(fmt)
     layers = (LayerSpec(1, Activation.LINEAR), LayerSpec(2, Activation.TANH))
     w = np.array([[I32_MAX, I32_MIN], [I32_MAX, I32_MIN]])
-    fp = FixedPointNet(layers, (w,), fmt, lut)
+    fp = FixedPointNet(layers, (w,), fmt)
     out = infer_fixed(fp, [1.0])
     sat = lut.saturation / fmt.scale
     assert out.tolist() == [sat, -sat]
