@@ -45,13 +45,12 @@ class RRSeries:
         return int(self.intervals_ms.size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GsrTrace:
     """Skin-conductance samples on a strictly increasing time base."""
 
     times_s: np.ndarray
     conductance_us: np.ndarray
-    sample_rate_hz: float
 
     def __post_init__(self):
         t = np.asarray(self.times_s, dtype=np.float64).reshape(-1)
@@ -62,8 +61,6 @@ class GsrTrace:
             raise ValueError("GSR trace contains non-finite values")
         if t.size >= 2 and (np.diff(t) <= 0).any():
             raise ValueError("GSR time base must be strictly increasing")
-        if not self.sample_rate_hz > 0:
-            raise ValueError("sample_rate_hz must be positive")
         t.setflags(write=False)
         g.setflags(write=False)
         object.__setattr__(self, "times_s", t)
@@ -272,9 +269,7 @@ def extract_window_features(
     for a, b, ga, gb in zip(lo.tolist(), hi.tolist(), glo.tolist(), ghi.tolist()):
         r, s, n = _window_hrv(x[a:b], sample_rate)
         if gb - ga >= 2:
-            window_trace = GsrTrace(
-                gsr.times_s[ga:gb], gsr.conductance_us[ga:gb], gsr.sample_rate_hz
-            )
+            window_trace = GsrTrace(gsr.times_s[ga:gb], gsr.conductance_us[ga:gb])
             gh, gl = gsr_slope_features(window_trace, gsr_threshold_us)
         else:
             gh, gl = 0.0, 0.0

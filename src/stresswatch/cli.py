@@ -191,8 +191,7 @@ def cmd_features(args) -> int:
             raise InsufficientDataError(f"{path}: time_s must be strictly increasing")
     if gsr_t.size < 2:
         raise InsufficientDataError("GSR recording has fewer than 2 samples")
-    gsr_rate = (gsr_t.size - 1) / (gsr_t[-1] - gsr_t[0])
-    trace = bf.GsrTrace(gsr_t, gsr_x, gsr_rate)
+    trace = bf.GsrTrace(gsr_t, gsr_x)
     vectors = bf.extract_window_features(
         ecg_t, ecg_x, trace, cfg, gsr_threshold_us=args.gsr_threshold
     )

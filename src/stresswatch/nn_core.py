@@ -92,7 +92,7 @@ class QFormat:
         return np.asarray(q, dtype=np.float64) / self.scale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Network:
     """Layer specs plus one weight matrix per connection, checked and frozen.
 
@@ -157,7 +157,7 @@ class _Network:
         return self.layers[-1].size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkModel(_Network):
     """Immutable float MLP; every weight is a finite float64."""
 
@@ -168,7 +168,7 @@ class NetworkModel(_Network):
             raise ShapeError(f"weight matrix {l} contains non-finite values")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedPointNet(_Network):
     """Quantized mirror of a NetworkModel.
 
@@ -414,12 +414,11 @@ def save_fann(model: _Network) -> str:
     if fixed:
         lines.append(f"decimal_point={model.qformat.frac_bits}")
         for w in model.weights:
-            for row in w:
-                lines.append(" ".join(str(int(v)) for v in row))
+            lines += [" ".join(map(str, row)) for row in w.tolist()]
     else:
         for w in model.weights:
-            for row in w:
-                lines.append(" ".join(f"{v:.9g}" for v in row))
+            fmt = " ".join(["%.9g"] * w.shape[1])
+            lines += [fmt % tuple(row) for row in w.tolist()]
     return "\n".join(lines) + "\n"
 
 
@@ -428,6 +427,69 @@ def _header_field(line: str, key: str, lineno: int) -> str:
     if not line.startswith(prefix):
         raise ParseError(f"expected '{key}=...', got {line!r}", line=lineno)
     return line[len(prefix):]
+
+
+def _read_weights(
+    lines: list[str], start: int, expected: int, fixed: bool
+) -> np.ndarray:
+    """The ``expected`` weights in ``lines[start:]`` as one int64 or float64
+    array.
+
+    The block is split once and converted by one ``np.array`` call. A wrong
+    token count, a token numpy rejects, or a non-finite float sends it to
+    ``_scan_weights``, which defines what is accepted and names the line of
+    the first problem, so both paths give the same array or the same error.
+    """
+    tokens = " ".join(lines[start:]).split()
+    if len(tokens) == expected:
+        try:
+            values = np.array(tokens, dtype=np.int64 if fixed else np.float64)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if fixed or np.isfinite(values).all():
+                return values
+    return _scan_weights(lines, start, expected, fixed)
+
+
+def _scan_weights(
+    lines: list[str], start: int, expected: int, fixed: bool
+) -> np.ndarray:
+    """The reference reader behind ``_read_weights``, one ``int()`` or
+    ``float()`` per token; raises ``ParseError`` with a 1-based line."""
+    tokens: list[str] = []
+    token_lines: list[int] = []
+    for off, line in enumerate(lines[start:], start=start + 1):
+        for tok in line.split():
+            tokens.append(tok)
+            token_lines.append(off)
+    if len(tokens) < expected:
+        raise ParseError(
+            f"expected {expected} weights, found {len(tokens)}",
+            line=len(lines) or 1,
+        )
+    if len(tokens) > expected:
+        raise ParseError(
+            f"expected {expected} weights, found {len(tokens)}",
+            line=token_lines[expected],
+        )
+
+    values = np.empty(expected, dtype=np.int64 if fixed else np.float64)
+    for i, tok in enumerate(tokens):
+        try:
+            values[i] = int(tok) if fixed else float(tok)
+        except (ValueError, OverflowError):
+            kind = "integer" if fixed else "number"
+            raise ParseError(
+                f"weight token {tok!r} is not a valid {kind}",
+                line=token_lines[i],
+            ) from None
+    if not fixed and not np.isfinite(values).all():
+        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise ParseError(
+            f"weight token {tokens[bad]!r} is not finite", line=token_lines[bad]
+        )
+    return values
 
 
 def load_fann(text: str) -> NetworkModel | FixedPointNet:
@@ -489,38 +551,7 @@ def load_fann(text: str) -> NetworkModel | FixedPointNet:
         body_start = 4
 
     expected = sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
-    tokens: list[str] = []
-    token_lines: list[int] = []
-    for off, line in enumerate(lines[body_start:], start=body_start + 1):
-        for tok in line.split():
-            tokens.append(tok)
-            token_lines.append(off)
-    if len(tokens) < expected:
-        raise ParseError(
-            f"expected {expected} weights, found {len(tokens)}",
-            line=len(lines) or 1,
-        )
-    if len(tokens) > expected:
-        raise ParseError(
-            f"expected {expected} weights, found {len(tokens)}",
-            line=token_lines[expected],
-        )
-
-    values = np.empty(expected, dtype=np.int64 if fixed else np.float64)
-    for i, tok in enumerate(tokens):
-        try:
-            values[i] = int(tok) if fixed else float(tok)
-        except (ValueError, OverflowError):
-            kind = "integer" if fixed else "number"
-            raise ParseError(
-                f"weight token {tok!r} is not a valid {kind}",
-                line=token_lines[i],
-            ) from None
-    if not fixed and not np.isfinite(values).all():
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise ParseError(
-            f"weight token {tokens[bad]!r} is not finite", line=token_lines[bad]
-        )
+    values = _read_weights(lines, body_start, expected, fixed)
 
     layers = tuple(
         LayerSpec(s, Activation.LINEAR if i == 0 else Activation.TANH)

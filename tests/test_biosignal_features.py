@@ -110,7 +110,7 @@ def masked_window_features(t, x, gsr, cfg, threshold=DEFAULT_GSR_THRESHOLD_US):
         gsel = (gsr.times_s >= start - 1e-9) & (gsr.times_s < stop - 1e-9)
         gh, gl = 0.0, 0.0
         if np.count_nonzero(gsel) >= 2:
-            piece = GsrTrace(gsr.times_s[gsel], gsr.conductance_us[gsel], gsr.sample_rate_hz)
+            piece = GsrTrace(gsr.times_s[gsel], gsr.conductance_us[gsel])
             gh, gl = gsr_slope_features(piece, threshold)
         out.append(FeatureVector(*hrv, gh, gl))
     return out
@@ -327,30 +327,30 @@ def test_detect_matches_loop_on_edge_shapes():
 def test_gsr_single_ramp():
     t = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
     g = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
-    gh, gl = gsr_slope_features(GsrTrace(t, g, 1.0))
+    gh, gl = gsr_slope_features(GsrTrace(t, g))
     assert (gh, gl) == (2.0, 4.0)
 
 
 def test_gsr_two_ramps_mean():
     t = np.arange(8.0)
     g = np.array([0.0, 1.0, 2.0, 2.0, 2.5, 3.0, 3.5, 4.0])
-    gh, gl = gsr_slope_features(GsrTrace(t, g, 1.0))
+    gh, gl = gsr_slope_features(GsrTrace(t, g))
     assert (gh, gl) == (2.0, 3.0)    # rises 2 and 2; durations 2 and 4
 
 
 def test_gsr_nothing_qualifies():
     t = np.arange(5.0)
-    flat = GsrTrace(t, np.full(5, 2.0), 1.0)
+    flat = GsrTrace(t, np.full(5, 2.0))
     assert gsr_slope_features(flat) == (0.0, 0.0)
-    tiny = GsrTrace(np.arange(3.0), np.array([0.0, 0.01, 0.02]), 1.0)
+    tiny = GsrTrace(np.arange(3.0), np.array([0.0, 0.01, 0.02]))
     assert gsr_slope_features(tiny) == (0.0, 0.0)   # rise below threshold
-    assert gsr_slope_features(GsrTrace([0.0], [1.0], 1.0)) == (0.0, 0.0)
+    assert gsr_slope_features(GsrTrace([0.0], [1.0])) == (0.0, 0.0)
 
 
 def test_gsr_threshold_filters_small_runs():
     t = np.arange(7.0)
     g = np.array([0.0, 0.02, 0.02, 0.0, 0.5, 1.0, 0.9])
-    gh, gl = gsr_slope_features(GsrTrace(t, g, 1.0))
+    gh, gl = gsr_slope_features(GsrTrace(t, g))
     assert (gh, gl) == (1.0, 2.0)    # only the 0.0 -> 1.0 run counts
 
 
@@ -360,7 +360,7 @@ def test_gsr_against_scan_oracle():
         n = int(rng.integers(2, 120))
         t = np.cumsum(rng.uniform(0.02, 0.08, size=n))
         g = np.cumsum(rng.normal(0.0, 0.05, size=n)) + 2.0
-        trace = GsrTrace(t, g, 32.0)
+        trace = GsrTrace(t, g)
         got = gsr_slope_features(trace)
         want = gsr_oracle(t, g, DEFAULT_GSR_THRESHOLD_US)
         assert got[0] == pytest.approx(want[0], abs=1e-12)
@@ -370,20 +370,26 @@ def test_gsr_against_scan_oracle():
 def test_gsr_time_shift_invariance():
     t = np.arange(6.0)
     g = np.array([0.0, 0.3, 0.8, 0.8, 1.1, 1.5])
-    a = gsr_slope_features(GsrTrace(t, g, 1.0))
-    b = gsr_slope_features(GsrTrace(t + 1000.0, g, 1.0))
+    a = gsr_slope_features(GsrTrace(t, g))
+    b = gsr_slope_features(GsrTrace(t + 1000.0, g))
     assert a == b
 
 
 def test_gsr_trace_validation():
     with pytest.raises(ValueError):
-        GsrTrace([0.0, 1.0], [1.0], 1.0)             # length mismatch
+        GsrTrace([0.0, 1.0], [1.0])         # length mismatch
     with pytest.raises(ValueError):
-        GsrTrace([0.0, 0.0], [1.0, 2.0], 1.0)        # non-increasing time
+        GsrTrace([0.0, 0.0], [1.0, 2.0])    # non-increasing time
     with pytest.raises(ValueError):
-        GsrTrace([0.0, 1.0], [1.0, np.inf], 1.0)
-    with pytest.raises(ValueError):
-        GsrTrace([0.0, 1.0], [1.0, 2.0], 0.0)
+        GsrTrace([0.0, 1.0], [1.0, np.inf])
+
+
+def test_gsr_traces_compare_and_hash_by_identity():
+    a, b = GsrTrace([0.0, 1.0], [1.0, 2.0]), GsrTrace([0.0, 1.0], [1.0, 2.0])
+    assert a == a
+    assert a != b                        # equal samples, two objects
+    assert hash(a) == hash(a)
+    assert {a: 1, b: 2}[a] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +401,7 @@ def make_recording(duration_s, beat_period_s=1.0, fs=256.0, gsr_fs=32.0):
     x = spike_train(beats, fs, duration_s)
     gt = np.arange(int(round(duration_s * gsr_fs))) / gsr_fs
     gv = 2.0 + 0.3 * np.sin(2 * np.pi * gt / 20.0)
-    return t, x, GsrTrace(gt, gv, gsr_fs)
+    return t, x, GsrTrace(gt, gv)
 
 
 def test_window_counts():
@@ -432,7 +438,7 @@ def test_windows_compose_from_parts():
         lo, hi = int(k * 20 * fs), int((k + 1) * 20 * fs)
         rr = detect_r_peaks(x[lo:hi], fs)
         glo, ghi = int(k * 20 * gfs), int((k + 1) * 20 * gfs)
-        piece = GsrTrace(gsr.times_s[glo:ghi], gsr.conductance_us[glo:ghi], gfs)
+        piece = GsrTrace(gsr.times_s[glo:ghi], gsr.conductance_us[glo:ghi])
         gh, gl = gsr_slope_features(piece)
         assert vec.rmssd_ms == rmssd(rr)
         assert vec.sdsd_ms == sdsd(rr)
@@ -456,7 +462,7 @@ def jittered_recording(rng, fs, gsr_fs, duration_s, jitter):
         np.arange(gn) + rng.uniform(-jitter, jitter, size=gn)
     ) / gsr_fs
     gv = 2.0 + np.cumsum(rng.normal(0.0, 0.04, size=gn))
-    return t, x, GsrTrace(gt, gv, gsr_fs)
+    return t, x, GsrTrace(gt, gv)
 
 
 @pytest.mark.parametrize("fs,gsr_fs", [(100.0, 4.0), (256.0, 32.0), (500.0, 7.3), (1000.0, 50.0)])
@@ -489,7 +495,7 @@ def test_windows_match_masked_loop_at_boundary_samples():
         t[int(edge * fs)] = nudges[k % 5](edge)
         gt[int(edge * gfs)] = nudges[(k + 2) % 5](edge)
     x = spike_train(np.arange(0.3, 30.0, 0.7), fs, 30.0)
-    gsr = GsrTrace(gt, 2.0 + 0.3 * np.sin(gt), gfs)
+    gsr = GsrTrace(gt, 2.0 + 0.3 * np.sin(gt))
     vecs = extract_window_features(t, x, gsr, cfg)
     assert vecs == masked_window_features(t, x, gsr, cfg)
     assert len(vecs) == 14
@@ -504,7 +510,7 @@ def test_window_without_beats_gets_zero_hrv():
     beats = [b for b in beats if b < 89.0 and not 29.5 <= b < 60.5]
     x = spike_train(beats, fs, duration)
     gt = np.arange(int(duration * 4.0)) / 4.0
-    gsr = GsrTrace(gt, 2.0 + 0.3 * np.sin(gt / 3.0), 4.0)
+    gsr = GsrTrace(gt, 2.0 + 0.3 * np.sin(gt / 3.0))
     cfg = WindowConfig(window_length_s=30.0, overlap=0.0)
     vecs = extract_window_features(t, x, gsr, cfg)
     assert len(vecs) == 3
@@ -516,7 +522,7 @@ def test_window_without_beats_gets_zero_hrv():
 
 
 def test_extract_validates_inputs():
-    gsr = GsrTrace([0.0, 1.0], [1.0, 1.0], 1.0)
+    gsr = GsrTrace([0.0, 1.0], [1.0, 1.0])
     with pytest.raises(ValueError):
         extract_window_features([0.0, 1.0], [1.0], gsr)
     with pytest.raises(InsufficientDataError):

@@ -24,9 +24,11 @@ from stresswatch import (
     load_fann,
     mse_gradients,
     mse_loss,
+    quantize,
     save_fann,
     train,
 )
+from stresswatch import nn_core
 
 
 def naive_forward(net, x):
@@ -98,6 +100,19 @@ def test_weight_matrix_shapes_validated(make, bad_value, value_error):
         make((lin2, tanh3, tanh3), (np.zeros((3, 3)),))  # one too few
     with pytest.raises(value_error):
         make(layers, (np.full((3, 3), bad_value),))
+
+
+def test_networks_compare_and_hash_by_identity():
+    lin2, tanh3 = LayerSpec(2, Activation.LINEAR), LayerSpec(3, Activation.TANH)
+    fixed = FixedPointNet((lin2, tanh3), (np.ones((3, 3)),), QFormat())
+    for make in (lambda: build_network_a(1), lambda: build_network_b(1),
+                 lambda: FixedPointNet(fixed.layers, fixed.weights, fixed.qformat)):
+        a, b = make(), make()
+        assert a == a
+        assert a != b                    # equal contents, two objects
+        assert not a == b
+        assert hash(a) == hash(a)
+        assert {a: 1, b: 2}[a] == 1
 
 
 def test_builds_are_deterministic_per_seed():
@@ -346,3 +361,175 @@ def test_extra_and_bad_tokens_rejected():
         load_fann("\n".join(base.splitlines()[:3]) + "\ninf " + " ".join(["0"] * 8) + "\n")
     with pytest.raises(ParseError, match="empty"):
         load_fann("")
+
+
+def weights_outcome(reader, lines, start, expected, fixed):
+    try:
+        values = reader(lines, start, expected, fixed)
+    except ParseError as exc:
+        return exc.line, str(exc)
+    return values.dtype, values.shape, values.tobytes()
+
+
+def reader_outcomes(text, fixed, expected):
+    """What the bulk reader and the per-token scanner make of one file."""
+    lines = text.splitlines()
+    start = 4 if fixed else 3
+    got = weights_outcome(nn_core._read_weights, lines, start, expected, fixed)
+    want = weights_outcome(nn_core._scan_weights, lines, start, expected, fixed)
+    return got, want
+
+
+def header(fixed, sizes):
+    head = [nn_core.TAG_FIXED if fixed else nn_core.TAG_FLOAT,
+            f"num_layers={len(sizes)}", "layer_sizes=" + " ".join(map(str, sizes))]
+    return head + (["decimal_point=16"] if fixed else [])
+
+
+# Tokens on which Python's int()/float() and numpy's string casts could
+# disagree; the scanner's verdict is the contract.
+ODD_TOKENS = ["1_0", "+5", "-0", "1.", ".5", "1E+05", "nan", "-nan", "inf", "-inf",
+              "1e400", "-1e400", "1e-400", "0x10", "1.0", "9223372036854775807",
+              "9223372036854775808", "-9223372036854775809", "2147483648", "1__0",
+              "_1", "1_", "00", "0.1e1_0", "\u0663", "\uff15", "1e", "oops"]
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["float", "fixed"])
+@pytest.mark.parametrize("token", ODD_TOKENS)
+def test_weight_reader_matches_token_scanner_on_odd_tokens(token, fixed):
+    # [2, 2, 1]: 9 weights; the odd token sits on the second row
+    rows = ["1 2", f"3 {token}", "5 6", "7", "8", "9"]
+    text = "\n".join(header(fixed, [2, 2, 1]) + rows) + "\n"
+    got, want = reader_outcomes(text, fixed, 9)
+    assert got == want
+    if isinstance(want[0], int):
+        assert want[0] == (6 if fixed else 5)           # the odd token's line
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["float", "fixed"])
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        ("1 2\r\n3 4\r\n5 6\r\n7\r\n8\r\n9\r\n", None),
+        ("1 2\x0c3 4\x0c5 6 7 8 9", None),
+        ("1 2\x1c3 4\x1c5\x1d6\x1e7\x1f8\v9", None),
+        ("\n\n1 2 3\n\n\n4 5 6 7 8 9\n\n", None),
+        ("  1\t2 3 4 5 6 7 8 9  \n", None),
+        ("1 2 3 4 5 6 7 8 9 10\n", 1),
+        ("1 2 3 4 5 6 7 8\n\n", 2),
+        ("1 2 3 4 5 6 7 8 9\n\n10\n", 3),
+        ("", 0),
+    ],
+    ids=["crlf", "form-feed", "separators", "blank-lines", "tabs",
+         "one-too-many", "one-too-few", "extra-after-blank", "no-body"],
+)
+def test_weight_reader_matches_token_scanner_on_layouts(body, line, fixed):
+    head = header(fixed, [2, 2, 1])
+    got, want = reader_outcomes("\n".join(head) + "\n" + body, fixed, 9)
+    assert got == want
+    if line is None:
+        assert want[2] == np.arange(1, 10, dtype=want[0]).tobytes()
+    else:
+        assert want[0] == len(head) + line
+
+
+def test_weight_reader_matches_token_scanner_on_random_files():
+    seps = [" ", " ", " ", "  ", "\t", "\n", "\n", "\r\n", "\r", "\n\n", " \r\n\r\n ",
+            "\x0c", "\x0b", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", " ", "\xa0"]
+    rng = np.random.default_rng(67)
+    kinds = set()
+    for _ in range(1500):
+        fixed = bool(rng.random() < 0.5)
+        sizes = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(2, 4)))]
+        expected = sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
+        count = expected + int(rng.choice([0, 0, 0, 0, -1, 1]))
+        odd = rng.random() < 0.5
+        tokens = []
+        for _ in range(max(count, 0)):
+            if odd and rng.random() < 0.15:
+                tokens.append(str(rng.choice(ODD_TOKENS)))
+            elif fixed:
+                tokens.append(str(int(rng.integers(-2**31, 2**31))))
+            else:
+                v = float(rng.normal(0.0, 1.0) * 10.0 ** int(rng.integers(-320, 300)))
+                tokens.append(str(rng.choice([f"{v:.9g}", repr(v), f"{v:.3e}"])))
+        body = "".join(str(rng.choice(seps)) + tok for tok in tokens)
+        text = "\n".join(header(fixed, sizes)) + "\n" + body
+        if rng.random() < 0.5:
+            text += str(rng.choice(seps))
+        got, want = reader_outcomes(text, fixed, expected)
+        assert got == want, text
+        if not isinstance(want[0], int):
+            kinds.add("ok")
+        else:
+            kinds.add("count" if "weights, found" in want[1] else want[1].split()[-1])
+    # every verdict the scanner can give came up
+    assert kinds == {"ok", "count", "integer", "number", "finite"}
+
+
+def save_fann_per_value(model):
+    """The text format written one value at a time: an f-string per float,
+    an int() per fixed-point weight. The reference for save_fann."""
+    fixed = isinstance(model, FixedPointNet)
+    lines = [nn_core.TAG_FIXED if fixed else nn_core.TAG_FLOAT,
+             f"num_layers={len(model.layers)}",
+             "layer_sizes=" + " ".join(str(s) for s in model.layer_sizes)]
+    if fixed:
+        lines.append(f"decimal_point={model.qformat.frac_bits}")
+    for w in model.weights:
+        for row in w:
+            if fixed:
+                lines.append(" ".join(str(int(v)) for v in row))
+            else:
+                lines.append(" ".join(f"{v:.9g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def odd_floats(rng, shape):
+    """Weights drawn from the values a %.9g formatter can get wrong."""
+    n = int(np.prod(shape))
+    tiny = np.finfo(np.float64).smallest_subnormal
+    pools = [
+        rng.uniform(-1.0, 1.0, n),
+        rng.integers(-2**20, 2**20, n) * tiny,                         # subnormals
+        np.where(rng.random(n) < 0.5, -0.0, 0.0),
+        rng.uniform(0.1, 10.0, n) * 10.0 ** rng.choice([-300, -299, 299, 300], n)
+        * rng.choice([-1.0, 1.0], n),
+        # a 9-digit mantissa plus a trailing 5: rounds at the 9th digit
+        np.array([float(f"{m}5e{e}") for m, e in zip(
+            rng.integers(10**8, 10**9, n), rng.integers(-20, 20, n))]),
+        rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),  # any bits
+    ]
+    v = np.choose(rng.integers(0, len(pools), n), pools)
+    v[~np.isfinite(v)] = 1.0
+    return v.reshape(shape)
+
+
+def test_save_matches_per_value_formatter_and_round_trips():
+    rng = np.random.default_rng(71)
+    for trial in range(60):
+        sizes = [int(rng.integers(1, 9)) for _ in range(int(rng.integers(2, 5)))]
+        shapes = [(a + 1, b) for a, b in zip(sizes, sizes[1:])]
+        net = build_mlp(sizes, weights=[odd_floats(rng, sh) for sh in shapes])
+        text = save_fann(net)
+        assert text == save_fann_per_value(net)
+        back = load_fann(text)
+        for w, b in zip(net.weights, back.weights):
+            want = np.array([float(f"{v:.9g}") for v in w.ravel()]).reshape(w.shape)
+            assert b.tobytes() == want.tobytes()
+        assert save_fann(back) == text
+        again = load_fann(save_fann(back))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(back.weights, again.weights))
+
+        # quantized mirrors of moderate weights, saturating ones included
+        small = build_mlp(sizes, weights=[rng.uniform(-1.0, 1.0, sh)
+                                          * 10.0 ** rng.integers(-6, 4, sh) for sh in shapes])
+        frac_bits = (8, 16, 24)[trial % 3]
+        fp = quantize(small, QFormat(frac_bits))
+        text = save_fann(fp)
+        assert text == save_fann_per_value(fp)
+        back = load_fann(text)
+        assert back.qformat == fp.qformat
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(fp.weights, back.weights))
+    for net in (build_network_a(4), build_network_b(4)):
+        assert save_fann(net) == save_fann_per_value(net)
