@@ -28,7 +28,7 @@ _REFRACTORY_S = 0.25
 _PEAK_SEARCH_S = 0.10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RRSeries:
     """Successive beat-to-beat intervals in milliseconds."""
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -456,6 +457,75 @@ def _resolve_scenario(args) -> hs.HarvestScenario:
     return builtins[name]
 
 
+@functools.lru_cache(maxsize=None)
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Two read-only spellings of 0..9999, each entry 4 ASCII bytes in one uint32.
+
+    Entry ``k`` of the first spells ``k`` without leading zeros (0 as
+    ``0``), entry ``k`` of the second without trailing zeros (0 as nothing);
+    entry ``10000 + k`` of both is the full spelling, such as ``0042``. A
+    dropped digit is a 0 byte.
+    """
+    k = np.arange(10000)[:, None]
+    col = np.arange(4)
+    full = (48 + k // 10 ** (3 - col) % 10).astype(np.uint8)
+    lead = np.where((k >= 10 ** (3 - col)) | (col == 3), full, 0).astype(np.uint8)
+    trail = np.where(k % 10 ** (4 - col) != 0, full, 0).astype(np.uint8)
+    tables = tuple(np.concatenate([t, full]).view(np.uint32).ravel() for t in (lead, trail))
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+def _soc_lines(start: int, q: np.ndarray) -> bytes:
+    """The lines ``f"{i},{v:.12g}\\n"`` of the charges ``q`` (J), numbered
+    from ``start``, as ASCII bytes.
+
+    Each line is spelled from the charge's integer nJ through the 4-digit
+    tables into a 24-byte row (index, comma, integer part, point, 9
+    decimals, newline) whose unused bytes are 0 and dropped at the end.
+    The f-string is the reference: it formats the chunk whenever a charge
+    is not a whole number of nJ, needs an exponent (below 1e-4 J) or may
+    round to a 5th integer digit, or an index has more than 8 digits.
+    """
+    x = np.rint(q * 1e9)
+    if not (
+        start + q.size <= 10**8
+        and ((x < 10**13 - 5) & ((x >= 10**5) | (x == 0)) & ~np.signbit(q)).all()
+        and (x / 1e9 == q).all()
+    ):
+        return "".join(f"{i},{v:.12g}\n" for i, v in enumerate(q.tolist(), start)).encode("ascii")
+    n = x.astype(np.int64)
+    # from 1000 J on, 12 significant digits end at 10 nJ; on a 5 the binary
+    # value decides which way to round, as it does for the f-string
+    big = n >= 10**12
+    tie = np.flatnonzero(big & (n % 10 == 5))
+    n = np.where(big, (n + 5) // 10 * 10, n)
+    n[tie] = [int(f"{v:.8f}".replace(".", "")) * 10 for v in q[tie].tolist()]
+
+    lead, trail = _digit_tables()
+    i_hi, i_lo = np.divmod(np.arange(start, start + q.size), 10**4)
+    whole, frac = np.divmod(n, 10**9)
+    f_hi, rest = np.divmod(frac, 10**5)
+    f_lo, f_last = np.divmod(rest, 10)
+    rows = np.zeros((q.size, 24), dtype=np.uint8)
+    for col, word in (
+        (0, np.where(i_hi != 0, np.take(lead, i_hi), 0)),
+        (4, np.take(lead, i_lo + 10**4 * (i_hi != 0))),
+        (9, np.take(lead, whole)),
+        # a decimal group keeps its trailing zeros when a later digit is not 0
+        (14, np.take(trail, f_hi + 10**4 * (rest != 0))),
+        (18, np.take(trail, f_lo + 10**4 * (f_last != 0))),
+    ):
+        rows[:, col:col + 4].view(np.uint32)[:, 0] = word
+    rows[:, 8] = ord(",")
+    rows[:, 13] = np.where(frac != 0, ord("."), 0)
+    rows[:, 22] = np.where(f_last != 0, ord("0") + f_last, 0)
+    rows[:, 23] = ord("\n")
+    flat = rows.ravel()
+    return flat[flat != 0].tobytes()
+
+
 def cmd_budget(args) -> int:
     table = perf_model.load_calibration(args.calibration) if args.calibration \
         else perf_model.builtin_calibration()
@@ -486,11 +556,10 @@ def cmd_budget(args) -> int:
         )
         if args.soc_out is not None:
             series = sim.charge_series_j
-            with open(args.soc_out, "w", encoding="ascii", newline="") as fh:
-                fh.write("t_s,charge_j\n")
+            with open(args.soc_out, "wb") as fh:
+                fh.write(b"t_s,charge_j\n")
                 for s in range(0, series.size, SOC_OUT_CHUNK_LINES):
-                    chunk = series[s:s + SOC_OUT_CHUNK_LINES].tolist()
-                    fh.write("".join(f"{i},{q:.12g}\n" for i, q in enumerate(chunk, s)))
+                    fh.write(_soc_lines(s, series[s:s + SOC_OUT_CHUNK_LINES]))
 
     if args.json:
         doc = {

@@ -436,9 +436,10 @@ def _read_weights(
     array.
 
     The block is split once and converted by one ``np.array`` call. A wrong
-    token count, a token numpy rejects, or a non-finite float sends it to
-    ``_scan_weights``, which defines what is accepted and names the line of
-    the first problem, so both paths give the same array or the same error.
+    token count, a token numpy rejects, a non-finite float or a fixed-point
+    weight outside the 32-bit range sends it to ``_scan_weights``, which
+    defines what is accepted and names the line of the first problem, so
+    both paths give the same array or the same error.
     """
     tokens = " ".join(lines[start:]).split()
     if len(tokens) == expected:
@@ -447,7 +448,11 @@ def _read_weights(
         except (ValueError, OverflowError):
             pass
         else:
-            if fixed or np.isfinite(values).all():
+            if fixed:
+                bad = (values < INT32_MIN) | (values > INT32_MAX)
+            else:
+                bad = ~np.isfinite(values)
+            if not bad.any():
                 return values
     return _scan_weights(lines, start, expected, fixed)
 
@@ -456,7 +461,8 @@ def _scan_weights(
     lines: list[str], start: int, expected: int, fixed: bool
 ) -> np.ndarray:
     """The reference reader behind ``_read_weights``, one ``int()`` or
-    ``float()`` per token; raises ``ParseError`` with a 1-based line."""
+    ``float()`` per token; raises ``ParseError``, or ``FixedPointRangeError``
+    for a fixed-point weight outside the 32-bit range, with a 1-based line."""
     tokens: list[str] = []
     token_lines: list[int] = []
     for off, line in enumerate(lines[start:], start=start + 1):
@@ -489,6 +495,14 @@ def _scan_weights(
         raise ParseError(
             f"weight token {tokens[bad]!r} is not finite", line=token_lines[bad]
         )
+    if fixed:
+        outside = np.flatnonzero((values < INT32_MIN) | (values > INT32_MAX))
+        if outside.size:
+            bad = int(outside[0])
+            raise FixedPointRangeError(
+                f"line {token_lines[bad]}: weight token {tokens[bad]!r} "
+                "is outside the 32-bit range"
+            )
     return values
 
 

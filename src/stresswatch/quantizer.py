@@ -41,7 +41,7 @@ _KNOTS_PER_UNIT = 32
 _CENTER = (LUT_KNOTS - 1) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TanhTable:
     """Quantized tanh knots at spacing 1/32 over [-4, 4], mirrored about 0."""
 

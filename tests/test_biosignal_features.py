@@ -392,6 +392,14 @@ def test_gsr_traces_compare_and_hash_by_identity():
     assert {a: 1, b: 2}[a] == 1
 
 
+def test_rr_series_compare_and_hash_by_identity():
+    a, b = RRSeries([800.0, 810.0]), RRSeries([800.0, 810.0])
+    assert a == a
+    assert a != b                        # equal intervals, two objects
+    assert hash(a) == hash(a)
+    assert {a: 1, b: 2}[a] == 1
+
+
 # ---------------------------------------------------------------------------
 # windowing
 

@@ -753,6 +753,87 @@ def test_budget_soc_csv_is_the_same_across_chunk_boundaries(capsys, tmp_path, mo
     assert soc.read_bytes() == want.encode("ascii")
 
 
+def soc_lines_reference(start, q):
+    return "".join(f"{i},{v:.12g}\n" for i, v in enumerate(q.tolist(), start)).encode("ascii")
+
+
+# charge (nJ) -> its .12g spelling in joules
+SOC_NJ = {
+    0: "0",
+    1: "1e-09",                        # exponent: the chunk falls back
+    99999: "9.9999e-05",
+    10**5: "0.0001",
+    123456: "0.000123456",
+    500000001: "0.500000001",
+    959000000000: "959",
+    999999999999: "999.999999999",
+    10**12: "1000",
+    1000000000005: "1000",             # tie, the double lies below it
+    1000000000015: "1000.00000001",    # tie, the double lies above it
+    1000001953125: "1000.00195312",    # exact binary tie: half to even
+    1598400000000: "1598.4",
+    9999999999985: "9999.99999999",    # tie, the double lies above it
+    9999999999994: "9999.99999999",
+    9999999999995: "9999.99999999",    # could round to 5 integer digits: falls back
+    9999999999996: "10000",
+    10**13: "10000",
+}
+
+
+@pytest.mark.parametrize("start", [0, 9999, 10000, 10**8 - 1])
+@pytest.mark.parametrize("nj", sorted(SOC_NJ))
+def test_soc_lines_match_the_f_string(start, nj):
+    q = np.array([nj]) / 1e9
+    assert cli._soc_lines(start, q) == f"{start},{SOC_NJ[nj]}\n".encode()
+    assert cli._soc_lines(start, q) == soc_lines_reference(start, q)
+
+
+@pytest.mark.parametrize("start", [0, 9990, 10**8 - 3])
+def test_soc_lines_match_the_f_string_on_whole_chunks(start):
+    crafted = np.array(sorted(SOC_NJ)) / 1e9
+    fast = crafted[(crafted >= 1e-4) & (crafted < 9999.999999995)]
+    # each value below sends a chunk of otherwise fast values to the f-string
+    odd = [-0.0, -1.0, 0.1234567891234, 2e-5, 9999.999999995, np.nan, np.inf, 1e20]
+    for q in (crafted, fast, fast[:0], *(np.append(fast, v) for v in odd)):
+        assert cli._soc_lines(start, q) == soc_lines_reference(start, q)
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        q = rng.integers(0, 1.6e12, 20000, endpoint=True) / 1e9
+        assert cli._soc_lines(start, q) == soc_lines_reference(start, q)
+
+
+@pytest.mark.parametrize("chunk", [7, 1000, 86400])
+@pytest.mark.parametrize(
+    "flags, regime",
+    [
+        (("--rate", "24", "--start-charge", "0.9"), "above 1000 J"),
+        (("--rate", "24", "--start-charge", "1.0"), "spill"),
+        (("--rate", "100", "--battery-mah", "1"), "brownout"),
+    ],
+    ids=["above-1000J", "spill", "brownout"],
+)
+def test_budget_soc_csv_matches_the_f_string_in_every_regime(
+    capsys, tmp_path, monkeypatch, chunk, flags, regime
+):
+    monkeypatch.setattr(cli, "SOC_OUT_CHUNK_LINES", chunk)
+    runs = []
+    real = hs.simulate_soc
+
+    def simulate(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(hs, "simulate_soc", simulate)
+    soc = tmp_path / "soc.csv"
+    code, _, _ = run_cli(capsys, "budget", "--days", "1", *flags, "--soc-out", str(soc))
+    assert code == 0
+    series = runs[0].charge_series_j
+    reached = {"above 1000 J": series.min() > 1000, "spill": runs[0].spilled_j > 0,
+               "brownout": series.min() == 0}
+    assert reached[regime]
+    assert soc.read_bytes() == b"t_s,charge_j\n" + soc_lines_reference(0, series)
+
+
 def test_budget_start_charge_validation(capsys):
     code, _, stderr = run_cli(
         capsys, "budget", "--days", "1", "--start-charge", "1.5"
@@ -826,6 +907,18 @@ def test_footprint_sizes_and_model(capsys, data_dir):
     doc = json.loads(stdout)
     assert doc["layer_sizes"] == [2, 2, 1]
     assert doc["weights"] == 9
+
+
+@pytest.mark.parametrize("token", ["2147483648", "-2147483649"])
+def test_footprint_fixed_weight_outside_int32_names_its_line(capsys, data_dir, tmp_path, token):
+    lines = (data_dir / "network_a_q16.net").read_text().splitlines()
+    lines[9] = " ".join([token] + lines[9].split()[1:])
+    model = tmp_path / "bad.net"
+    model.write_text("\n".join(lines) + "\n")
+    code, stdout, stderr = run_cli(capsys, "footprint", "--model", str(model))
+    assert code == 3
+    assert stdout == ""
+    assert stderr == f"error: line 10: weight token '{token}' is outside the 32-bit range\n"
 
 
 def test_footprint_text_mode(capsys):

@@ -368,6 +368,8 @@ def weights_outcome(reader, lines, start, expected, fixed):
         values = reader(lines, start, expected, fixed)
     except ParseError as exc:
         return exc.line, str(exc)
+    except FixedPointRangeError as exc:
+        return "range", str(exc)
     return values.dtype, values.shape, values.tobytes()
 
 
@@ -402,7 +404,9 @@ def test_weight_reader_matches_token_scanner_on_odd_tokens(token, fixed):
     text = "\n".join(header(fixed, [2, 2, 1]) + rows) + "\n"
     got, want = reader_outcomes(text, fixed, 9)
     assert got == want
-    if isinstance(want[0], int):
+    if want[0] == "range":
+        assert want[1].startswith("line 6: ")            # the odd token's line
+    elif isinstance(want[0], int):
         assert want[0] == (6 if fixed else 5)           # the odd token's line
 
 
@@ -459,12 +463,23 @@ def test_weight_reader_matches_token_scanner_on_random_files():
             text += str(rng.choice(seps))
         got, want = reader_outcomes(text, fixed, expected)
         assert got == want, text
-        if not isinstance(want[0], int):
+        if isinstance(want[0], np.dtype):
             kinds.add("ok")
         else:
             kinds.add("count" if "weights, found" in want[1] else want[1].split()[-1])
     # every verdict the scanner can give came up
-    assert kinds == {"ok", "count", "integer", "number", "finite"}
+    assert kinds == {"ok", "count", "integer", "number", "finite", "range"}
+
+
+@pytest.mark.parametrize("token", ["2147483648", "-2147483649", "9223372036854775807"])
+def test_fixed_weight_outside_int32_names_its_line(token):
+    rows = ["1 2", f"3 {token}", "5 6", "7", "8", "9"]
+    text = "\n".join(header(True, [2, 2, 1]) + rows) + "\n"
+    with pytest.raises(FixedPointRangeError) as info:
+        load_fann(text)
+    assert str(info.value) == f"line 6: weight token '{token}' is outside the 32-bit range"
+    edge = load_fann(text.replace(token, "-2147483648"))
+    assert edge.weights[0][1, 1] == -(2**31)
 
 
 def save_fann_per_value(model):

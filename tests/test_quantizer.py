@@ -18,6 +18,7 @@ from stresswatch import (
     LayerSpec,
     QFormat,
     ShapeError,
+    TanhTable,
     build_mlp,
     build_network_a,
     build_tanh_lut,
@@ -169,6 +170,15 @@ def test_lut_is_built_once_per_format():
     assert build_tanh_lut(QFormat(16)) is build_tanh_lut(QFormat())
     assert build_tanh_lut(QFormat(8)).frac_bits == 8
     assert not build_tanh_lut(QFormat(8)).values.flags.writeable
+
+
+def test_tanh_tables_compare_and_hash_by_identity():
+    a = build_tanh_lut(QFormat(16))
+    b = TanhTable(a.frac_bits, a.values)
+    assert a == a
+    assert a != b                        # equal knots, two objects
+    assert hash(a) == hash(a)
+    assert {a: 1, b: 2}[a] == 1
 
 
 def test_lut_knots_match_oracle():
