@@ -545,6 +545,11 @@ def cmd_budget(args) -> int:
                 capacity_j=battery.capacity_j,
                 charge_j=battery.capacity_j * args.start_charge,
             )
+        if args.soc_out is not None and round(battery.capacity_j * 1e9) >= 2**63:
+            raise ConfigError(
+                f"--soc-out records the charge as int64 nJ, which cannot hold a "
+                f"{battery.capacity_j:g} J battery; lower --battery-mah or --battery-volts"
+            )
         rate = args.rate if args.rate is not None else report.max_detections_per_minute
         sim = hs.simulate_soc(
             scenario,

@@ -301,7 +301,8 @@ def simulate_soc(
                 # seconds before the charge reaches a bound and stays there
                 inside = seconds if gain == 0 else min(
                     seconds, (c if gain < 0 else cap - c) // abs(gain))
-                series[step:step + inside] = c + gain * np.arange(1, inside + 1)
+                if inside:  # else the charge pins at once, and gain may pass int64
+                    series[step:step + inside] = c + gain * np.arange(1, inside + 1)
                 series[step + inside:step + seconds] = 0 if gain < 0 else cap
             c = min(max(end, 0), cap)
             lo, hi = min(lo, c), max(hi, c)

@@ -269,11 +269,6 @@ def infer_float(net: NetworkModel, x) -> np.ndarray:
     return a[0] if single else a
 
 
-def classify(net: NetworkModel, x) -> int:
-    """Class decision: index of the most active output unit."""
-    return int(np.argmax(infer_float(net, x)))
-
-
 def _stack_dataset(
     net: NetworkModel, dataset: Iterable[tuple]
 ) -> tuple[np.ndarray, np.ndarray]:

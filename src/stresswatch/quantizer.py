@@ -1,7 +1,7 @@
 """Fixed-point quantization and saturating integer inference.
 
 The embedded target runs the classifier in 32-bit fixed point. This module
-mirrors that kernel bit-exactly in pure integer arithmetic:
+mirrors that kernel bit-exactly:
 
 * weights and activations share one Q format (32 total bits, configurable
   fraction; default Q16.16),
@@ -10,8 +10,15 @@ mirrors that kernel bit-exactly in pure integer arithmetic:
 * tanh is a 257-knot piecewise-linear table over [-4, 4], odd-symmetric by
   construction, clamped to +/-(1 - 2^-frac_bits) outside.
 
-Nothing in this path depends on float rounding, so results are reproducible
-across runs and platforms. The containers this arithmetic works on,
+The products are summed by float64 matmuls on BLAS, which is exact here:
+the activations are split into limbs of 53 - bits(col_bound) bits (one limb
+at Q16.16), so every product and partial sum is an integer below 2^53, and
+the limb results are recombined in int64. A block whose worst-case
+accumulator could reach 2^63, or whose weight column sums to 2^53 or more,
+runs on exact Python integers instead. Rescale and table are integer shifts
+and masks. No result depends on float rounding, so results are
+reproducible across runs and platforms and equal an unbounded-integer
+evaluation bit for bit. The containers this arithmetic works on,
 ``QFormat`` and ``FixedPointNet``, live in ``nn_core`` beside the float net
 and the text format; they are importable from here as well.
 """
@@ -78,26 +85,41 @@ def tanh_lut_eval(x, lut: TanhTable):
 
     Interpolates between adjacent knots for |x| < 4.0 and returns the
     saturation value +/-(scale - 1) for |x| >= 4.0. All arithmetic is
-    integer; accepts a scalar or an array and returns the same kind.
+    integer and branch-free: the sign is a mask, the knot index and the
+    remainder are a shift and a mask of |x| * 32, and the rounding shift
+    floors a non-negative numerator. Accepts a scalar or an array and
+    returns the same kind.
     """
     scalar = np.isscalar(x)
     xa = np.atleast_1d(np.asarray(x, dtype=np.int64))
-    scale = 1 << lut.frac_bits
-    half = scale >> 1
+    f = lut.frac_bits
+    scale = 1 << f
     x_sat = 4 * scale
-    sign = np.where(xa < 0, -1, 1)
-    ax = np.abs(xa)
-    clamped = ax >= x_sat
-    ax_in = np.minimum(ax, x_sat - 1)
-    t = ax_in * _KNOTS_PER_UNIT
-    idx = t // scale                      # 0..127 inside the table
-    r = t - idx * scale
-    y_lo = lut.values[_CENTER + idx]
-    y_hi = lut.values[_CENTER + idx + 1]
-    # Knot values are <= scale, so num stays far below 2^63 for frac <= 30.
-    num = y_lo * (scale - r) + y_hi * r
-    y = (num + half) // scale
-    y = sign * np.where(clamped, lut.saturation, y)
+    # In-place steps on a few block-sized buffers: fresh arrays at this size
+    # cost more in page faults than the arithmetic does.
+    s = xa >> 63                          # 0 or -1
+    t = xa ^ s
+    t -= s                                # |x|
+    clamped = t >= x_sat
+    np.minimum(t, x_sat - 1, out=t)
+    t *= _KNOTS_PER_UNIT
+    idx = t >> f                          # 0..127 inside the table
+    t &= scale - 1                        # remainder r
+    knots = lut.values[_CENTER:]
+    y = knots.take(idx)
+    idx += 1
+    d = knots.take(idx)
+    # y * (scale - r) + y_next * r; knot values are <= scale, so this stays
+    # far below 2^63 for frac <= 30, and it is never negative.
+    d -= y
+    d *= t
+    y <<= f
+    y += d
+    y += scale >> 1
+    y >>= f
+    np.putmask(y, clamped, lut.saturation)
+    y ^= s
+    y -= s
     return int(y[0]) if scalar else y
 
 
@@ -132,25 +154,56 @@ def dequantize_network(fp: FixedPointNet) -> NetworkModel:
 
 
 def _accumulate(a_ext: np.ndarray, w: np.ndarray, half: int) -> np.ndarray:
-    """Wide dot products of the bias-extended activation rows with w.
+    """Exact wide dot products of the bias-extended activation rows with w.
 
-    Uses one int64 matmul when the worst-case |accumulator| + half over the
-    whole block provably fits; otherwise the block goes through a matmul of
-    exact Python integers, so saturation is always a clamp, never a
-    wraparound.
+    When the worst-case |accumulator| + half over the whole block provably
+    fits int64, the block runs as float64 matmuls on BLAS. The activations
+    are split into limbs of k = 53 - bits(col_bound) bits: the top limb by
+    an arithmetic shift (at most 2^k in magnitude), the lower ones by a mask
+    (below 2^k). Each weight column's absolute sum is below 2^(53 - k), so
+    every product and partial sum of one limb's matmul is an integer below
+    2^53 in magnitude and the float result is exact. The limb results are
+    cast back and combined with shifts; int64 wraparound in between cancels,
+    since the final sum fits. Otherwise, or when k <= 0, the block goes
+    through a matmul of exact Python integers, so saturation is always a
+    clamp, never a wraparound.
     """
     col_bound = int(np.abs(w).sum(axis=0).max())
-    a_bound = int(np.abs(a_ext).max(initial=0))
-    if col_bound * a_bound + half < 2**63:
-        return a_ext @ w
+    a_bound = max(int(a_ext.max(initial=0)), -int(a_ext.min(initial=0)))
+    k = 53 - col_bound.bit_length()
+    if col_bound * a_bound + half < 2**63 and k > 0:
+        wf = w.astype(np.float64)
+        shift = (max(a_bound.bit_length(), 1) - 1) // k * k  # top limb offset
+        limb = a_ext >> shift if shift else a_ext
+        acc = (limb.astype(np.float64) @ wf).astype(np.int64)
+        while shift:
+            shift -= k
+            limb = (a_ext >> shift) & ((1 << k) - 1)
+            acc = (acc << k) + (limb.astype(np.float64) @ wf).astype(np.int64)
+        return acc
     return a_ext.astype(object) @ w.astype(object)
 
 
 def _rescale_saturate(acc: np.ndarray, scale: int, half: int) -> np.ndarray:
     """Round-half-away-from-zero rescale by the format scale, then clamp
-    into the 32-bit range."""
-    q = np.where(acc >= 0, (acc + half) // scale, -((-acc + half) // scale))
-    return np.clip(q, INT32_MIN, INT32_MAX).astype(np.int64, copy=False)
+    into the 32-bit range.
+
+    ``scale`` is a power of two, so an int64 accumulator is rounded on its
+    magnitude with one shift and the sign put back by a mask; |acc| + half
+    fits int64 by ``_accumulate``'s bound. Exact-integer accumulators keep
+    the floor-division form.
+    """
+    if acc.dtype == object:
+        q = np.where(acc >= 0, (acc + half) // scale, -((-acc + half) // scale))
+        return np.clip(q, INT32_MIN, INT32_MAX).astype(np.int64)
+    s = acc >> 63                         # 0 or -1
+    q = acc ^ s
+    q -= s
+    q += half
+    q >>= scale.bit_length() - 1
+    q ^= s
+    q -= s
+    return np.clip(q, INT32_MIN, INT32_MAX, out=q)
 
 
 def quantize_inputs(x, fmt: QFormat) -> np.ndarray:
@@ -186,8 +239,7 @@ def infer_fixed(fp: FixedPointNet, x) -> np.ndarray:
     a = quantize_inputs(rows, fmt).reshape(rows.shape)
     bias = np.full((a.shape[0], 1), scale, dtype=np.int64)
     for w, spec in zip(fp.weights, fp.layers[1:]):
-        acc = _accumulate(np.hstack((a, bias)), w, half)
-        z = _rescale_saturate(acc, scale, half)
+        z = _rescale_saturate(_accumulate(np.hstack((a, bias)), w, half), scale, half)
         a = tanh_lut_eval(z, lut) if spec.activation is Activation.TANH else z
     out = a / scale
     return out[0] if single else out

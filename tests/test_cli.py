@@ -834,6 +834,36 @@ def test_budget_soc_csv_matches_the_f_string_in_every_regime(
     assert soc.read_bytes() == b"t_s,charge_j\n" + soc_lines_reference(0, series)
 
 
+def test_budget_soc_out_rejects_a_capacity_beyond_int64_nanojoules(capsys, tmp_path):
+    # 1e9 mAh at 3.7 V is 1.3e10 J, 1.3e19 nJ: past int64, so the per-second
+    # series cannot hold it; without --soc-out the same run is fine
+    soc = tmp_path / "soc.csv"
+    args = ("budget", "--days", "1", "--battery-mah", "1e9")
+    code, stdout, stderr = run_cli(capsys, *args, "--soc-out", str(soc))
+    assert code == 5
+    assert stdout == ""
+    assert "--battery-mah" in stderr and "--battery-volts" in stderr
+    assert "Traceback" not in stderr
+    assert not soc.exists()
+    code, stdout, _ = run_cli(capsys, *args, "--json")
+    assert code == 0
+    assert json.loads(stdout)["simulation"]["spilled_j"] > 0
+
+
+def test_budget_soc_out_with_a_load_beyond_int64_nanojoules(capsys, tmp_path):
+    # the net loss of one second exceeds int64 nJ: the charge is empty after
+    # the first second and stays there, as the run without --soc-out reports
+    soc = tmp_path / "soc.csv"
+    code, stdout, _ = run_cli(capsys, "budget", "--days", "1", "--rate", "1e20",
+                              "--soc-out", str(soc), "--json")
+    assert code == 0
+    assert json.loads(stdout)["simulation"]["brownout"] is True
+    lines = soc.read_text().splitlines()
+    assert lines[0] == "t_s,charge_j"
+    assert len(lines) == 1 + 86400
+    assert {line.split(",")[1] for line in lines[1:]} == {"0"}
+
+
 def test_budget_start_charge_validation(capsys):
     code, _, stderr = run_cli(
         capsys, "budget", "--days", "1", "--start-charge", "1.5"

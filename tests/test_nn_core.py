@@ -18,7 +18,6 @@ from stresswatch import (
     build_mlp,
     build_network_a,
     build_network_b,
-    classify,
     footprint,
     infer_float,
     load_fann,
@@ -204,12 +203,6 @@ def test_infer_shape_errors():
         infer_float(net, np.zeros((3, 4)))
     with pytest.raises(ShapeError):
         infer_float(net, np.zeros((2, 3, 5)))
-
-
-def test_classify_is_argmax():
-    net = build_network_a(seed=3)
-    x = np.array([0.2, -0.4, 0.9, 0.0, -0.1])
-    assert classify(net, x) == int(np.argmax(infer_float(net, x)))
 
 
 # ---------------------------------------------------------------- training

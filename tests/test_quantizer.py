@@ -31,7 +31,7 @@ from stresswatch import (
     save_fann,
     tanh_lut_eval,
 )
-from stresswatch.quantizer import _accumulate
+from stresswatch.quantizer import _accumulate, _rescale_saturate
 
 I32_MIN = -(2**31)
 I32_MAX = 2**31 - 1
@@ -365,6 +365,82 @@ def test_fixed_matches_oracle_under_forced_overflow():
     assert exact >= 2**63
     wrapped = int(a_ext @ w_col)  # silently reduced mod 2**64
     assert wrapped != exact
+
+
+def _floor_div_rescale(acc, scale, half):
+    """Reference rescale: round half away from zero by floor division on
+    exact integers, then clamp into the 32-bit range."""
+    acc = acc.astype(object)
+    q = np.where(acc >= 0, (acc + half) // scale, -((-acc + half) // scale))
+    return np.clip(q, I32_MIN, I32_MAX).astype(np.int64)
+
+
+def test_accumulate_limb_tier_matches_exact_products():
+    """Seeded fuzz of the float64 limb matmuls against a matmul of exact
+    Python integers. Block bounds straddle 2^53, where one limb stops being
+    exact, and reach the largest value the int64 tier admits; one step past
+    it the block takes the exact tier. The shift rescale of every int64
+    accumulator equals the floor-division formula."""
+    rng = np.random.default_rng(97)
+    below_2_53 = above_2_53 = past_limit = 0
+    top_bound = 0
+    for trial in range(300):
+        n_in = int(rng.integers(1, 120))
+        cols = int(rng.integers(1, 24))
+        rows = int(rng.integers(1, 24))
+        w_bits = int(rng.integers(0, 32))
+        w = rng.integers(-(1 << w_bits), 1 << w_bits, size=(n_in, cols), endpoint=True)
+        w[0, 0] = 1 << w_bits
+        frac_bits = int(rng.integers(1, 31))
+        scale = 1 << frac_bits
+        half = scale >> 1
+        col_bound = int(np.abs(w).sum(axis=0).max())
+        limit = (2**63 - 1 - half) // col_bound     # largest admitted |a|
+        a_max = min(limit, 2 ** int(rng.integers(40, 64)) // col_bound)
+        a = rng.integers(-a_max, a_max, size=(rows, n_in), endpoint=True)
+        a[int(rng.integers(rows))] = a_max * rng.choice([-1, 1], size=n_in)
+        acc = _accumulate(a, w, half)
+        assert acc.dtype == np.int64
+        assert (acc.astype(object) == a.astype(object) @ w.astype(object)).all()
+        assert np.array_equal(_rescale_saturate(acc, scale, half),
+                              _floor_div_rescale(acc, scale, half))
+        bound = col_bound * a_max
+        below_2_53 += bound < 2**53
+        above_2_53 += bound >= 2**53
+        top_bound = max(top_bound, bound)
+        if a_max == limit:
+            a[0, 0] = limit + 1                    # one past: the exact tier
+            exact = _accumulate(a, w, half)
+            assert exact.dtype == object
+            assert (exact == a.astype(object) @ w.astype(object)).all()
+            past_limit += 1
+    assert below_2_53 >= 50 and above_2_53 >= 50 and past_limit >= 5
+    assert top_bound >= 2**63 - 2**31
+
+
+@pytest.mark.parametrize("frac_bits", [20, 24, 26, 28])
+def test_net_a_never_takes_the_exact_tier(frac_bits):
+    """Net A at wide fractions has block bounds from 2^52 to 2^60, past one
+    float64 limb but inside int64: every layer must stay on the limb tier,
+    even for inputs at the ends of the format's range, and match the
+    big-integer oracle."""
+    fmt = QFormat(frac_bits)
+    fp = quantize(build_network_a(seed=1), fmt)
+    lut = build_tanh_lut(fmt)
+    half = fmt.scale >> 1
+    rng = np.random.default_rng(frac_bits)
+    x = rng.uniform(fmt.min_value, fmt.max_value, size=(64, fp.n_inputs))
+    x[0], x[1] = fmt.max_value, fmt.min_value
+    a = quantize_inputs(x, fmt).reshape(x.shape)
+    for w in fp.weights:
+        a_ext = np.hstack((a, np.full((a.shape[0], 1), fmt.scale)))
+        acc = _accumulate(a_ext, w, half)
+        assert acc.dtype == np.int64
+        assert (acc.astype(object) == a_ext.astype(object) @ w.astype(object)).all()
+        a = tanh_lut_eval(_rescale_saturate(acc, fmt.scale, half), lut)
+    got = infer_fixed(fp, x[:8])
+    for x_row, row in zip(x[:8], got):
+        assert row.tolist() == oracle_forward_q(fp, quantize_inputs(x_row, fmt))
 
 
 def test_saturated_accumulator_lands_on_lut_clamp():
