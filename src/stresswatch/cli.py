@@ -477,38 +477,35 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def _soc_lines(start: int, q: np.ndarray) -> bytes:
-    """The lines ``f"{i},{v:.12g}\\n"`` of the charges ``q`` (J), numbered
-    from ``start``, as ASCII bytes.
+def _soc_lines(start: int, n: np.ndarray) -> bytes:
+    """The lines ``f"{i},{v:.12g}\\n"`` of the charges ``v = n / 1e9`` J,
+    given as int64 nJ ``n`` and numbered from ``start``, as ASCII bytes.
 
-    Each line is spelled from the charge's integer nJ through the 4-digit
-    tables into a 24-byte row (index, comma, integer part, point, 9
-    decimals, newline) whose unused bytes are 0 and dropped at the end.
-    The f-string is the reference: it formats the chunk whenever a charge
-    is not a whole number of nJ, needs an exponent (below 1e-4 J) or may
-    round to a 5th integer digit, or an index has more than 8 digits.
+    Each line is spelled through the 4-digit tables into a 24-byte row
+    (index, comma, integer part, point, 9 decimals, newline) whose unused
+    bytes are 0 and dropped at the end. The f-string is the reference: it
+    formats the chunk whenever a charge needs an exponent (below 1e-4 J) or
+    may round to a 5th integer digit, or an index has more than 8 digits.
     """
-    x = np.rint(q * 1e9)
     if not (
-        start + q.size <= 10**8
-        and ((x < 10**13 - 5) & ((x >= 10**5) | (x == 0)) & ~np.signbit(q)).all()
-        and (x / 1e9 == q).all()
+        start + n.size <= 10**8
+        and ((n < 10**13 - 5) & ((n >= 10**5) | (n == 0))).all()
     ):
-        return "".join(f"{i},{v:.12g}\n" for i, v in enumerate(q.tolist(), start)).encode("ascii")
-    n = x.astype(np.int64)
+        lines = enumerate((n / 1e9).tolist(), start)
+        return "".join(f"{i},{v:.12g}\n" for i, v in lines).encode("ascii")
     # from 1000 J on, 12 significant digits end at 10 nJ; on a 5 the binary
     # value decides which way to round, as it does for the f-string
     big = n >= 10**12
     tie = np.flatnonzero(big & (n % 10 == 5))
-    n = np.where(big, (n + 5) // 10 * 10, n)
-    n[tie] = [int(f"{v:.8f}".replace(".", "")) * 10 for v in q[tie].tolist()]
+    rounded = np.where(big, (n + 5) // 10 * 10, n)
+    rounded[tie] = [int(f"{v:.8f}".replace(".", "")) * 10 for v in (n[tie] / 1e9).tolist()]
 
     lead, trail = _digit_tables()
-    i_hi, i_lo = np.divmod(np.arange(start, start + q.size), 10**4)
-    whole, frac = np.divmod(n, 10**9)
+    i_hi, i_lo = np.divmod(np.arange(start, start + n.size), 10**4)
+    whole, frac = np.divmod(rounded, 10**9)
     f_hi, rest = np.divmod(frac, 10**5)
     f_lo, f_last = np.divmod(rest, 10)
-    rows = np.zeros((q.size, 24), dtype=np.uint8)
+    rows = np.zeros((n.size, 24), dtype=np.uint8)
     for col, word in (
         (0, np.where(i_hi != 0, np.take(lead, i_hi), 0)),
         (4, np.take(lead, i_lo + 10**4 * (i_hi != 0))),
@@ -545,22 +542,16 @@ def cmd_budget(args) -> int:
                 capacity_j=battery.capacity_j,
                 charge_j=battery.capacity_j * args.start_charge,
             )
-        if args.soc_out is not None and round(battery.capacity_j * 1e9) >= 2**63:
-            raise ConfigError(
-                f"--soc-out records the charge as int64 nJ, which cannot hold a "
-                f"{battery.capacity_j:g} J battery; lower --battery-mah or --battery-volts"
-            )
         rate = args.rate if args.rate is not None else report.max_detections_per_minute
-        sim = hs.simulate_soc(
-            scenario,
-            battery,
-            rate,
-            e_det,
-            days=args.days,
-            record=args.soc_out is not None,
-        )
+        sim = hs.simulate_soc(scenario, battery, rate, e_det, days=args.days)
         if args.soc_out is not None:
-            series = sim.charge_series_j
+            try:
+                series = hs.charge_series_nj(sim)
+            except ConfigError:
+                raise ConfigError(
+                    f"--soc-out records the charge as int64 nJ, which cannot hold a "
+                    f"{battery.capacity_j:g} J battery; lower --battery-mah or --battery-volts"
+                ) from None
             with open(args.soc_out, "wb") as fh:
                 fh.write(b"t_s,charge_j\n")
                 for s in range(0, series.size, SOC_OUT_CHUNK_LINES):
@@ -577,18 +568,7 @@ def cmd_budget(args) -> int:
             "detections_per_day_exact": report.detections_per_day_exact,
         }
         if sim is not None:
-            doc["simulation"] = {
-                "days": sim.days,
-                "final_charge_j": sim.final_charge_j,
-                "min_charge_j": sim.min_charge_j,
-                "max_charge_j": sim.max_charge_j,
-                "brownout": sim.brownout,
-                "first_brownout_s": sim.first_brownout_s,
-                "intake_j": sim.intake_j,
-                "served_j": sim.served_j,
-                "spilled_j": sim.spilled_j,
-                "unmet_j": sim.unmet_j,
-            }
+            doc["simulation"] = {k: v for k, v in vars(sim).items() if k != "segments"}
         _emit_json(doc, None)
     else:
         print(f"scenario:          {scenario.name}")

@@ -138,7 +138,8 @@ class SocSimResult:
     served_j: float
     spilled_j: float
     unmet_j: float
-    charge_series_j: np.ndarray | None = None  # one sample per second
+    # one (start second, seconds, start nJ, gain nW, end nJ) per segment
+    segments: tuple[tuple[int, int, int, int, int], ...]
 
 
 def indoor_day_scenario(
@@ -249,7 +250,6 @@ def simulate_soc(
     detection_energy_j: float,
     days: int = 1,
     sources: dict[str, SourceModel] | None = None,
-    record: bool = False,
 ) -> SocSimResult:
     """State of charge over the scenario repeated daily, one segment at a time.
 
@@ -258,8 +258,8 @@ def simulate_soc(
     intake beyond a full battery is counted as spilled, demand beyond an
     empty one as unmet. A second with unmet demand is a brownout. All
     bookkeeping is integer nanojoules, so the conservation identity
-    final - initial == intake - served - spilled holds exactly, and the
-    recorded series holds the charge at the end of every second.
+    final - initial == intake - served - spilled holds exactly, and
+    ``charge_series_nj`` derives the charge of every second from ``segments``.
     """
     if days < 1:
         raise ConfigError("days must be >= 1")
@@ -279,7 +279,7 @@ def simulate_soc(
     lo = hi = c
     intake = served = spilled = unmet = 0
     brownout_step = -1
-    series = np.empty(days * DAY_S, dtype=np.int64) if record else None
+    records = []
 
     step = 0
     for _ in range(days):
@@ -297,14 +297,9 @@ def simulate_soc(
             served += load * seconds - deficit
             spilled += max(end - cap, 0)
             intake += p * seconds
-            if series is not None:
-                # seconds before the charge reaches a bound and stays there
-                inside = seconds if gain == 0 else min(
-                    seconds, (c if gain < 0 else cap - c) // abs(gain))
-                if inside:  # else the charge pins at once, and gain may pass int64
-                    series[step:step + inside] = c + gain * np.arange(1, inside + 1)
-                series[step + inside:step + seconds] = 0 if gain < 0 else cap
+            start = c
             c = min(max(end, 0), cap)
+            records.append((step, seconds, start, gain, c))
             lo, hi = min(lo, c), max(hi, c)
             step += seconds
 
@@ -320,8 +315,24 @@ def simulate_soc(
         served_j=served / 1e9,
         spilled_j=spilled / 1e9,
         unmet_j=unmet / 1e9,
-        charge_series_j=None if series is None else series / 1e9,
+        segments=tuple(records),
     )
+
+
+def charge_series_nj(sim: SocSimResult) -> np.ndarray:
+    """The charge (int64 nJ) at the end of every second of ``sim``; a charge
+    held of 2^63 nJ (about 9.2e9 J) or more is a ``ConfigError``."""
+    peak = max(max(start, end) for _, _, start, _, end in sim.segments)
+    if peak >= 2**63:
+        raise ConfigError(f"int64 nJ cannot hold a charge of {peak / 1e9:g} J")
+    series = np.empty(sim.days * DAY_S, dtype=np.int64)
+    for step, seconds, start, gain, end in sim.segments:
+        # seconds before the charge reaches a bound and stays there
+        inside = seconds if gain == 0 else (end - start) // gain
+        if inside:  # else the charge pins at once, and gain may pass int64
+            series[step:step + inside] = start + gain * np.arange(1, inside + 1)
+        series[step + inside:step + seconds] = end
+    return series
 
 
 def scenario_from_config(path) -> HarvestScenario:
@@ -354,11 +365,11 @@ def scenario_from_config(path) -> HarvestScenario:
             raise ConfigError(
                 f"{path}: segment {i} needs exactly one of duration_s/duration_h"
             )
-        duration = (
-            float(entry["duration_s"])
-            if "duration_s" in entry
-            else float(entry["duration_h"]) * 3600.0
-        )
+        key = "duration_s" if "duration_s" in entry else "duration_h"
+        try:
+            duration = float(entry[key]) * (3600.0 if key == "duration_h" else 1.0)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{path}: segment {i} {key} must be a number") from None
         pairs = []
         for j, src in enumerate(entry.get("sources") or []):
             if not isinstance(src, dict) or "kind" not in src or "condition" not in src:

@@ -19,6 +19,7 @@ Calibration constants can be replaced from a YAML document; see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,13 +161,15 @@ def _validate_table(table: CalibrationTable) -> None:
     if len(set(table.network_weights.values())) != 2:
         raise CalibrationError("the two reference networks need distinct weight counts")
     for p in table.cycles:
-        if p not in table.clock_hz or not table.clock_hz[p] > 0:
-            raise ConfigError(f"platform {p!r} needs a positive clock_hz")
+        if p not in table.clock_hz or not 0 < table.clock_hz[p] < math.inf:
+            raise ConfigError(f"platform {p!r} needs a positive, finite clock_hz")
         for n in NETWORK_NAMES:
             if n not in table.cycles[p] or table.cycles[p][n] <= 0:
                 raise ConfigError(f"platform {p!r} needs positive cycles for network {n}")
-            if n not in table.energy_uj.get(p, {}) or table.energy_uj[p][n] <= 0:
-                raise ConfigError(f"platform {p!r} needs positive energy_uj for network {n}")
+            if n not in table.energy_uj.get(p, {}) or not 0 < table.energy_uj[p][n] < math.inf:
+                raise ConfigError(
+                    f"platform {p!r} needs positive, finite energy_uj for network {n}"
+                )
 
 
 def fit_cycle_model(table: CalibrationTable) -> dict[str, CycleModel]:
@@ -242,6 +245,9 @@ def predict(net, profile: PlatformProfile) -> Prediction:
 def speedup(table: CalibrationTable, platform: str, network: str,
             baseline: str = "cortex_m4") -> float:
     """Cycle-count ratio baseline/platform for one reference network."""
+    for p in (baseline, platform):
+        if p not in table.cycles:
+            raise ConfigError(f"the calibration table has no platform {p!r}")
     return table.cycles[baseline][network] / table.cycles[platform][network]
 
 
@@ -317,14 +323,14 @@ def load_calibration(path) -> CalibrationTable:
             clock_hz[p] = float(entry["clock_hz"])
             cycles[p] = {n: int(entry["cycles"][n]) for n in NETWORK_NAMES}
             energy[p] = {n: float(entry["energy_uj"][n]) for n in NETWORK_NAMES}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{path}: platform {p!r} is incomplete: {exc}") from None
 
     weights = dict(_NETWORK_WEIGHTS)
     if "networks" in doc:
         try:
             weights = {n: int(doc["networks"][n]["weights"]) for n in NETWORK_NAMES}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{path}: invalid 'networks' section: {exc}") from None
 
     table = CalibrationTable(clock_hz, cycles, energy, weights)

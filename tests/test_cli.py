@@ -8,9 +8,11 @@ JSON mode, and the exit-code contract (0 ok, 2 parse, 3 data, 4 shape,
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
+import yaml
 
 from stresswatch import (
     builtin_calibration,
@@ -265,12 +267,7 @@ def test_read_csv_matches_row_scanner_on_random_files(tmp_path):
             lines.append(",".join(str(rng.choice(pool)) for _ in range(max(ncol, 0))))
         eol = str(rng.choice(["\n", "\r\n", "\r"]))
         path.write_bytes((eol.join(lines) + eol).encode())
-        try:
-            want = read_outcome(cli._scan_csv, path, header, kind)
-        except OverflowError:                             # int64 cannot hold the label
-            with pytest.raises(OverflowError):
-                cli._read_csv(str(path), header, kind)
-            continue
+        want = read_outcome(cli._scan_csv, path, header, kind)
         assert read_outcome(cli._read_csv, path, header, kind) == want
 
 
@@ -638,6 +635,44 @@ def test_report_errors(capsys):
     assert "--all" in stderr
 
 
+def calibration_doc():
+    t = builtin_calibration()
+    return {"platforms": {p: {"clock_hz": t.clock_hz[p], "cycles": dict(t.cycles[p]),
+                              "energy_uj": dict(t.energy_uj[p])} for p in t.platforms}}
+
+
+# a broken table (as a change to calibration_doc()'s platforms) -> a word the error names
+CALIBRATION_FAULTS = {
+    "no-baseline": (lambda ps: ps.pop("cortex_m4"), "'cortex_m4'"),
+    "nan-energy": (lambda ps: ps["ibex"]["energy_uj"].update(A=math.nan), "energy_uj"),
+    "inf-clock": (lambda ps: ps["ibex"].update(clock_hz=math.inf), "clock_hz"),
+    "inf-cycles": (lambda ps: ps["ibex"]["cycles"].update(A=math.inf), "'ibex'"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CALIBRATION_FAULTS))
+def test_report_rejects_a_bad_calibration_table(capsys, tmp_path, fault):
+    doc = calibration_doc()
+    breaks, named = CALIBRATION_FAULTS[fault]
+    breaks(doc["platforms"])
+    path = tmp_path / "calib.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    code, stdout, stderr = run_cli(capsys, "report", "--all", "--calibration", str(path))
+    assert code == 5
+    assert stdout == ""
+    assert named in stderr and "Traceback" not in stderr
+
+
+def test_budget_takes_a_calibration_table_without_the_m4_baseline(capsys, tmp_path):
+    doc = calibration_doc()
+    del doc["platforms"]["cortex_m4"]
+    path = tmp_path / "calib.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    code, stdout, _ = run_cli(capsys, "budget", "--calibration", str(path), "--json")
+    assert code == 0
+    assert json.loads(stdout)["max_detections_per_day"] == 35725
+
+
 # ---------------------------------------------------------------------------
 # budget
 
@@ -746,14 +781,15 @@ def test_budget_soc_csv_is_the_same_across_chunk_boundaries(capsys, tmp_path, mo
     e_det = perf_model.detection_energy("ri5cy_multi8", builtin_calibration())
     cap = hs.BATTERY_CAPACITY_MAH * 3.6 * hs.BATTERY_NOMINAL_V
     battery = hs.BatteryState(capacity_j=cap, charge_j=cap * 0.5)
-    sim = hs.simulate_soc(scenario, battery, 24.0, e_det, days=1, record=True)
+    sim = hs.simulate_soc(scenario, battery, 24.0, e_det, days=1)
     want = "t_s,charge_j\n" + "".join(
-        f"{i},{q:.12g}\n" for i, q in enumerate(sim.charge_series_j)
+        f"{i},{q:.12g}\n" for i, q in enumerate(hs.charge_series_nj(sim) / 1e9)
     )
     assert soc.read_bytes() == want.encode("ascii")
 
 
-def soc_lines_reference(start, q):
+def soc_lines_reference(start, n):
+    q = n / 1e9
     return "".join(f"{i},{v:.12g}\n" for i, v in enumerate(q.tolist(), start)).encode("ascii")
 
 
@@ -783,23 +819,23 @@ SOC_NJ = {
 @pytest.mark.parametrize("start", [0, 9999, 10000, 10**8 - 1])
 @pytest.mark.parametrize("nj", sorted(SOC_NJ))
 def test_soc_lines_match_the_f_string(start, nj):
-    q = np.array([nj]) / 1e9
-    assert cli._soc_lines(start, q) == f"{start},{SOC_NJ[nj]}\n".encode()
-    assert cli._soc_lines(start, q) == soc_lines_reference(start, q)
+    n = np.array([nj], dtype=np.int64)
+    assert cli._soc_lines(start, n) == f"{start},{SOC_NJ[nj]}\n".encode()
+    assert cli._soc_lines(start, n) == soc_lines_reference(start, n)
 
 
 @pytest.mark.parametrize("start", [0, 9990, 10**8 - 3])
 def test_soc_lines_match_the_f_string_on_whole_chunks(start):
-    crafted = np.array(sorted(SOC_NJ)) / 1e9
-    fast = crafted[(crafted >= 1e-4) & (crafted < 9999.999999995)]
+    crafted = np.array(sorted(SOC_NJ), dtype=np.int64)
+    fast = crafted[(crafted >= 10**5) & (crafted < 9999999999995)]
     # each value below sends a chunk of otherwise fast values to the f-string
-    odd = [-0.0, -1.0, 0.1234567891234, 2e-5, 9999.999999995, np.nan, np.inf, 1e20]
-    for q in (crafted, fast, fast[:0], *(np.append(fast, v) for v in odd)):
-        assert cli._soc_lines(start, q) == soc_lines_reference(start, q)
+    odd = [20000, 9999999999995]
+    for n in (crafted, fast, fast[:0], *(np.append(fast, v) for v in odd)):
+        assert cli._soc_lines(start, n) == soc_lines_reference(start, n)
     rng = np.random.default_rng(7)
     for _ in range(5):
-        q = rng.integers(0, 1.6e12, 20000, endpoint=True) / 1e9
-        assert cli._soc_lines(start, q) == soc_lines_reference(start, q)
+        n = rng.integers(0, 1.6e12, 20000, endpoint=True)
+        assert cli._soc_lines(start, n) == soc_lines_reference(start, n)
 
 
 @pytest.mark.parametrize("chunk", [7, 1000, 86400])
@@ -809,8 +845,9 @@ def test_soc_lines_match_the_f_string_on_whole_chunks(start):
         (("--rate", "24", "--start-charge", "0.9"), "above 1000 J"),
         (("--rate", "24", "--start-charge", "1.0"), "spill"),
         (("--rate", "100", "--battery-mah", "1"), "brownout"),
+        (("--start-charge", "0", "--battery-mah", "1e9"), "beyond int64 capacity"),
     ],
-    ids=["above-1000J", "spill", "brownout"],
+    ids=["above-1000J", "spill", "brownout", "beyond-int64-capacity"],
 )
 def test_budget_soc_csv_matches_the_f_string_in_every_regime(
     capsys, tmp_path, monkeypatch, chunk, flags, regime
@@ -819,19 +856,23 @@ def test_budget_soc_csv_matches_the_f_string_in_every_regime(
     runs = []
     real = hs.simulate_soc
 
-    def simulate(*args, **kwargs):
-        runs.append(real(*args, **kwargs))
-        return runs[-1]
+    def simulate(scenario, battery, *args, **kwargs):
+        runs.append((battery, real(scenario, battery, *args, **kwargs)))
+        return runs[-1][1]
 
     monkeypatch.setattr(hs, "simulate_soc", simulate)
     soc = tmp_path / "soc.csv"
     code, _, _ = run_cli(capsys, "budget", "--days", "1", *flags, "--soc-out", str(soc))
     assert code == 0
-    series = runs[0].charge_series_j
-    reached = {"above 1000 J": series.min() > 1000, "spill": runs[0].spilled_j > 0,
-               "brownout": series.min() == 0}
+    battery, sim = runs[0]
+    n = hs.charge_series_nj(sim)
+    series = n / 1e9
+    # the capacity does not fit int64 nJ, but every charge held does
+    reached = {"above 1000 J": series.min() > 1000, "spill": sim.spilled_j > 0,
+               "brownout": series.min() == 0,
+               "beyond int64 capacity": round(battery.capacity_j * 1e9) >= 2**63}
     assert reached[regime]
-    assert soc.read_bytes() == b"t_s,charge_j\n" + soc_lines_reference(0, series)
+    assert soc.read_bytes() == b"t_s,charge_j\n" + soc_lines_reference(0, n)
 
 
 def test_budget_soc_out_rejects_a_capacity_beyond_int64_nanojoules(capsys, tmp_path):
@@ -880,6 +921,16 @@ def test_budget_non_finite_arguments_are_config_errors(capsys, flag, value):
     assert code == 5
     assert stdout == ""
     assert "finite" in stderr
+
+
+@pytest.mark.parametrize("value", ["abc", "[1]"])
+def test_budget_scenario_file_with_a_non_numeric_duration(capsys, tmp_path, value):
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"segments:\n  - duration_s: {value}\n")
+    code, stdout, stderr = run_cli(capsys, "budget", "--scenario-file", str(path))
+    assert code == 5
+    assert stdout == ""
+    assert f"{path}: segment 0 duration_s must be a number" in stderr
 
 
 def test_budget_scenario_file(capsys, tmp_path):

@@ -24,6 +24,7 @@ from stresswatch import (
     SourceModel,
     builtin_scenarios,
     builtin_sources,
+    charge_series_nj,
     daily_intake,
     detection_energy,
     indoor_day_scenario,
@@ -170,11 +171,11 @@ def test_sustainable_rate_rejects_bad_energy():
 
 def test_soc_zero_load_monotone():
     battery = BatteryState(capacity_j=100.0, charge_j=10.0)
-    res = simulate_soc(indoor_day_scenario(), battery, 0.0, 602.2e-6, record=True)
+    res = simulate_soc(indoor_day_scenario(), battery, 0.0, 602.2e-6)
     assert not res.brownout
     assert res.served_j == 0.0
     assert res.unmet_j == 0.0
-    assert np.all(np.diff(res.charge_series_j) >= 0)
+    assert np.all(np.diff(charge_series_nj(res)) >= 0)
     assert res.final_charge_j == pytest.approx(
         min(100.0, 10.0 + res.intake_j - res.spilled_j), abs=1e-9
     )
@@ -188,8 +189,7 @@ def test_soc_conservation_and_bounds_randomized():
         charge = float(rng.uniform(0.0, cap))
         battery = BatteryState(capacity_j=cap, charge_j=charge)
         rate = float(rng.uniform(0.0, 100.0))
-        record = trial < 3
-        res = simulate_soc(scenario, battery, rate, 602.2e-6, days=2, record=record)
+        res = simulate_soc(scenario, battery, rate, 602.2e-6, days=2)
         # exact energy conservation, reconstructed in integer nanojoules
         assert nj(res.final_charge_j) - nj(charge) == (
             nj(res.intake_j) - nj(res.served_j) - nj(res.spilled_j)
@@ -199,8 +199,8 @@ def test_soc_conservation_and_bounds_randomized():
         assert res.served_j + res.unmet_j == pytest.approx(
             res.days * DAY_S * (nj(rate * 602.2e-6 / 60.0)) / 1e9, abs=1e-9
         )
-        if record:
-            series = res.charge_series_j
+        if trial < 3:
+            series = charge_series_nj(res) / 1e9
             assert series.shape == (2 * DAY_S,)
             assert series[-1] == res.final_charge_j
             # segment-endpoint extremes match the full per-second trajectory
@@ -210,9 +210,10 @@ def test_soc_conservation_and_bounds_randomized():
             assert res.max_charge_j == max(start, float(series.max()))
 
 
-def per_second_soc(scenario, battery, rate_per_minute, detection_energy_j, days, record):
+def per_second_soc(scenario, battery, rate_per_minute, detection_energy_j, days):
     """Reference simulator: the same integer-nanojoule battery stepped one
-    second at a time. ``simulate_soc`` must agree with it on every field."""
+    second at a time. ``simulate_soc`` must agree with it on every field but
+    ``segments``, and ``charge_series_nj`` with its int64 nJ series."""
     srcs = builtin_sources()
     plan = [
         (int(round(seg.duration_s)), int(round(segment_power_w(seg, srcs) * 1e9)))
@@ -248,7 +249,7 @@ def per_second_soc(scenario, battery, rate_per_minute, detection_energy_j, days,
                 series.append(c)
                 step += 1
             lo, hi = min(lo, c), max(hi, c)
-    return SocSimResult(
+    result = SocSimResult(
         days=days,
         final_charge_j=c / 1e9,
         min_charge_j=lo / 1e9,
@@ -259,20 +260,20 @@ def per_second_soc(scenario, battery, rate_per_minute, detection_energy_j, days,
         served_j=served / 1e9,
         spilled_j=spilled / 1e9,
         unmet_j=unmet / 1e9,
-        charge_series_j=np.array(series, dtype=np.int64) / 1e9 if record else None,
+        segments=(),
     )
+    return result, np.array(series, dtype=np.int64)
 
 
-def assert_matches_per_second(scenario, battery, rate, energy, days, record=False):
-    got = simulate_soc(scenario, battery, rate, energy, days=days, record=record)
-    want = per_second_soc(scenario, battery, rate, energy, days, record)
+def assert_matches_per_second(scenario, battery, rate, energy, days):
+    got = simulate_soc(scenario, battery, rate, energy, days=days)
+    want, want_series = per_second_soc(scenario, battery, rate, energy, days)
     for f in dataclasses.fields(SocSimResult):
-        if f.name != "charge_series_j":
+        if f.name != "segments":
             assert getattr(got, f.name) == getattr(want, f.name), f.name
-    if record:
-        assert np.array_equal(got.charge_series_j, want.charge_series_j)
-    else:
-        assert got.charge_series_j is None
+    series = charge_series_nj(got)
+    assert series.dtype == np.int64
+    assert np.array_equal(series, want_series)
     return got
 
 
@@ -303,7 +304,7 @@ def test_soc_matches_per_second_reference_randomized(seed):
     rate = [0.0, float(rng.uniform(0.0, 100.0)), float(rng.uniform(0.0, 3000.0))][seed % 3]
     assert_matches_per_second(
         choppy_day(rng), BatteryState(capacity_j=cap, charge_j=charge), rate,
-        602.2e-6, days=2, record=seed % 2 == 0,
+        602.2e-6, days=2,
     )
 
 
@@ -312,7 +313,7 @@ def test_soc_matches_per_second_reference_on_a_day_two_brownout():
     # day 1 and runs dry during the TEG-only stretch of day 2
     res = assert_matches_per_second(
         indoor_day_scenario(), BatteryState(capacity_j=20.0), 30.0, 602.2e-6,
-        days=3, record=True,
+        days=3,
     )
     assert DAY_S + 6 * 3600 < res.first_brownout_s < 2 * DAY_S
 
@@ -321,7 +322,7 @@ def test_soc_matches_per_second_reference_from_empty():
     # no charge and a net drain: the very first second is already unmet
     res = assert_matches_per_second(
         dark_scenario(), BatteryState(capacity_j=1.0, charge_j=0.0), 60.0, 1e-3,
-        days=2, record=True,
+        days=2,
     )
     assert res.first_brownout_s == 0.0
 
@@ -331,10 +332,31 @@ def test_soc_matches_per_second_reference_full_and_idle():
     # (zero net rate) through the dark rest of the day
     res = assert_matches_per_second(
         outdoor_hour_scenario(), BatteryState(capacity_j=3.0), 0.0, 602.2e-6,
-        days=2, record=True,
+        days=2,
     )
     assert res.final_charge_j == res.min_charge_j == 3.0
     assert res.spilled_j == res.intake_j
+
+
+def test_charge_series_refuses_a_charge_beyond_int64_nanojoules():
+    # 1.4e10 J is 1.4e19 nJ, past int64: a full battery cannot be stored, an
+    # empty one that stays far below the limit can
+    full = simulate_soc(indoor_day_scenario(), BatteryState(capacity_j=1.4e10), 24.0, 602.2e-6)
+    with pytest.raises(ConfigError, match="int64"):
+        charge_series_nj(full)
+    empty = BatteryState(capacity_j=1.4e10, charge_j=0.0)
+    res = simulate_soc(indoor_day_scenario(), empty, 24.0, 602.2e-6)
+    series = charge_series_nj(res)
+    assert series[-1] == nj(res.final_charge_j)
+    assert series.max() == nj(res.max_charge_j)
+
+
+def test_soc_results_compare_by_value():
+    run = [simulate_soc(indoor_day_scenario(), BatteryState(capacity_j=20.0), 30.0, 602.2e-6,
+                        days=2) for _ in range(2)]
+    assert run[0] == run[1]
+    assert hash(run[0]) == hash(run[1])
+    assert [seconds for _, seconds, *_ in run[0].segments] == [6 * 3600, 18 * 3600] * 2
 
 
 def test_soc_brownout_timing_closed_form():
@@ -475,4 +497,14 @@ def test_scenario_yaml_error_cases(tmp_path):
 
     path.write_text("segments: [:\n")
     with pytest.raises(ConfigError, match="invalid YAML"):
+        scenario_from_config(path)
+
+
+@pytest.mark.parametrize("value", ["abc", "[1]", "{h: 1}", "1" + "0" * 400],
+                         ids=["text", "list", "mapping", "beyond-float"])
+@pytest.mark.parametrize("key", ["duration_s", "duration_h"])
+def test_scenario_yaml_rejects_a_non_numeric_duration(tmp_path, key, value):
+    path = tmp_path / "bad.yaml"
+    path.write_text(f"segments:\n  - duration_h: 1\n  - {key}: {value}\n")
+    with pytest.raises(ConfigError, match=f"{path}: segment 1 {key} must be a number"):
         scenario_from_config(path)
