@@ -2,8 +2,10 @@
 
 Five numbers summarize each analysis window: RMSSD, SDSD and NN50 from the
 beat-to-beat (RR) intervals of the ECG, and the mean height (GSRH) and mean
-duration (GSRL) of rising runs in the galvanic skin response. The classifier
-consumes them in exactly that order.
+duration (GSRL) of rising runs in the galvanic skin response.
+``extract_window_features`` returns them as one row per window, in the
+column order of ``FEATURE_NAMES``, which is also the order the classifier
+consumes and the header of the feature CSV.
 
 Unit conventions: RR intervals in milliseconds, conductance in microsiemens,
 time in seconds.
@@ -21,6 +23,7 @@ DEFAULT_WINDOW_S = 30.0
 DEFAULT_OVERLAP = 0.5
 DEFAULT_GSR_THRESHOLD_US = 0.05
 NN50_THRESHOLD_MS = 50.0
+FEATURE_NAMES = ("rmssd_ms", "sdsd_ms", "nn50", "gsrh_uS", "gsrl_s")
 
 MIN_SAMPLE_RATE_HZ = 100.0
 MIN_ECG_DURATION_S = 2.0
@@ -68,22 +71,6 @@ class GsrTrace:
 
     def __len__(self) -> int:
         return int(self.times_s.size)
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """One analysis window reduced to the 5 classifier inputs."""
-
-    rmssd_ms: float
-    sdsd_ms: float
-    nn50: int
-    gsrh_us: float
-    gsrl_s: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.rmssd_ms, self.sdsd_ms, float(self.nn50), self.gsrh_us, self.gsrl_s]
-        )
 
 
 @dataclass(frozen=True)
@@ -211,32 +198,21 @@ def gsr_slope_features(
     return float(np.mean(rises[accepted])), float(np.mean(durations[accepted]))
 
 
-def _window_hrv(ecg_slice: np.ndarray, sample_rate_hz: float) -> tuple[float, float, int]:
-    """HRV triple for one window; zeros when beats cannot be derived."""
-    try:
-        rr = detect_r_peaks(ecg_slice, sample_rate_hz)
-    except (EmptySeriesError, InsufficientDataError):
-        return 0.0, 0.0, 0
-    r = rmssd(rr) if len(rr) >= 2 else 0.0
-    s = sdsd(rr) if len(rr) >= 3 else 0.0
-    n = nn50(rr) if len(rr) >= 2 else 0
-    return r, s, n
-
-
 def extract_window_features(
     ecg_times_s,
     ecg_signal,
     gsr: GsrTrace,
     cfg: WindowConfig = WindowConfig(),
     gsr_threshold_us: float = DEFAULT_GSR_THRESHOLD_US,
-) -> list[FeatureVector]:
-    """Feature vectors for every sliding-window position over the recording.
+) -> np.ndarray:
+    """Features of every sliding-window position, as a ``(windows, 5)`` array.
 
-    Window k covers [t0 + k*stride, t0 + k*stride + window_length) with t0
-    the first ECG timestamp; positions are emitted while the window fits
-    inside the recorded span. Windows whose ECG slice yields no usable
-    beats contribute zero HRV features instead of aborting the run, so one
-    noisy stretch cannot sink a long recording.
+    Columns follow ``FEATURE_NAMES``; NN50 is a whole-number float. Window k
+    covers [t0 + k*stride, t0 + k*stride + window_length) with t0 the first
+    ECG timestamp; positions are emitted while the window fits inside the
+    recorded span. Windows whose ECG slice yields no usable beats keep zero
+    HRV features instead of aborting the run, so one noisy stretch cannot
+    sink a long recording.
     """
     t = np.asarray(ecg_times_s, dtype=np.float64).reshape(-1)
     x = np.asarray(ecg_signal, dtype=np.float64).reshape(-1)
@@ -265,13 +241,18 @@ def extract_window_features(
     glo = np.searchsorted(gsr.times_s, starts - 1e-9)
     ghi = np.searchsorted(gsr.times_s, stops - 1e-9)
 
-    out: list[FeatureVector] = []
-    for a, b, ga, gb in zip(lo.tolist(), hi.tolist(), glo.tolist(), ghi.tolist()):
-        r, s, n = _window_hrv(x[a:b], sample_rate)
+    out = np.zeros((n_windows, len(FEATURE_NAMES)))
+    for row, a, b, ga, gb in zip(out, lo.tolist(), hi.tolist(), glo.tolist(), ghi.tolist()):
+        try:
+            rr = detect_r_peaks(x[a:b], sample_rate)
+        except (EmptySeriesError, InsufficientDataError):
+            pass  # no usable beats: the HRV columns stay zero
+        else:
+            if len(rr) >= 2:
+                row[0], row[2] = rmssd(rr), nn50(rr)
+            if len(rr) >= 3:
+                row[1] = sdsd(rr)
         if gb - ga >= 2:
             window_trace = GsrTrace(gsr.times_s[ga:gb], gsr.conductance_us[ga:gb])
-            gh, gl = gsr_slope_features(window_trace, gsr_threshold_us)
-        else:
-            gh, gl = 0.0, 0.0
-        out.append(FeatureVector(r, s, n, gh, gl))
+            row[3:] = gsr_slope_features(window_trace, gsr_threshold_us)
     return out

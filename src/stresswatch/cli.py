@@ -48,7 +48,6 @@ EXIT_DATA = 3
 EXIT_SHAPE = 4
 EXIT_CONFIG = 5
 
-FEATURES_HEADER = ("rmssd_ms", "sdsd_ms", "nn50", "gsrh_uS", "gsrl_s")
 ECG_HEADER = ("time_s", "ecg")
 GSR_HEADER = ("time_s", "gsr_uS")
 LABELS_HEADER = ("label",)
@@ -144,15 +143,6 @@ def _scan_csv(path: str, header: tuple[str, ...], kind: type) -> np.ndarray:
         ) from None
 
 
-def _features_to_csv(vectors) -> str:
-    lines = [",".join(FEATURES_HEADER)]
-    for v in vectors:
-        lines.append(
-            f"{v.rmssd_ms:.12g},{v.sdsd_ms:.12g},{v.nn50},{v.gsrh_us:.12g},{v.gsrl_s:.12g}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _load_norm(model_path: str, norm_file: str | None, disabled: bool):
     """(mean, std) from the sidecar written by train, or None."""
     if disabled:
@@ -193,32 +183,30 @@ def cmd_features(args) -> int:
     if gsr_t.size < 2:
         raise InsufficientDataError("GSR recording has fewer than 2 samples")
     trace = bf.GsrTrace(gsr_t, gsr_x)
-    vectors = bf.extract_window_features(
+    rows = bf.extract_window_features(
         ecg_t, ecg_x, trace, cfg, gsr_threshold_us=args.gsr_threshold
-    )
+    ).tolist()
+    for row in rows:
+        row[2] = int(row[2])  # NN50 is a count: written without a decimal point
     if args.json:
-        _emit_json(
-            {
-                "windows": [
-                    {
-                        "rmssd_ms": v.rmssd_ms,
-                        "sdsd_ms": v.sdsd_ms,
-                        "nn50": v.nn50,
-                        "gsrh_uS": v.gsrh_us,
-                        "gsrl_s": v.gsrl_s,
-                    }
-                    for v in vectors
-                ]
-            },
-            args.output,
-        )
+        _emit_json({"windows": [dict(zip(bf.FEATURE_NAMES, row)) for row in rows]}, args.output)
     else:
-        _emit(_features_to_csv(vectors), args.output)
+        lines = [",".join(bf.FEATURE_NAMES)]
+        lines += [f"{r:.12g},{s:.12g},{n},{h:.12g},{d:.12g}" for r, s, n, h, d in rows]
+        _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
+def _qformat(frac_bits: int) -> QFormat:
+    try:
+        return QFormat(frac_bits)
+    except ValueError as exc:
+        raise ConfigError(f"--frac-bits: {exc}") from None
+
+
 def cmd_classify(args) -> int:
-    features = _read_csv(args.features, FEATURES_HEADER)
+    qformat = _qformat(args.frac_bits) if args.fixed else None
+    features = _read_csv(args.features, bf.FEATURE_NAMES)
     model = nn_core.read_fann(args.model)
     norm = _load_norm(args.model, args.norm_file, args.no_norm)
 
@@ -227,7 +215,7 @@ def cmd_classify(args) -> int:
     if fixed_in_file:
         fixed_net, float_net = model, dequantize_network(model)
     elif use_fixed:
-        fixed_net, float_net = quantize(model, QFormat(args.frac_bits)), model
+        fixed_net, float_net = quantize(model, qformat), model
     else:
         fixed_net, float_net = None, model
 
@@ -296,7 +284,11 @@ def _parse_sizes(text: str) -> list[int]:
 
 
 def cmd_train(args) -> int:
-    features = _read_csv(args.features, FEATURES_HEADER)
+    if args.epochs < 0:
+        raise ConfigError(f"--epochs must not be negative, got {args.epochs}")
+    if not math.isfinite(args.learning_rate):
+        raise ConfigError(f"--learning-rate must be finite, got {args.learning_rate}")
+    features = _read_csv(args.features, bf.FEATURE_NAMES)
     labels = _read_csv(args.labels, LABELS_HEADER, int)[:, 0]
     if features.shape[0] == 0:
         raise InsufficientDataError("training set is empty")
@@ -363,10 +355,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_quantize(args) -> int:
+    qformat = _qformat(args.frac_bits)
     model = nn_core.read_fann(args.model)
     if isinstance(model, FixedPointNet):
         raise ConfigError(f"{args.model} is already fixed point")
-    fp = quantize(model, QFormat(args.frac_bits))
+    fp = quantize(model, qformat)
     nn_core.write_fann(fp, args.output)
     # carry the normalization sidecar along so classify keeps scaling
     # inputs the way the float model was trained

@@ -194,13 +194,10 @@ def _require_full_day(scenario: HarvestScenario) -> None:
         )
 
 
-def daily_intake(
-    scenario: HarvestScenario, sources: dict[str, SourceModel] | None = None
-) -> float:
+def daily_intake(scenario: HarvestScenario) -> float:
     """Joules harvested over one 24 h pass of the schedule."""
     _require_full_day(scenario)
-    if sources is None:
-        sources = builtin_sources()
+    sources = builtin_sources()
     return float(
         sum(seg.duration_s * segment_power_w(seg, sources) for seg in scenario.segments)
     )
@@ -209,12 +206,11 @@ def daily_intake(
 def sustainable_rate(
     scenario: HarvestScenario,
     detection_energy_j: float,
-    sources: dict[str, SourceModel] | None = None,
 ) -> SustainabilityReport:
     """Highest detection rate the daily intake can pay for indefinitely."""
     if not detection_energy_j > 0:
         raise ConfigError("detection energy must be positive")
-    intake = daily_intake(scenario, sources)
+    intake = daily_intake(scenario)
     exact = intake / detection_energy_j
     per_day = int(math.floor(exact))
     return SustainabilityReport(
@@ -226,10 +222,9 @@ def sustainable_rate(
     )
 
 
-def _day_plan_nw(
-    scenario: HarvestScenario, sources: dict[str, SourceModel]
-) -> list[tuple[int, int]]:
+def _day_plan_nw(scenario: HarvestScenario) -> list[tuple[int, int]]:
     """(whole seconds, intake in nW) per segment; must tile exactly 24 h."""
+    sources = builtin_sources()
     plan = []
     for seg in scenario.segments:
         seconds = int(round(seg.duration_s))
@@ -249,7 +244,6 @@ def simulate_soc(
     rate_per_minute: float,
     detection_energy_j: float,
     days: int = 1,
-    sources: dict[str, SourceModel] | None = None,
 ) -> SocSimResult:
     """State of charge over the scenario repeated daily, one segment at a time.
 
@@ -268,9 +262,7 @@ def simulate_soc(
     if not math.isfinite(detection_energy_j):
         raise ConfigError("detection energy must be finite")
     _require_full_day(scenario)
-    if sources is None:
-        sources = builtin_sources()
-    plan = _day_plan_nw(scenario, sources)
+    plan = _day_plan_nw(scenario)
 
     load = int(round(rate_per_minute * detection_energy_j * 1e9 / SECONDS_PER_MINUTE))
     cap = int(round(battery.capacity_j * 1e9))
@@ -367,6 +359,8 @@ def scenario_from_config(path) -> HarvestScenario:
             )
         key = "duration_s" if "duration_s" in entry else "duration_h"
         try:
+            if isinstance(entry[key], bool):  # float() would take true as 1
+                raise TypeError
             duration = float(entry[key]) * (3600.0 if key == "duration_h" else 1.0)
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{path}: segment {i} {key} must be a number") from None

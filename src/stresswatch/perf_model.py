@@ -290,6 +290,20 @@ def calibration_report(table: CalibrationTable | None = None) -> list[dict]:
     return rows
 
 
+def _number(value) -> float:
+    """A YAML number as a float; YAML booleans are not numbers."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _count(value) -> int:
+    """A YAML number as an int; a boolean or a fraction is not a count."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
+
+
 def load_calibration(path) -> CalibrationTable:
     """Read a calibration table from a YAML document.
 
@@ -320,16 +334,16 @@ def load_calibration(path) -> CalibrationTable:
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: platform {p!r} must be a mapping")
         try:
-            clock_hz[p] = float(entry["clock_hz"])
-            cycles[p] = {n: int(entry["cycles"][n]) for n in NETWORK_NAMES}
-            energy[p] = {n: float(entry["energy_uj"][n]) for n in NETWORK_NAMES}
+            clock_hz[p] = _number(entry["clock_hz"])
+            cycles[p] = {n: _count(entry["cycles"][n]) for n in NETWORK_NAMES}
+            energy[p] = {n: _number(entry["energy_uj"][n]) for n in NETWORK_NAMES}
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{path}: platform {p!r} is incomplete: {exc}") from None
 
     weights = dict(_NETWORK_WEIGHTS)
     if "networks" in doc:
         try:
-            weights = {n: int(doc["networks"][n]["weights"]) for n in NETWORK_NAMES}
+            weights = {n: _count(doc["networks"][n]["weights"]) for n in NETWORK_NAMES}
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{path}: invalid 'networks' section: {exc}") from None
 

@@ -5,7 +5,7 @@ definitions; the production numpy paths must agree to float precision.
 Beat-detector tests use synthetic spike trains whose peak indices are known
 exactly, so expected RR intervals are index arithmetic, not approximations.
 The vectorized detector and the searchsorted windowing are also held to
-their former loop forms, kept here as oracles and compared with ``==``.
+their former loop forms, kept here as oracles and compared exactly.
 """
 
 import math
@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from stresswatch import (
+    FEATURE_NAMES,
     EmptySeriesError,
-    FeatureVector,
     GsrTrace,
     InsufficientDataError,
     RRSeries,
@@ -91,7 +91,8 @@ def per_crossing_r_peaks(signal, fs):
 
 
 def masked_window_features(t, x, gsr, cfg, threshold=DEFAULT_GSR_THRESHOLD_US):
-    """The windowing as a loop: two full-length boolean masks per window."""
+    """The windowing as a loop: two full-length boolean masks per window,
+    one ``FEATURE_NAMES`` row each."""
     rate = (t.size - 1) / (t[-1] - t[0])
     span = t[-1] - t[0] + 1.0 / rate
     n_windows = int(np.floor((span - cfg.window_length_s) / cfg.stride_s + 1e-9)) + 1
@@ -112,8 +113,8 @@ def masked_window_features(t, x, gsr, cfg, threshold=DEFAULT_GSR_THRESHOLD_US):
         if np.count_nonzero(gsel) >= 2:
             piece = GsrTrace(gsr.times_s[gsel], gsr.conductance_us[gsel])
             gh, gl = gsr_slope_features(piece, threshold)
-        out.append(FeatureVector(*hrv, gh, gl))
-    return out
+        out.append([*hrv, gh, gl])
+    return np.array(out, dtype=np.float64)
 
 
 def detector_outcome(fn, x, fs):
@@ -440,19 +441,15 @@ def test_windows_compose_from_parts():
     fs, gfs = 256.0, 32.0
     t, x, gsr = make_recording(60.0, beat_period_s=0.9)
     cfg = WindowConfig(window_length_s=20.0, overlap=0.0)
-    vecs = extract_window_features(t, x, gsr, cfg)
-    assert len(vecs) == 3
-    for k, vec in enumerate(vecs):
+    rows = extract_window_features(t, x, gsr, cfg)
+    assert rows.shape == (3, 5) and rows.dtype == np.float64
+    for k, row in enumerate(rows):
         lo, hi = int(k * 20 * fs), int((k + 1) * 20 * fs)
         rr = detect_r_peaks(x[lo:hi], fs)
         glo, ghi = int(k * 20 * gfs), int((k + 1) * 20 * gfs)
         piece = GsrTrace(gsr.times_s[glo:ghi], gsr.conductance_us[glo:ghi])
         gh, gl = gsr_slope_features(piece)
-        assert vec.rmssd_ms == rmssd(rr)
-        assert vec.sdsd_ms == sdsd(rr)
-        assert vec.nn50 == nn50(rr)
-        assert vec.gsrh_us == gh
-        assert vec.gsrl_s == gl
+        assert row.tolist() == [rmssd(rr), sdsd(rr), nn50(rr), gh, gl]
 
 
 def jittered_recording(rng, fs, gsr_fs, duration_s, jitter):
@@ -486,7 +483,7 @@ def test_windows_match_masked_loop(fs, gsr_fs):
                     WindowConfig(4.0, 0.5), WindowConfig(span / 3.0, 0.0), WindowConfig(span, 0.0)):
             threshold = float(rng.uniform(0.0, 0.2))
             got = extract_window_features(t, x, gsr, cfg, threshold)
-            assert got == masked_window_features(t, x, gsr, cfg, threshold)
+            assert np.array_equal(got, masked_window_features(t, x, gsr, cfg, threshold))
 
 
 def test_windows_match_masked_loop_at_boundary_samples():
@@ -504,9 +501,9 @@ def test_windows_match_masked_loop_at_boundary_samples():
         gt[int(edge * gfs)] = nudges[(k + 2) % 5](edge)
     x = spike_train(np.arange(0.3, 30.0, 0.7), fs, 30.0)
     gsr = GsrTrace(gt, 2.0 + 0.3 * np.sin(gt))
-    vecs = extract_window_features(t, x, gsr, cfg)
-    assert vecs == masked_window_features(t, x, gsr, cfg)
-    assert len(vecs) == 14
+    rows = extract_window_features(t, x, gsr, cfg)
+    assert np.array_equal(rows, masked_window_features(t, x, gsr, cfg))
+    assert rows.shape == (14, 5)
 
 
 def test_window_without_beats_gets_zero_hrv():
@@ -520,13 +517,24 @@ def test_window_without_beats_gets_zero_hrv():
     gt = np.arange(int(duration * 4.0)) / 4.0
     gsr = GsrTrace(gt, 2.0 + 0.3 * np.sin(gt / 3.0))
     cfg = WindowConfig(window_length_s=30.0, overlap=0.0)
-    vecs = extract_window_features(t, x, gsr, cfg)
-    assert len(vecs) == 3
+    rows = extract_window_features(t, x, gsr, cfg)
+    assert rows.shape == (3, 5)
     # the beatless middle window degrades to zero HRV instead of raising
-    assert (vecs[1].rmssd_ms, vecs[1].sdsd_ms, vecs[1].nn50) == (0.0, 0.0, 0)
-    assert vecs[0].rmssd_ms > 0.0 and vecs[2].rmssd_ms > 0.0
+    assert rows[1, :3].tolist() == [0.0, 0.0, 0.0]
+    assert rows[0, 0] > 0.0 and rows[2, 0] > 0.0
     # and it still reports GSR activity independently
-    assert vecs[1].gsrh_us > 0.0
+    assert rows[1, 3] > 0.0
+
+
+def test_window_gsr_columns_need_two_samples():
+    # GSR every 10 s: a 20 s window holds two samples, a 10 s window one
+    t, x, _ = make_recording(60.0)
+    gt = np.arange(0.0, 60.0, 10.0)
+    gsr = GsrTrace(gt, 2.0 + 0.25 * np.arange(gt.size))
+    rows = extract_window_features(t, x, gsr, WindowConfig(20.0, 0.0))
+    assert rows[:, 3:].tolist() == [[0.25, 10.0]] * 3
+    rows = extract_window_features(t, x, gsr, WindowConfig(10.0, 0.0))
+    assert rows[:, 3:].tolist() == [[0.0, 0.0]] * 6
 
 
 def test_extract_validates_inputs():
@@ -539,6 +547,14 @@ def test_extract_validates_inputs():
         extract_window_features([0.0, 0.0, 1.0], [1.0, 1.0, 1.0], gsr)
 
 
-def test_feature_vector_ordering():
-    vec = FeatureVector(1.0, 2.0, 3, 4.0, 5.0)
-    assert vec.as_array().tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+def test_feature_names_are_the_column_order():
+    assert FEATURE_NAMES == ("rmssd_ms", "sdsd_ms", "nn50", "gsrh_uS", "gsrl_s")
+    t, _, gsr = make_recording(60.0)
+    # RR intervals alternate 0.7 / 0.9 s, so every successive difference counts
+    beats = np.cumsum(np.resize([0.7, 0.9], 80))
+    x = spike_train(beats[beats < 59.5], 256.0, 60.0)
+    rows = extract_window_features(t, x, gsr)
+    assert rows.shape == (3, len(FEATURE_NAMES))
+    nn = rows[:, FEATURE_NAMES.index("nn50")]
+    # NN50 is a count held as a whole-number float
+    assert (nn > 30).all() and (nn == np.round(nn)).all()

@@ -23,7 +23,8 @@ from stresswatch import (
     load_fann,
     quantize,
 )
-from stresswatch import cli, perf_model
+from stresswatch import biosignal_features as bf
+from stresswatch import cli, nn_core, perf_model
 from stresswatch import harvest_sim as hs
 from stresswatch.cli import main as cli_main
 from stresswatch.errors import ParseError
@@ -95,6 +96,18 @@ def test_features_json_mode(capsys, data_dir):
         assert win["rmssd_ms"] == pytest.approx(vals[0], rel=1e-10)
         assert win["nn50"] == int(vals[2])
         assert win["gsrl_s"] == pytest.approx(vals[4], rel=1e-10)
+
+
+def test_features_json_matches_golden_bytes(capsys, data_dir, tmp_path):
+    # NN50 is written as a JSON integer ("nn50": 30), the other columns as floats
+    out = tmp_path / "features.json"
+    code, stdout, _ = run_cli(
+        capsys, "features", str(data_dir / "ecg_60s.csv"),
+        str(data_dir / "gsr_60s.csv"), "--json", "-o", str(out),
+    )
+    assert code == 0 and stdout == ""
+    assert out.read_bytes() == (data_dir / "golden_features.json").read_bytes()
+    assert b'"nn50": 30,' in out.read_bytes()
 
 
 def test_features_window_flags_change_count(capsys, data_dir):
@@ -258,7 +271,7 @@ def test_read_csv_matches_row_scanner_on_random_files(tmp_path):
     rng = np.random.default_rng(41)
     path = tmp_path / "in.csv"
     for _ in range(400):
-        header, kind = [(ECG_H, float), (("label",), int), (cli.FEATURES_HEADER, float)][
+        header, kind = [(ECG_H, float), (("label",), int), (bf.FEATURE_NAMES, float)][
             int(rng.integers(3))]
         lines = [",".join(header)]
         for _ in range(int(rng.integers(0, 5))):
@@ -576,6 +589,39 @@ def test_quantize_carries_normalization_sidecar(capsys, tmp_path):
     assert outputs[0] == [str(v) for v in want]
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("quantize", "{net}", "--frac-bits", "31"), "--frac-bits"),
+    (("quantize", "{net}", "--frac-bits", "0"), "--frac-bits"),
+    (("classify", "{feats}", "--model", "{net}", "--fixed", "--frac-bits", "0"), "--frac-bits"),
+    (("classify", "{feats}", "--model", "{net}", "--fixed", "--frac-bits", "31"), "--frac-bits"),
+    (("train", "{feats}", "{labels}", "--epochs", "-3"), "--epochs"),
+    (("train", "{feats}", "{labels}", "--learning-rate", "nan"), "--learning-rate"),
+    (("train", "{feats}", "{labels}", "--learning-rate", "inf"), "--learning-rate"),
+    (("train", "{feats}", "{labels}", "--learning-rate=-inf"), "--learning-rate"),
+])
+def test_bad_numeric_flags_are_config_errors(capsys, data_dir, tmp_path, argv, flag):
+    feats, labels, _ = write_training_set(tmp_path)
+    paths = {"net": data_dir / "network_a_random.net", "feats": feats, "labels": labels}
+    out = tmp_path / "out"
+    code, stdout, stderr = run_cli(
+        capsys, *(a.format(**paths) for a in argv), "-o", str(out)
+    )
+    assert code == 5
+    assert stdout == "" and not out.exists()
+    assert stderr.startswith("error: " + flag)
+
+
+def test_train_zero_epochs_writes_the_initial_network(capsys, tmp_path):
+    feats, labels, _ = write_training_set(tmp_path)
+    code, _, _ = run_cli(
+        capsys, "train", str(feats), str(labels), "-o", str(tmp_path / "m.net"),
+        "--epochs", "0", "--seed", "4",
+    )
+    assert code == 0
+    nn_core.write_fann(nn_core.build_mlp([5, 50, 50, 3], seed=4), tmp_path / "init.net")
+    assert (tmp_path / "m.net").read_bytes() == (tmp_path / "init.net").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # report
 
@@ -647,6 +693,8 @@ CALIBRATION_FAULTS = {
     "nan-energy": (lambda ps: ps["ibex"]["energy_uj"].update(A=math.nan), "energy_uj"),
     "inf-clock": (lambda ps: ps["ibex"].update(clock_hz=math.inf), "clock_hz"),
     "inf-cycles": (lambda ps: ps["ibex"]["cycles"].update(A=math.inf), "'ibex'"),
+    "fractional-cycles": (lambda ps: ps["cortex_m4"]["cycles"].update(A=30210.9), "'cortex_m4'"),
+    "true-clock": (lambda ps: ps["ibex"].update(clock_hz=True), "'ibex'"),
 }
 
 
@@ -923,7 +971,7 @@ def test_budget_non_finite_arguments_are_config_errors(capsys, flag, value):
     assert "finite" in stderr
 
 
-@pytest.mark.parametrize("value", ["abc", "[1]"])
+@pytest.mark.parametrize("value", ["abc", "[1]", "true"])
 def test_budget_scenario_file_with_a_non_numeric_duration(capsys, tmp_path, value):
     path = tmp_path / "bad.yaml"
     path.write_text(f"segments:\n  - duration_s: {value}\n")

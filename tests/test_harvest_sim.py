@@ -500,8 +500,8 @@ def test_scenario_yaml_error_cases(tmp_path):
         scenario_from_config(path)
 
 
-@pytest.mark.parametrize("value", ["abc", "[1]", "{h: 1}", "1" + "0" * 400],
-                         ids=["text", "list", "mapping", "beyond-float"])
+@pytest.mark.parametrize("value", ["abc", "[1]", "{h: 1}", "1" + "0" * 400, "true", "false"],
+                         ids=["text", "list", "mapping", "beyond-float", "true", "false"])
 @pytest.mark.parametrize("key", ["duration_s", "duration_h"])
 def test_scenario_yaml_rejects_a_non_numeric_duration(tmp_path, key, value):
     path = tmp_path / "bad.yaml"

@@ -5,6 +5,8 @@ literals; derived quantities (fit coefficients, powers, speedups) are checked
 against in-test recomputation from those same literals.
 """
 
+import functools
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -313,6 +315,29 @@ def test_yaml_error_cases(tmp_path):
 
     path.write_text("platforms: [:\n")
     with pytest.raises(ConfigError, match="invalid YAML"):
+        load_calibration(path)
+
+
+# one value of the stock table replaced: a YAML boolean where a number is due,
+# or a fraction where a count is due
+NOT_A_NUMBER = {
+    "fractional-cycles": (("platforms", "cortex_m4", "cycles", "A"), 30210.9),
+    "true-cycles": (("platforms", "cortex_m4", "cycles", "A"), True),
+    "true-clock": (("platforms", "ibex", "clock_hz"), True),
+    "true-energy": (("platforms", "ibex", "energy_uj", "A"), True),
+    "true-weights": (("networks", "A", "weights"), True),
+    "fractional-weights": (("networks", "B", "weights"), 81032.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_NUMBER))
+def test_yaml_booleans_and_fractions_are_not_numbers(tmp_path, case):
+    keys, value = NOT_A_NUMBER[case]
+    doc = table_to_doc(builtin_calibration())
+    functools.reduce(dict.__getitem__, keys[:-1], doc)[keys[-1]] = value
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ConfigError, match=re.escape(str(path))):
         load_calibration(path)
 
 

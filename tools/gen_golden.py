@@ -9,6 +9,7 @@ byte for byte:
 * ecg_60s.csv            - synthetic 60 s ECG at 256 Hz (time_s,ecg)
 * gsr_60s.csv            - synthetic 60 s GSR at 32 Hz (time_s,gsr_uS)
 * golden_features.csv    - features subcommand output for the two recordings
+* golden_features.json   - the same windows from features --json
 * golden_labels.csv      - expected classify output, computed by an
                            independent pure-Python forward pass over the
                            *serialized* model and feature text
@@ -140,6 +141,14 @@ def main():
     assert rc == 0
     feats = parse_features_csv(DATA / "golden_features.csv")
     print(f"wrote golden_features.csv ({len(feats)} windows)")
+    rc = cli_main([
+        "features",
+        str(DATA / "ecg_60s.csv"),
+        str(DATA / "gsr_60s.csv"),
+        "--json", "-o", str(DATA / "golden_features.json"),
+    ])
+    assert rc == 0
+    print("wrote golden_features.json")
 
     (DATA / "hand_2_2_1.net").write_text(HAND_NET, encoding="ascii")
     print("wrote hand_2_2_1.net")
