@@ -205,12 +205,18 @@ def _qformat(frac_bits: int) -> QFormat:
 
 
 def cmd_classify(args) -> int:
-    qformat = _qformat(args.frac_bits) if args.fixed else None
+    frac_bits = 16 if args.frac_bits is None else args.frac_bits
+    qformat = _qformat(frac_bits) if args.fixed else None
     features = _read_csv(args.features, bf.FEATURE_NAMES)
     model = nn_core.read_fann(args.model)
     norm = _load_norm(args.model, args.norm_file, args.no_norm)
 
     fixed_in_file = isinstance(model, FixedPointNet)
+    if fixed_in_file and args.frac_bits not in (None, model.qformat.frac_bits):
+        raise ConfigError(
+            f"--frac-bits {args.frac_bits} differs from the "
+            f"{model.qformat.frac_bits} fractional bits of {args.model}"
+        )
     use_fixed = args.fixed or fixed_in_file
     if fixed_in_file:
         fixed_net, float_net = model, dequantize_network(model)
@@ -286,6 +292,8 @@ def _parse_sizes(text: str) -> list[int]:
 def cmd_train(args) -> int:
     if args.epochs < 0:
         raise ConfigError(f"--epochs must not be negative, got {args.epochs}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must not be negative, got {args.seed}")
     if not math.isfinite(args.learning_rate):
         raise ConfigError(f"--learning-rate must be finite, got {args.learning_rate}")
     features = _read_csv(args.features, bf.FEATURE_NAMES)
@@ -644,7 +652,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="network file (float or fixed)")
     p.add_argument("--fixed", action="store_true",
                    help="quantize a float model and use the integer path")
-    p.add_argument("--frac-bits", type=int, default=16)
+    p.add_argument("--frac-bits", type=int,
+                   help="fraction bits for --fixed (default 16); a fixed-point "
+                        "model file keeps its own, and a different value is an error")
     p.add_argument("--norm-file", help="normalization sidecar (default: <model>.norm.json)")
     p.add_argument("--no-norm", action="store_true", help="skip input normalization")
     p.add_argument("-o", "--output", help="output CSV (default stdout)")

@@ -173,7 +173,9 @@ class FixedPointNet(_Network):
     """Quantized mirror of a NetworkModel.
 
     ``weights`` holds int64 arrays whose values fit the 32-bit range of
-    ``qformat``. ``saturated_weights`` counts weights clamped during
+    ``qformat`` and whose columns each sum to less than 2^52 in absolute
+    value, which keeps the integer kernel's float64 limbs exact.
+    ``saturated_weights`` counts weights clamped during
     quantization (None for nets loaded from files, where the original float
     values are unknown).
     """
@@ -185,6 +187,10 @@ class FixedPointNet(_Network):
     def _check_values(self, l: int, w: np.ndarray) -> None:
         if w.min(initial=0) < INT32_MIN or w.max(initial=0) > INT32_MAX:
             raise FixedPointRangeError("weight outside the 32-bit range")
+        if np.abs(w).sum(axis=0).max(initial=0) >= 2**52:
+            raise FixedPointRangeError(
+                f"weight matrix {l}: a column's absolute sum reaches 2^52"
+            )
 
 
 def _init_weights(sizes: Sequence[int], rng: np.random.Generator) -> list[np.ndarray]:

@@ -10,17 +10,18 @@ mirrors that kernel bit-exactly:
 * tanh is a 257-knot piecewise-linear table over [-4, 4], odd-symmetric by
   construction, clamped to +/-(1 - 2^-frac_bits) outside.
 
-The products are summed by float64 matmuls on BLAS, which is exact here:
-the activations are split into limbs of 53 - bits(col_bound) bits (one limb
-at Q16.16), so every product and partial sum is an integer below 2^53, and
-the limb results are recombined in int64. A block whose worst-case
-accumulator could reach 2^63, or whose weight column sums to 2^53 or more,
-runs on exact Python integers instead. Rescale and table are integer shifts
-and masks. No result depends on float rounding, so results are
-reproducible across runs and platforms and equal an unbounded-integer
-evaluation bit for bit. The containers this arithmetic works on,
-``QFormat`` and ``FixedPointNet``, live in ``nn_core`` beside the float net
-and the text format; they are importable from here as well.
+The products are summed by float64 matmuls on BLAS and combined in int64,
+the kernel's one integer width. The activations are split into limbs of
+53 - bits(col_bound) bits (one limb at Q16.16), so every product and
+partial sum is an integer below 2^53, exact in float64; ``FixedPointNet``
+rejects a weight column whose absolute sum reaches 2^52, so limbs are at
+least one bit wide. The int64 sum is exact mod 2^64. Where a block's
+worst-case accumulator could reach 2^63, a plain float64 matmul, within
+2^60 of the true sums, finds the entries past 2^62, which saturate; that
+margin keeps float rounding from deciding any result. Rescale and table
+are integer shifts and masks, so results are reproducible across
+platforms and equal an unbounded-integer evaluation bit for bit. The net
+containers, ``QFormat`` and ``FixedPointNet``, are imported from ``nn_core``.
 """
 
 from __future__ import annotations
@@ -153,57 +154,48 @@ def dequantize_network(fp: FixedPointNet) -> NetworkModel:
     )
 
 
-def _accumulate(a_ext: np.ndarray, w: np.ndarray, half: int) -> np.ndarray:
-    """Exact wide dot products of the bias-extended activation rows with w.
+def _accumulate_rescale(a_ext: np.ndarray, w: np.ndarray, frac_bits: int) -> np.ndarray:
+    """Dot products of the bias-extended activation rows with w, rounded
+    half away from zero by 2^frac_bits and saturated into the 32-bit range.
 
-    When the worst-case |accumulator| + half over the whole block provably
-    fits int64, the block runs as float64 matmuls on BLAS. The activations
-    are split into limbs of k = 53 - bits(col_bound) bits: the top limb by
-    an arithmetic shift (at most 2^k in magnitude), the lower ones by a mask
-    (below 2^k). Each weight column's absolute sum is below 2^(53 - k), so
-    every product and partial sum of one limb's matmul is an integer below
-    2^53 in magnitude and the float result is exact. The limb results are
-    cast back and combined with shifts; int64 wraparound in between cancels,
-    since the final sum fits. Otherwise, or when k <= 0, the block goes
-    through a matmul of exact Python integers, so saturation is always a
-    clamp, never a wraparound.
+    The activations are split into limbs of k = 53 - bits(col_bound) bits
+    (k >= 1 by ``FixedPointNet``'s column rule): the top limb by an
+    arithmetic shift (at most 2^k in magnitude), the lower ones by a mask
+    (below 2^k). Each limb's float64 matmul is exact, and the int64 shifts
+    that combine them wrap modulo 2^64, so ``acc`` is exact mod 2^64 and
+    exact outright when the block bound fits int64. Past that bound, a plain
+    float64 matmul is within n * 2^-53 * |a| @ |w| < 2^60 of the true sum
+    for n < 2^30 inputs of 32 bits: an entry it puts at 2^62 or more has
+    |acc| > 2^61 >= 2^(31 + frac_bits) and saturates toward its sign, and
+    every other entry has |acc| + half < 2^63. The rescale rounds the
+    magnitude with one shift and puts the sign back by a mask, in place.
     """
+    half = (1 << frac_bits) >> 1
     col_bound = int(np.abs(w).sum(axis=0).max())
     a_bound = max(int(a_ext.max(initial=0)), -int(a_ext.min(initial=0)))
     k = 53 - col_bound.bit_length()
-    if col_bound * a_bound + half < 2**63 and k > 0:
-        wf = w.astype(np.float64)
-        shift = (max(a_bound.bit_length(), 1) - 1) // k * k  # top limb offset
-        limb = a_ext >> shift if shift else a_ext
-        acc = (limb.astype(np.float64) @ wf).astype(np.int64)
-        while shift:
-            shift -= k
-            limb = (a_ext >> shift) & ((1 << k) - 1)
-            acc = (acc << k) + (limb.astype(np.float64) @ wf).astype(np.int64)
-        return acc
-    return a_ext.astype(object) @ w.astype(object)
-
-
-def _rescale_saturate(acc: np.ndarray, scale: int, half: int) -> np.ndarray:
-    """Round-half-away-from-zero rescale by the format scale, then clamp
-    into the 32-bit range.
-
-    ``scale`` is a power of two, so an int64 accumulator is rounded on its
-    magnitude with one shift and the sign put back by a mask; |acc| + half
-    fits int64 by ``_accumulate``'s bound. Exact-integer accumulators keep
-    the floor-division form.
-    """
-    if acc.dtype == object:
-        q = np.where(acc >= 0, (acc + half) // scale, -((-acc + half) // scale))
-        return np.clip(q, INT32_MIN, INT32_MAX).astype(np.int64)
+    wf = w.astype(np.float64)
+    shift = (max(a_bound.bit_length(), 1) - 1) // k * k  # top limb offset
+    limb = a_ext >> shift if shift else a_ext
+    acc = (limb.astype(np.float64) @ wf).astype(np.int64)
+    while shift:
+        shift -= k
+        limb = (a_ext >> shift) & ((1 << k) - 1)
+        acc <<= k
+        acc += (limb.astype(np.float64) @ wf).astype(np.int64)
     s = acc >> 63                         # 0 or -1
-    q = acc ^ s
-    q -= s
-    q += half
-    q >>= scale.bit_length() - 1
-    q ^= s
-    q -= s
-    return np.clip(q, INT32_MIN, INT32_MAX, out=q)
+    acc ^= s
+    acc -= s
+    acc += half
+    acc >>= frac_bits
+    acc ^= s
+    acc -= s
+    np.clip(acc, INT32_MIN, INT32_MAX, out=acc)
+    if col_bound * a_bound + half >= 2**63:  # acc may have wrapped
+        est = a_ext.astype(np.float64) @ wf
+        sat = np.abs(est) >= 2.0**62
+        acc[sat] = np.clip(est[sat], INT32_MIN, INT32_MAX)
+    return acc
 
 
 def quantize_inputs(x, fmt: QFormat) -> np.ndarray:
@@ -234,12 +226,11 @@ def infer_fixed(fp: FixedPointNet, x) -> np.ndarray:
     rows, single = _input_rows(x, fp.n_inputs)
     fmt = fp.qformat
     scale = fmt.scale
-    half = scale >> 1
     lut = build_tanh_lut(fmt)
     a = quantize_inputs(rows, fmt).reshape(rows.shape)
     bias = np.full((a.shape[0], 1), scale, dtype=np.int64)
     for w, spec in zip(fp.weights, fp.layers[1:]):
-        z = _rescale_saturate(_accumulate(np.hstack((a, bias)), w, half), scale, half)
+        z = _accumulate_rescale(np.hstack((a, bias)), w, fmt.frac_bits)
         a = tanh_lut_eval(z, lut) if spec.activation is Activation.TANH else z
     out = a / scale
     return out[0] if single else out

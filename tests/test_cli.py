@@ -326,6 +326,22 @@ def test_classify_fixed_model_file(capsys, data_dir):
         assert f_row.split(",")[1] == g_row.split(",")[1]
 
 
+@pytest.mark.parametrize("fixed", [(), ("--fixed",)], ids=["plain", "fixed"])
+def test_classify_frac_bits_must_match_a_fixed_model_file(capsys, data_dir, tmp_path, fixed):
+    """A fixed-point file has its own format: naming it again is allowed,
+    naming another one is a configuration error, not a silent Q16.16 run."""
+    args = ("classify", str(data_dir / "golden_features.csv"),
+            "--model", str(data_dir / "network_a_q16.net"), *fixed)
+    _, want, _ = run_cli(capsys, *args)
+    code, stdout, _ = run_cli(capsys, *args, "--frac-bits", "16")
+    assert code == 0 and stdout == want
+    out = tmp_path / "out.csv"
+    code, stdout, stderr = run_cli(capsys, *args, "--frac-bits", "8", "-o", str(out))
+    assert code == 5
+    assert stdout == "" and not out.exists()
+    assert stderr.startswith("error: --frac-bits 8 differs from the 16 fractional bits")
+
+
 def test_classify_json(capsys, data_dir):
     code, stdout, _ = run_cli(
         capsys, "classify", str(data_dir / "golden_features.csv"),
@@ -598,6 +614,7 @@ def test_quantize_carries_normalization_sidecar(capsys, tmp_path):
     (("train", "{feats}", "{labels}", "--learning-rate", "nan"), "--learning-rate"),
     (("train", "{feats}", "{labels}", "--learning-rate", "inf"), "--learning-rate"),
     (("train", "{feats}", "{labels}", "--learning-rate=-inf"), "--learning-rate"),
+    (("train", "{feats}", "{labels}", "--seed", "-1"), "--seed"),
 ])
 def test_bad_numeric_flags_are_config_errors(capsys, data_dir, tmp_path, argv, flag):
     feats, labels, _ = write_training_set(tmp_path)

@@ -31,7 +31,7 @@ from stresswatch import (
     save_fann,
     tanh_lut_eval,
 )
-from stresswatch.quantizer import _accumulate, _rescale_saturate
+from stresswatch.quantizer import _accumulate_rescale
 
 I32_MIN = -(2**31)
 I32_MAX = 2**31 - 1
@@ -316,16 +316,17 @@ def test_fixed_batch_matches_oracle_row_by_row():
 
 def test_fixed_matches_oracle_under_forced_overflow():
     """Weights and inputs at the 32-bit extremes push the per-neuron
-    accumulator far beyond int64; the exact fallback must keep the result
-    identical to the big-integer oracle (a wraparound would be wildly off)."""
+    accumulator far beyond int64, where the int64 sum wraps; the kernel must
+    still saturate exactly where the big-integer oracle does."""
     fmt = QFormat()
+    half = fmt.scale >> 1
     layers = (
         LayerSpec(4, Activation.LINEAR),
         LayerSpec(3, Activation.TANH),
         LayerSpec(2, Activation.TANH),
     )
     rng = np.random.default_rng(41)
-    exact_blocks = 0
+    wide_blocks = saturated = 0
     for trial in range(25):
         w0 = rng.integers(I32_MIN, I32_MAX, size=(5, 3), endpoint=True)
         w1 = rng.integers(I32_MIN, I32_MAX, size=(4, 2), endpoint=True)
@@ -341,24 +342,25 @@ def test_fixed_matches_oracle_under_forced_overflow():
         want = oracle_forward_q(fp, x_q)
         assert got.tolist() == want
 
-        # 2-D: one all-I32_MAX row among ordinary ones sends the whole block
-        # down the exact path; every row must still match the oracle
+        # 2-D: one all-I32_MAX row among ordinary ones puts the whole block
+        # past the int64 bound; every row must still match the oracle
         block = rng.integers(-fmt.scale, fmt.scale, size=(7, 4), endpoint=True)
-        extreme = trial % 7
-        block[extreme] = I32_MAX
+        block[trial % 7] = I32_MAX
         a_ext = np.hstack((block, np.full((7, 1), fmt.scale)))
-        half = fmt.scale >> 1
-        assert _accumulate(np.delete(a_ext, extreme, 0), w0, half).dtype == np.int64
-        path = _accumulate(a_ext, w0, half).dtype
-        assert path == _accumulate(a_ext[extreme:extreme + 1], w0, half).dtype
-        exact_blocks += path == object
+        z = _accumulate_rescale(a_ext, w0, fmt.frac_bits)
+        exact = _floor_div_rescale(a_ext.astype(object) @ w0.astype(object), fmt.scale, half)
+        assert np.array_equal(z, exact)
+        col_bound = int(np.abs(w0).sum(axis=0).max())
+        wide_blocks += col_bound * I32_MAX + half >= 2**63
+        saturated += int(np.count_nonzero((exact == I32_MIN) | (exact == I32_MAX)))
         got = infer_fixed(fp, block / fmt.scale)
         for row_q, row in zip(block, got):
             assert row.tolist() == oracle_forward_q(fp, row_q)
     # the random weights trip the int64 bound in most trials, not all
-    assert exact_blocks >= 20
+    assert wide_blocks >= 20 and saturated >= 25
 
-    # show the guard is load-bearing: an int64 dot of the pinned case wraps
+    # show the saturation test is load-bearing: an int64 dot of the pinned
+    # case wraps
     a_ext = np.append(np.full(4, I32_MAX), fmt.scale).astype(np.int64)
     w_col = np.full(5, I32_MAX, dtype=np.int64)
     exact = sum(int(a) * int(w) for a, w in zip(a_ext, w_col))
@@ -376,13 +378,15 @@ def _floor_div_rescale(acc, scale, half):
 
 
 def test_accumulate_limb_tier_matches_exact_products():
-    """Seeded fuzz of the float64 limb matmuls against a matmul of exact
-    Python integers. Block bounds straddle 2^53, where one limb stops being
-    exact, and reach the largest value the int64 tier admits; one step past
-    it the block takes the exact tier. The shift rescale of every int64
-    accumulator equals the floor-division formula."""
+    """Seeded fuzz of the float64 limb matmuls and the shift rescale against
+    a matmul of exact Python integers and the floor-division formula. Block
+    bounds straddle 2^53, where one limb stops being exact, and reach the
+    largest value whose accumulator provably fits int64; the fraction is
+    wide enough that most results are not clamped. One step past that bound
+    a row aligned with the heaviest weight column saturates, and the
+    float64 estimate must clamp it the way the oracle does."""
     rng = np.random.default_rng(97)
-    below_2_53 = above_2_53 = past_limit = 0
+    below_2_53 = above_2_53 = past_limit = saturated = 0
     top_bound = 0
     for trial in range(300):
         n_in = int(rng.integers(1, 120))
@@ -391,39 +395,55 @@ def test_accumulate_limb_tier_matches_exact_products():
         w_bits = int(rng.integers(0, 32))
         w = rng.integers(-(1 << w_bits), 1 << w_bits, size=(n_in, cols), endpoint=True)
         w[0, 0] = 1 << w_bits
-        frac_bits = int(rng.integers(1, 31))
+        bound_bits = int(rng.integers(40, 65))
+        frac_bits = int(rng.integers(min(max(bound_bits - 34, 1), 30), 31))
         scale = 1 << frac_bits
         half = scale >> 1
         col_bound = int(np.abs(w).sum(axis=0).max())
-        limit = (2**63 - 1 - half) // col_bound     # largest admitted |a|
-        a_max = min(limit, 2 ** int(rng.integers(40, 64)) // col_bound)
+        limit = (2**63 - 1 - half) // col_bound     # largest |a| that fits
+        a_max = min(limit, 2**bound_bits // col_bound)
         a = rng.integers(-a_max, a_max, size=(rows, n_in), endpoint=True)
         a[int(rng.integers(rows))] = a_max * rng.choice([-1, 1], size=n_in)
-        acc = _accumulate(a, w, half)
-        assert acc.dtype == np.int64
-        assert (acc.astype(object) == a.astype(object) @ w.astype(object)).all()
-        assert np.array_equal(_rescale_saturate(acc, scale, half),
-                              _floor_div_rescale(acc, scale, half))
+        exact = a.astype(object) @ w.astype(object)
+        assert np.array_equal(_accumulate_rescale(a, w, frac_bits),
+                              _floor_div_rescale(exact, scale, half))
         bound = col_bound * a_max
         below_2_53 += bound < 2**53
         above_2_53 += bound >= 2**53
         top_bound = max(top_bound, bound)
         if a_max == limit:
-            a[0, 0] = limit + 1                    # one past: the exact tier
-            exact = _accumulate(a, w, half)
-            assert exact.dtype == object
-            assert (exact == a.astype(object) @ w.astype(object)).all()
+            heavy = np.where(w[:, np.abs(w).sum(axis=0).argmax()] < 0, -1, 1)
+            a[0] = (limit + 1) * heavy * rng.choice([-1, 1])   # one past
+            want = _floor_div_rescale(a.astype(object) @ w.astype(object), scale, half)
+            assert np.array_equal(_accumulate_rescale(a, w, frac_bits), want)
+            saturated += int(np.count_nonzero((want == I32_MIN) | (want == I32_MAX)))
             past_limit += 1
     assert below_2_53 >= 50 and above_2_53 >= 50 and past_limit >= 5
+    assert saturated >= past_limit
     assert top_bound >= 2**63 - 2**31
 
 
+def test_fixed_point_net_caps_each_column_below_2_52():
+    """A column whose absolute values sum to 2^52 would leave the kernel's
+    float64 limbs no bit; one unit less is accepted and still saturates
+    exactly."""
+    fmt = QFormat()
+    layers = (LayerSpec(2**21 - 1, Activation.LINEAR), LayerSpec(1, Activation.LINEAR))
+    w = np.full((2**21, 1), I32_MIN, dtype=np.int64)
+    with pytest.raises(FixedPointRangeError, match="2\\^52"):
+        FixedPointNet(layers, (w,), fmt)
+    w[0, 0] += 1
+    fp = FixedPointNet(layers, (w,), fmt)
+    assert infer_fixed(fp, np.ones(2**21 - 1)).tolist() == [I32_MIN / fmt.scale]
+    assert infer_fixed(fp, -np.ones(2**21 - 1)).tolist() == [I32_MAX / fmt.scale]
+
+
 @pytest.mark.parametrize("frac_bits", [20, 24, 26, 28])
-def test_net_a_never_takes_the_exact_tier(frac_bits):
+def test_net_a_fused_kernel_matches_exact_products(frac_bits):
     """Net A at wide fractions has block bounds from 2^52 to 2^60, past one
-    float64 limb but inside int64: every layer must stay on the limb tier,
-    even for inputs at the ends of the format's range, and match the
-    big-integer oracle."""
+    float64 limb but inside int64, so no layer needs the saturation
+    estimate, even for inputs at the ends of the format's range; every
+    layer must match the big-integer oracle."""
     fmt = QFormat(frac_bits)
     fp = quantize(build_network_a(seed=1), fmt)
     lut = build_tanh_lut(fmt)
@@ -434,10 +454,11 @@ def test_net_a_never_takes_the_exact_tier(frac_bits):
     a = quantize_inputs(x, fmt).reshape(x.shape)
     for w in fp.weights:
         a_ext = np.hstack((a, np.full((a.shape[0], 1), fmt.scale)))
-        acc = _accumulate(a_ext, w, half)
-        assert acc.dtype == np.int64
-        assert (acc.astype(object) == a_ext.astype(object) @ w.astype(object)).all()
-        a = tanh_lut_eval(_rescale_saturate(acc, fmt.scale, half), lut)
+        assert int(np.abs(w).sum(axis=0).max()) * int(np.abs(a_ext).max()) + half < 2**63
+        z = _accumulate_rescale(a_ext, w, frac_bits)
+        exact = a_ext.astype(object) @ w.astype(object)
+        assert np.array_equal(z, _floor_div_rescale(exact, fmt.scale, half))
+        a = tanh_lut_eval(z, lut)
     got = infer_fixed(fp, x[:8])
     for x_row, row in zip(x[:8], got):
         assert row.tolist() == oracle_forward_q(fp, quantize_inputs(x_row, fmt))
