@@ -205,13 +205,14 @@ def _qformat(frac_bits: int) -> QFormat:
 
 
 def cmd_classify(args) -> int:
-    frac_bits = 16 if args.frac_bits is None else args.frac_bits
-    qformat = _qformat(frac_bits) if args.fixed else None
+    qformat = _qformat(16 if args.frac_bits is None else args.frac_bits)
     features = _read_csv(args.features, bf.FEATURE_NAMES)
     model = nn_core.read_fann(args.model)
     norm = _load_norm(args.model, args.norm_file, args.no_norm)
 
     fixed_in_file = isinstance(model, FixedPointNet)
+    if args.frac_bits is not None and not (args.fixed or fixed_in_file):
+        raise ConfigError(f"--frac-bits needs --fixed to quantize the float model {args.model}")
     if fixed_in_file and args.frac_bits not in (None, model.qformat.frac_bits):
         raise ConfigError(
             f"--frac-bits {args.frac_bits} differs from the "
@@ -653,8 +654,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed", action="store_true",
                    help="quantize a float model and use the integer path")
     p.add_argument("--frac-bits", type=int,
-                   help="fraction bits for --fixed (default 16); a fixed-point "
-                        "model file keeps its own, and a different value is an error")
+                   help="fraction bits in [1, 30] for --fixed (default 16); a float "
+                        "model without --fixed takes none, and a fixed-point model "
+                        "file only its own")
     p.add_argument("--norm-file", help="normalization sidecar (default: <model>.norm.json)")
     p.add_argument("--no-norm", action="store_true", help="skip input normalization")
     p.add_argument("-o", "--output", help="output CSV (default stdout)")

@@ -73,13 +73,53 @@ class CalibrationTable:
 
     ``cycles`` and ``energy_uj`` are keyed [platform][network] with the two
     reference networks named "A" and "B"; ``network_weights`` records their
-    weight counts, which the cycle fit interpolates between.
+    weight counts, which the cycle fit interpolates between. Every rule a
+    table must meet is checked here, once, however the table was built, so
+    the functions that read a table only derive from it.
     """
 
     clock_hz: dict[str, float]
     cycles: dict[str, dict[str, int]]
     energy_uj: dict[str, dict[str, float]]
     network_weights: dict[str, int]
+
+    def __post_init__(self) -> None:
+        weights = self.network_weights
+        if set(weights) != set(NETWORK_NAMES):
+            raise ConfigError(f"network_weights must define exactly A and B, got {sorted(weights)}")
+        if not all(0 < w < 2**63 for w in weights.values()):
+            raise ConfigError(
+                f"reference weight counts must be positive and below 2^63, got {weights}"
+            )
+        if weights["A"] == weights["B"]:
+            raise CalibrationError("the two reference networks need distinct weight counts")
+        for p in self.cycles:
+            if p not in self.clock_hz or not 0 < self.clock_hz[p] < math.inf:
+                raise ConfigError(f"platform {p!r} needs a positive, finite clock_hz")
+            for n in NETWORK_NAMES:
+                if n not in self.cycles[p] or not 0 < self.cycles[p][n] < 2**63:
+                    raise ConfigError(
+                        f"platform {p!r} needs positive cycles below 2^63 for network {n}"
+                    )
+                if n not in self.energy_uj.get(p, {}) or not 0 < self.energy_uj[p][n] < math.inf:
+                    raise ConfigError(
+                        f"platform {p!r} needs positive, finite energy_uj for network {n}"
+                    )
+        # energy / time for both networks must back out one active power
+        for p, model in fit_cycle_model(self).items():
+            a, b = _network_powers(self, p)
+            if abs(a - b) > POWER_CONSISTENCY_LIMIT * (a + b):
+                raise CalibrationError(
+                    f"platform {p!r}: A/B power disagreement {abs(a - b) / (a + b):.2%} "
+                    f"exceeds {POWER_CONSISTENCY_LIMIT:.0%}"
+                )
+            for n in NETWORK_NAMES:
+                got = model.cycles(weights[n])
+                if got != self.cycles[p][n]:
+                    raise CalibrationError(
+                        f"platform {p!r}: fit predicts {got} cycles for network {n}, "
+                        f"table says {self.cycles[p][n]}"
+                    )
 
     @property
     def platforms(self) -> tuple[str, ...]:
@@ -116,34 +156,6 @@ class Prediction:
     energy_j: float
 
 
-@dataclass(frozen=True)
-class DetectionEnergyModel:
-    """Cost of one full stress detection: acquire, extract, classify.
-
-    The acquisition energy is a measured whole-front-end figure for the
-    3 s sampling window; it is close to, but not exactly, the sum of the
-    two front-end powers times the window (the module constants
-    ``ECG_FRONTEND_POWER_W``, ``GSR_FRONTEND_POWER_W`` and
-    ``ACQUISITION_DURATION_S``, kept for reference).
-    """
-
-    acquisition_energy_j: float
-    feature_energy_j: float
-    classify_energy_j: dict[str, float]
-
-    def total_j(self, platform: str) -> float:
-        if platform not in self.classify_energy_j:
-            raise ConfigError(
-                f"unknown platform {platform!r}; "
-                f"choose from {sorted(self.classify_energy_j)}"
-            )
-        return (
-            self.acquisition_energy_j
-            + self.feature_energy_j
-            + self.classify_energy_j[platform]
-        )
-
-
 def builtin_calibration() -> CalibrationTable:
     """The stock table for the four modeled targets."""
     return CalibrationTable(
@@ -154,27 +166,8 @@ def builtin_calibration() -> CalibrationTable:
     )
 
 
-def _validate_table(table: CalibrationTable) -> None:
-    names = set(table.network_weights)
-    if names != set(NETWORK_NAMES):
-        raise ConfigError(f"network_weights must define exactly A and B, got {sorted(names)}")
-    if len(set(table.network_weights.values())) != 2:
-        raise CalibrationError("the two reference networks need distinct weight counts")
-    for p in table.cycles:
-        if p not in table.clock_hz or not 0 < table.clock_hz[p] < math.inf:
-            raise ConfigError(f"platform {p!r} needs a positive, finite clock_hz")
-        for n in NETWORK_NAMES:
-            if n not in table.cycles[p] or table.cycles[p][n] <= 0:
-                raise ConfigError(f"platform {p!r} needs positive cycles for network {n}")
-            if n not in table.energy_uj.get(p, {}) or not 0 < table.energy_uj[p][n] < math.inf:
-                raise ConfigError(
-                    f"platform {p!r} needs positive, finite energy_uj for network {n}"
-                )
-
-
 def fit_cycle_model(table: CalibrationTable) -> dict[str, CycleModel]:
     """Per-platform two-point linear fit of cycles against weight count."""
-    _validate_table(table)
     w_a = table.network_weights["A"]
     w_b = table.network_weights["B"]
     models = {}
@@ -185,48 +178,27 @@ def fit_cycle_model(table: CalibrationTable) -> dict[str, CycleModel]:
     return models
 
 
-def derive_power(table: CalibrationTable) -> dict[str, float]:
-    """Active power per platform from energy/time, averaged over A and B.
+def _network_powers(table: CalibrationTable, platform: str) -> list[float]:
+    """Active power energy/time of each reference network on one platform."""
+    return [
+        table.energy_uj[platform][n] * 1e-6 / (table.cycles[platform][n] / table.clock_hz[platform])
+        for n in NETWORK_NAMES
+    ]
 
-    The constant-power model only holds if both networks imply nearly the
-    same power; a deviation from the mean above 3% fails calibration.
-    """
-    _validate_table(table)
-    powers = {}
-    for p in table.cycles:
-        per_net = [
-            table.energy_uj[p][n] * 1e-6 / (table.cycles[p][n] / table.clock_hz[p])
-            for n in NETWORK_NAMES
-        ]
-        mean = float(np.mean(per_net))
-        worst = max(abs(v - mean) / mean for v in per_net)
-        if worst > POWER_CONSISTENCY_LIMIT:
-            raise CalibrationError(
-                f"platform {p!r}: A/B power disagreement {worst:.2%} "
-                f"exceeds {POWER_CONSISTENCY_LIMIT:.0%}"
-            )
-        powers[p] = mean
-    return powers
+
+def derive_power(table: CalibrationTable) -> dict[str, float]:
+    """Active power per platform from energy/time, averaged over A and B,
+    which the table holds to within 3% of each other."""
+    return {p: float(np.mean(_network_powers(table, p))) for p in table.cycles}
 
 
 def build_profiles(table: CalibrationTable | None = None) -> dict[str, PlatformProfile]:
-    """Fitted, validated profiles for every platform in the table."""
+    """Fitted profiles for every platform in the table."""
     if table is None:
         table = builtin_calibration()
     models = fit_cycle_model(table)
     powers = derive_power(table)
-    profiles = {}
-    for p in table.cycles:
-        profile = PlatformProfile(p, table.clock_hz[p], powers[p], models[p])
-        for n in NETWORK_NAMES:
-            got = profile.cycle_model.cycles(table.network_weights[n])
-            if got != table.cycles[p][n]:
-                raise CalibrationError(
-                    f"platform {p!r}: fit predicts {got} cycles for network {n}, "
-                    f"table says {table.cycles[p][n]}"
-                )
-        profiles[p] = profile
-    return profiles
+    return {p: PlatformProfile(p, table.clock_hz[p], powers[p], models[p]) for p in table.cycles}
 
 
 def predict(net, profile: PlatformProfile) -> Prediction:
@@ -251,22 +223,21 @@ def speedup(table: CalibrationTable, platform: str, network: str,
     return table.cycles[baseline][network] / table.cycles[platform][network]
 
 
-def detection_energy_model(table: CalibrationTable | None = None) -> DetectionEnergyModel:
+def detection_energy(platform: str, table: CalibrationTable | None = None) -> float:
+    """Joules for one detection: acquisition + features + classification.
+
+    The acquisition energy is a measured whole-front-end figure for the 3 s
+    sampling window; it is close to, but not exactly, the sum of the two
+    front-end powers times the window (``ECG_FRONTEND_POWER_W``,
+    ``GSR_FRONTEND_POWER_W`` and ``ACQUISITION_DURATION_S``).
+    """
     if table is None:
         table = builtin_calibration()
-    _validate_table(table)
-    return DetectionEnergyModel(
-        acquisition_energy_j=ACQUISITION_ENERGY_J,
-        feature_energy_j=FEATURE_ENERGY_J,
-        classify_energy_j={
-            p: table.energy_uj[p]["A"] * 1e-6 for p in table.cycles
-        },
-    )
-
-
-def detection_energy(platform: str, table: CalibrationTable | None = None) -> float:
-    """Joules for one detection: acquisition + features + classification."""
-    return detection_energy_model(table).total_j(platform)
+    if platform not in table.cycles:
+        raise ConfigError(
+            f"unknown platform {platform!r}; choose from {sorted(table.cycles)}"
+        )
+    return ACQUISITION_ENERGY_J + FEATURE_ENERGY_J + table.energy_uj[platform]["A"] * 1e-6
 
 
 def calibration_report(table: CalibrationTable | None = None) -> list[dict]:
@@ -274,7 +245,6 @@ def calibration_report(table: CalibrationTable | None = None) -> list[dict]:
     derived time and speedup against the M4 baseline."""
     if table is None:
         table = builtin_calibration()
-    _validate_table(table)
     rows = []
     for p in table.cycles:
         for n in NETWORK_NAMES:
@@ -347,6 +317,4 @@ def load_calibration(path) -> CalibrationTable:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{path}: invalid 'networks' section: {exc}") from None
 
-    table = CalibrationTable(clock_hz, cycles, energy, weights)
-    _validate_table(table)
-    return table
+    return CalibrationTable(clock_hz, cycles, energy, weights)

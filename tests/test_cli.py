@@ -615,6 +615,8 @@ def test_quantize_carries_normalization_sidecar(capsys, tmp_path):
     (("train", "{feats}", "{labels}", "--learning-rate", "inf"), "--learning-rate"),
     (("train", "{feats}", "{labels}", "--learning-rate=-inf"), "--learning-rate"),
     (("train", "{feats}", "{labels}", "--seed", "-1"), "--seed"),
+    (("classify", "{feats}", "--model", "{net}", "--frac-bits", "31"), "--frac-bits"),
+    (("classify", "{feats}", "--model", "{net}", "--frac-bits", "8"), "--frac-bits needs --fixed"),
 ])
 def test_bad_numeric_flags_are_config_errors(capsys, data_dir, tmp_path, argv, flag):
     feats, labels, _ = write_training_set(tmp_path)
@@ -712,6 +714,10 @@ CALIBRATION_FAULTS = {
     "inf-cycles": (lambda ps: ps["ibex"]["cycles"].update(A=math.inf), "'ibex'"),
     "fractional-cycles": (lambda ps: ps["cortex_m4"]["cycles"].update(A=30210.9), "'cortex_m4'"),
     "true-clock": (lambda ps: ps["ibex"].update(clock_hz=True), "'ibex'"),
+    "inconsistent-power": (
+        lambda ps: ps["ibex"]["energy_uj"].update(B=ps["ibex"]["energy_uj"]["B"] * 1.10),
+        "'ibex'",
+    ),
 }
 
 
@@ -726,6 +732,17 @@ def test_report_rejects_a_bad_calibration_table(capsys, tmp_path, fault):
     assert code == 5
     assert stdout == ""
     assert named in stderr and "Traceback" not in stderr
+
+
+def test_budget_rejects_a_table_whose_powers_disagree(capsys, tmp_path):
+    doc = calibration_doc()
+    CALIBRATION_FAULTS["inconsistent-power"][0](doc["platforms"])
+    path = tmp_path / "calib.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    code, stdout, stderr = run_cli(capsys, "budget", "--calibration", str(path))
+    assert code == 5
+    assert stdout == ""
+    assert "'ibex'" in stderr and "Traceback" not in stderr
 
 
 def test_budget_takes_a_calibration_table_without_the_m4_baseline(capsys, tmp_path):

@@ -21,7 +21,6 @@ from stresswatch import (
     builtin_calibration,
     calibration_report,
     detection_energy,
-    detection_energy_model,
     derive_power,
     fit_cycle_model,
     load_calibration,
@@ -95,7 +94,7 @@ def test_fit_reproduces_both_calibration_points():
 
 def test_fit_needs_distinct_reference_sizes():
     with pytest.raises(CalibrationError):
-        fit_cycle_model(doctored_table(network_weights={"A": 3003, "B": 3003}))
+        doctored_table(network_weights={"A": 3003, "B": 3003})
 
 
 def test_cycles_clamp_at_zero():
@@ -140,7 +139,7 @@ def test_inconsistent_energies_fail_calibration():
     energy = {p: dict(v) for p, v in ENERGY_UJ.items()}
     energy["ibex"]["B"] *= 1.10
     with pytest.raises(CalibrationError, match="ibex"):
-        derive_power(doctored_table(energy_uj=energy))
+        doctored_table(energy_uj=energy)
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +147,26 @@ def test_inconsistent_energies_fail_calibration():
 
 def test_validation_errors():
     with pytest.raises(ConfigError):
-        derive_power(doctored_table(clock_hz={**CLOCK_HZ, "ibex": 0.0}))
+        doctored_table(clock_hz={**CLOCK_HZ, "ibex": 0.0})
     cycles = {p: dict(v) for p, v in CYCLES.items()}
     del cycles["ibex"]["B"]
     with pytest.raises(ConfigError):
-        fit_cycle_model(doctored_table(cycles=cycles))
+        doctored_table(cycles=cycles)
     with pytest.raises(ConfigError):
-        fit_cycle_model(doctored_table(network_weights={"A": 3003}))
+        doctored_table(network_weights={"A": 3003})
+    # counts the fit cannot take as floats are refused, not an OverflowError
+    huge = {p: {n: c * 10**400 for n, c in v.items()} for p, v in CYCLES.items()}
+    with pytest.raises(ConfigError, match="2\\^63"):
+        doctored_table(cycles=huge)
+    with pytest.raises(ConfigError, match="2\\^63"):
+        doctored_table(network_weights={"A": 3003, "B": 10**400})
+    # beyond 2^53 the float line cannot land on an odd cycle count
+    cycles = {p: dict(v) for p, v in CYCLES.items()}
+    cycles["ibex"] = {"A": 2**53 + 1, "B": 2**54 + 1}
+    energy = {p: dict(v) for p, v in ENERGY_UJ.items()}
+    energy["ibex"] = {"A": 1e6, "B": 2e6}
+    with pytest.raises(CalibrationError, match="fit predicts"):
+        doctored_table(cycles=cycles, energy_uj=energy)
 
 
 # ---------------------------------------------------------------------------
@@ -233,16 +245,15 @@ def test_detection_energy_values():
         )
 
 
-def test_detection_energy_model_fields():
-    model = detection_energy_model()
-    assert model.acquisition_energy_j == 600e-6
+def test_detection_energy_parts():
+    assert perf_model.ACQUISITION_ENERGY_J == 600e-6
     assert perf_model.ACQUISITION_DURATION_S == 3.0
-    assert model.feature_energy_j == 1e-6
+    assert perf_model.FEATURE_ENERGY_J == 1e-6
     # the measured figure sits near, not on, power x duration
     budget = (perf_model.ECG_FRONTEND_POWER_W + perf_model.GSR_FRONTEND_POWER_W) * 3.0
-    assert abs(model.acquisition_energy_j - budget) / budget < 0.01
+    assert abs(perf_model.ACQUISITION_ENERGY_J - budget) / budget < 0.01
     with pytest.raises(ConfigError, match="unknown platform"):
-        model.total_j("esp32")
+        detection_energy("esp32")
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +326,12 @@ def test_yaml_error_cases(tmp_path):
 
     path.write_text("platforms: [:\n")
     with pytest.raises(ConfigError, match="invalid YAML"):
+        load_calibration(path)
+
+    doc = table_to_doc(builtin_calibration())
+    doc["networks"] = {"A": {"weights": -3003}, "B": {"weights": 0}}
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ConfigError, match="weight counts must be positive"):
         load_calibration(path)
 
 
