@@ -483,9 +483,11 @@ def _soc_lines(start: int, n: np.ndarray) -> bytes:
     """The lines ``f"{i},{v:.12g}\\n"`` of the charges ``v = n / 1e9`` J,
     given as int64 nJ ``n`` and numbered from ``start``, as ASCII bytes.
 
-    Each line is spelled through the 4-digit tables into a 24-byte row
-    (index, comma, integer part, point, 9 decimals, newline) whose unused
-    bytes are 0 and dropped at the end. The f-string is the reference: it
+    One int64 division splits each charge into whole joules and nJ; both,
+    and the index, are cut into 4-digit groups with uint32 arithmetic and
+    spelled through the 4-digit tables into a 24-byte row (index, comma,
+    integer part, point, 9 decimals, newline). Unused bytes are 0, and one
+    ``bytes.translate`` drops them. The f-string is the reference: it
     formats the chunk whenever a charge needs an exponent (below 1e-4 J) or
     may round to a 5th integer digit, or an index has more than 8 digits.
     """
@@ -495,19 +497,27 @@ def _soc_lines(start: int, n: np.ndarray) -> bytes:
     ):
         lines = enumerate((n / 1e9).tolist(), start)
         return "".join(f"{i},{v:.12g}\n" for i, v in lines).encode("ascii")
-    # from 1000 J on, 12 significant digits end at 10 nJ; on a 5 the binary
-    # value decides which way to round, as it does for the f-string
     big = n >= 10**12
-    tie = np.flatnonzero(big & (n % 10 == 5))
-    rounded = np.where(big, (n + 5) // 10 * 10, n)
-    rounded[tie] = [int(f"{v:.8f}".replace(".", "")) * 10 for v in (n[tie] / 1e9).tolist()]
+    if big.any():
+        # from 1000 J on, 12 significant digits end at 10 nJ; on a 5 the binary
+        # value decides which way to round, as it does for the f-string
+        tie = np.flatnonzero(big & (n % 10 == 5))
+        rounded = np.where(big, (n + 5) // 10 * 10, n)
+        rounded[tie] = [int(f"{v:.8f}".replace(".", "")) * 10 for v in (n[tie] / 1e9).tolist()]
+        n = rounded
 
     lead, trail = _digit_tables()
-    i_hi, i_lo = np.divmod(np.arange(start, start + n.size), 10**4)
-    whole, frac = np.divmod(rounded, 10**9)
-    f_hi, rest = np.divmod(frac, 10**5)
-    f_lo, f_last = np.divmod(rest, 10)
-    rows = np.zeros((n.size, 24), dtype=np.uint8)
+    whole = n // 10**9
+    frac = (n - whole * 10**9).astype(np.uint32)
+    whole = whole.astype(np.uint32)
+    i = np.arange(start, start + n.size, dtype=np.uint32)
+    i_hi = i // 10**4
+    i_lo = i - i_hi * 10**4
+    f_hi = frac // 10**5
+    rest = frac - f_hi * 10**5
+    f_lo = rest // 10
+    f_last = rest - f_lo * 10
+    rows = np.empty((n.size, 24), dtype=np.uint8)
     for col, word in (
         (0, np.where(i_hi != 0, np.take(lead, i_hi), 0)),
         (4, np.take(lead, i_lo + 10**4 * (i_hi != 0))),
@@ -521,8 +531,7 @@ def _soc_lines(start: int, n: np.ndarray) -> bytes:
     rows[:, 13] = np.where(frac != 0, ord("."), 0)
     rows[:, 22] = np.where(f_last != 0, ord("0") + f_last, 0)
     rows[:, 23] = ord("\n")
-    flat = rows.ravel()
-    return flat[flat != 0].tobytes()
+    return rows.tobytes().translate(None, b"\0")
 
 
 def cmd_budget(args) -> int:

@@ -107,7 +107,16 @@ class CalibrationTable:
                     )
         # energy / time for both networks must back out one active power
         for p, model in fit_cycle_model(self).items():
+            times = [self.cycles[p][n] / self.clock_hz[p] for n in NETWORK_NAMES]
             a, b = _network_powers(self, p)
+            # a subnormal clock makes a time inf, and a huge energy over a
+            # short time a power or the sum of both; the rule below and the
+            # mean active power cannot work with inf
+            if not all(0 < v < math.inf for v in (*times, a, b, a + b)):
+                raise ConfigError(
+                    f"platform {p!r}: clock_hz, cycles and energy_uj must give each network "
+                    f"a positive, finite time and active power"
+                )
             if abs(a - b) > POWER_CONSISTENCY_LIMIT * (a + b):
                 raise CalibrationError(
                     f"platform {p!r}: A/B power disagreement {abs(a - b) / (a + b):.2%} "

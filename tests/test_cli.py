@@ -718,6 +718,18 @@ CALIBRATION_FAULTS = {
         lambda ps: ps["ibex"]["energy_uj"].update(B=ps["ibex"]["energy_uj"]["B"] * 1.10),
         "'ibex'",
     ),
+    # every time is inf and every power 0 W, which the 3% rule cannot see
+    "subnormal-clock": (lambda ps: ps["ibex"].update(clock_hz=1.0e-320), "'ibex'"),
+    # both powers are inf, so the 3% rule compares nan, though they differ 23-fold
+    "inf-power": (
+        lambda ps: ps["ibex"].update(clock_hz=1.0e308, energy_uj={"A": 1.0e300, "B": 1.0e300}),
+        "'ibex'",
+    ),
+    # the powers (9.8e307 and 1.7e308 W) differ by 41%, but their sum is inf
+    "inf-power-sum": (
+        lambda ps: ps["ibex"].update(clock_hz=1.0e300, energy_uj={"A": 4.0e18, "B": 1.6e20}),
+        "'ibex'",
+    ),
 }
 
 
@@ -743,6 +755,18 @@ def test_budget_rejects_a_table_whose_powers_disagree(capsys, tmp_path):
     assert code == 5
     assert stdout == ""
     assert "'ibex'" in stderr and "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("fault", ["subnormal-clock", "inf-power", "inf-power-sum"])
+def test_budget_rejects_a_table_whose_times_or_powers_are_not_finite(capsys, tmp_path, fault):
+    doc = calibration_doc()
+    CALIBRATION_FAULTS[fault][0](doc["platforms"])
+    path = tmp_path / "calib.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    code, stdout, stderr = run_cli(capsys, "budget", "--calibration", str(path))
+    assert code == 5
+    assert stdout == ""
+    assert "positive, finite time and active power" in stderr and "Traceback" not in stderr
 
 
 def test_budget_takes_a_calibration_table_without_the_m4_baseline(capsys, tmp_path):
@@ -918,6 +942,56 @@ def test_soc_lines_match_the_f_string_on_whole_chunks(start):
     for _ in range(5):
         n = rng.integers(0, 1.6e12, 20000, endpoint=True)
         assert cli._soc_lines(start, n) == soc_lines_reference(start, n)
+
+
+def fast_soc_lines(monkeypatch, start, n):
+    """``cli._soc_lines(start, n)``, failing unless it took the digit tables."""
+    calls = []
+    tables = cli._digit_tables
+
+    def spy():
+        calls.append(1)
+        return tables()
+
+    monkeypatch.setattr(cli, "_digit_tables", spy)
+    out = cli._soc_lines(start, n)
+    assert calls, "the chunk fell back to the f-string"
+    return out
+
+
+def test_soc_lines_below_1000_joules_match_the_f_string(monkeypatch):
+    # no charge reaches 1000 J, so the chunk skips the rounding pass
+    rng = np.random.default_rng(11)
+    n = rng.integers(10**5, 10**12, 65536)
+    n[::5] = n[::5] // 10**9 * 10**9       # whole joules: no point, or 0
+    n[1::5] = n[1::5] // 10 * 10           # the last decimal digit is 0
+    n[2::5] = n[2::5] // 10**5 * 10**5     # the first decimal group ends the number
+    assert (n < 10**12).all()
+    assert (n == 0).any() and ((n % 10**9 == 0) & (n != 0)).any()
+    assert fast_soc_lines(monkeypatch, 0, n) == soc_lines_reference(0, n)
+
+
+@pytest.mark.parametrize(
+    "start", [10**4 - 100, 10**8 - 65536], ids=["crosses-10000", "ends-at-10^8-1"]
+)
+def test_soc_lines_match_the_f_string_at_the_index_limits(monkeypatch, start):
+    rng = np.random.default_rng(start)
+    n = rng.integers(10**5, 1.6e12, 65536, endpoint=True)
+    assert fast_soc_lines(monkeypatch, start, n) == soc_lines_reference(start, n)
+
+
+def test_budget_soc_csv_over_three_days_matches_the_f_string(capsys, tmp_path, monkeypatch):
+    # 259 200 lines: three whole chunks and a part of one
+    sims = []
+    real = hs.simulate_soc
+    monkeypatch.setattr(hs, "simulate_soc", lambda *a, **k: sims.append(real(*a, **k)) or sims[-1])
+    soc = tmp_path / "soc.csv"
+    code, _, _ = run_cli(capsys, "budget", "--days", "3", "--start-charge", "0.6",
+                         "--soc-out", str(soc))
+    assert code == 0
+    n = hs.charge_series_nj(sims[0])
+    assert n.size == 259200 > 3 * cli.SOC_OUT_CHUNK_LINES
+    assert soc.read_bytes() == b"t_s,charge_j\n" + soc_lines_reference(0, n)
 
 
 @pytest.mark.parametrize("chunk", [7, 1000, 86400])

@@ -167,6 +167,17 @@ def test_validation_errors():
     energy["ibex"] = {"A": 1e6, "B": 2e6}
     with pytest.raises(CalibrationError, match="fit predicts"):
         doctored_table(cycles=cycles, energy_uj=energy)
+    # 1e-320 Hz is positive and finite, but every time it gives is inf
+    with pytest.raises(ConfigError, match="finite time and active power"):
+        doctored_table(clock_hz={**CLOCK_HZ, "ibex": 1.0e-320})
+    # both powers overflow to inf, which hides a 23-fold disagreement
+    energy = {**ENERGY_UJ, "ibex": {"A": 1.0e300, "B": 1.0e300}}
+    with pytest.raises(ConfigError, match="finite time and active power"):
+        doctored_table(clock_hz={**CLOCK_HZ, "ibex": 1.0e308}, energy_uj=energy)
+    # both powers are finite, 41% apart, but their sum (and mean) is inf
+    energy = {**ENERGY_UJ, "ibex": {"A": 4.0e18, "B": 1.6e20}}
+    with pytest.raises(ConfigError, match="finite time and active power"):
+        doctored_table(clock_hz={**CLOCK_HZ, "ibex": 1.0e300}, energy_uj=energy)
 
 
 # ---------------------------------------------------------------------------
