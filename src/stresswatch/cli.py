@@ -157,7 +157,12 @@ def _load_norm(model_path: str, norm_file: str | None, disabled: bool):
         std = np.array(doc["std"], dtype=np.float64)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"{path}: invalid normalization sidecar: {exc}") from None
-    if mean.shape != std.shape or mean.ndim != 1 or (std <= 0).any():
+    if (
+        mean.shape != std.shape
+        or mean.ndim != 1
+        or not (np.isfinite(mean).all() and np.isfinite(std).all())
+        or (std <= 0).any()
+    ):
         raise ParseError(f"{path}: normalization sidecar is malformed")
     return mean, std
 
@@ -316,11 +321,22 @@ def cmd_train(args) -> int:
             f"labels must lie in [0, {n_classes - 1}] for a {n_classes}-output network"
         )
 
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise InsufficientDataError(f"feature row {bad[0]} contains a non-finite value")
+
     x = features
     norm = None
     if not args.no_normalize:
-        mean = x.mean(axis=0)
-        std = x.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = x.mean(axis=0)
+            std = x.std(axis=0)
+        bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+        if bad.size:
+            raise InsufficientDataError(
+                f"feature column {bf.FEATURE_NAMES[bad[0]]} overflows: "
+                "its mean or standard deviation is not finite"
+            )
         std = np.where(std > 0, std, 1.0)
         x = (x - mean) / std
         norm = (mean, std)

@@ -290,43 +290,81 @@ def _stack_dataset(
     return xs, ts
 
 
-def _forward_batch(net: NetworkModel, xs: np.ndarray) -> list[np.ndarray]:
-    acts = [xs]
-    a = xs
-    for w, spec in zip(net.weights, net.layers[1:]):
-        z = a @ w[:-1] + w[-1]
-        a = np.tanh(z) if spec.activation is Activation.TANH else z
-        acts.append(a)
-    return acts
+class _Pass:
+    """Batch forward and backward passes of one network over one dataset, on
+    buffers allocated once.
+
+    The weights are per-layer ``(size + 1, next)`` views, bias row last, of
+    one flat float64 buffer, and the gradients the same views of a second
+    one, so a training step is one in-place update of the flat buffer. Each
+    layer's input is a ``(rows, size + 1)`` buffer whose last column stays
+    1.0: one ``ext.T @ delta`` then gives the weight and bias gradients in
+    one matmul, with the same values as extending the input afresh.
+    Elementwise work runs on contiguous buffers, which numpy walks in one
+    loop rather than one per row.
+    """
+
+    def __init__(self, net: NetworkModel, dataset: Iterable[tuple]):
+        xs, self.ts = _stack_dataset(net, dataset)
+        rows = xs.shape[0]
+        self.tanh = [spec.activation is Activation.TANH for spec in net.layers[1:]]
+        self.flat = np.concatenate([w.ravel() for w in net.weights])
+        self.grad_flat = np.empty_like(self.flat)
+        self.weights, self.grads = [], []
+        pos = 0
+        for w in net.weights:
+            self.weights.append(self.flat[pos:pos + w.size].reshape(w.shape))
+            self.grads.append(self.grad_flat[pos:pos + w.size].reshape(w.shape))
+            pos += w.size
+        self.ext = [np.ones((rows, size + 1)) for size in net.layer_sizes[:-1]]
+        self.inputs = [e[:, :-1] for e in self.ext]
+        self.inputs[0][...] = xs
+        # acts[l] is the output of connection l, computed in place of its
+        # pre-activation; deltas[l] is dLoss/d(pre-activation) there
+        self.acts = [np.empty((rows, size)) for size in net.layer_sizes[1:]]
+        self.deltas = [np.empty_like(a) for a in self.acts]
+
+    def loss(self) -> float:
+        """Forward pass over the dataset; returns the mean squared error and
+        leaves the output error ``out - ts`` in ``deltas[-1]``."""
+        for l, w in enumerate(self.weights):
+            a = np.matmul(self.inputs[l], w[:-1], out=self.acts[l])
+            a += w[-1]
+            if self.tanh[l]:
+                np.tanh(a, out=a)
+            if l + 1 < len(self.inputs):
+                self.inputs[l + 1][...] = a
+        err = np.subtract(self.acts[-1], self.ts, out=self.deltas[-1])
+        return float(np.mean(err**2))
+
+    def backward(self) -> None:
+        """Fills ``grads`` with dLoss/dW, after ``loss`` on the same weights.
+        Overwrites ``acts``, which the next ``loss`` computes afresh."""
+        delta = self.deltas[-1]
+        delta *= 2.0
+        delta /= self.ts.size
+        for l in range(len(self.weights) - 1, -1, -1):
+            if self.tanh[l]:
+                a = self.acts[l]
+                np.square(a, out=a)
+                np.subtract(1.0, a, out=a)
+                delta *= a
+            np.matmul(self.ext[l].T, delta, out=self.grads[l])
+            if l > 0:
+                delta = np.matmul(delta, self.weights[l][:-1].T, out=self.deltas[l - 1])
 
 
 def mse_loss(net: NetworkModel, dataset: Iterable[tuple]) -> float:
     """Mean squared error over all samples and output units."""
-    xs, ts = _stack_dataset(net, dataset)
-    out = _forward_batch(net, xs)[-1]
-    return float(np.mean((out - ts) ** 2))
-
-
-def _backward(
-    net: NetworkModel, acts: list[np.ndarray], ts: np.ndarray
-) -> list[np.ndarray]:
-    grads: list[np.ndarray] = [np.empty(0)] * len(net.weights)
-    # delta holds dLoss/dz for the layer being visited, starting at the top.
-    delta = 2.0 * (acts[-1] - ts) / ts.size
-    for l in range(len(net.weights) - 1, -1, -1):
-        if net.layers[l + 1].activation is Activation.TANH:
-            delta = delta * (1.0 - acts[l + 1] ** 2)
-        a_ext = np.hstack([acts[l], np.ones((acts[l].shape[0], 1))])
-        grads[l] = a_ext.T @ delta
-        if l > 0:
-            delta = delta @ net.weights[l][:-1].T
-    return grads
+    return _Pass(net, dataset).loss()
 
 
 def mse_gradients(net: NetworkModel, dataset: Iterable[tuple]) -> list[np.ndarray]:
     """Analytic dLoss/dW for every connection matrix (bias row included)."""
-    xs, ts = _stack_dataset(net, dataset)
-    return _backward(net, _forward_batch(net, xs), ts)
+    batch = _Pass(net, dataset)
+    batch.loss()
+    batch.backward()
+    return batch.grads
 
 
 def train(
@@ -338,28 +376,26 @@ def train(
     """Plain batch gradient descent on MSE; returns the updated network.
 
     The step size is fixed, so the loss is not guaranteed monotone. A
-    non-finite loss aborts with a DivergenceError naming the epoch.
+    non-finite loss, or a non-finite weight after a step, aborts with a
+    DivergenceError naming the epoch; ``net`` itself is never changed.
     """
-    xs, ts = _stack_dataset(net, dataset)
-    weights = [np.array(w) for w in net.weights]
-    current = net
+    batch = _Pass(net, dataset)
     for epoch in range(int(epochs)):
-        acts = _forward_batch(current, xs)
-        loss = float(np.mean((acts[-1] - ts) ** 2))
+        loss = batch.loss()
         if not np.isfinite(loss):
             raise DivergenceError(
                 f"training diverged: non-finite loss at epoch {epoch}", epoch=epoch
             )
-        grads = _backward(current, acts, ts)
-        weights = [w - learning_rate * g for w, g in zip(weights, grads)]
-        if not all(np.isfinite(w).all() for w in weights):
+        batch.backward()
+        batch.grad_flat *= learning_rate
+        batch.flat -= batch.grad_flat
+        if not np.isfinite(batch.flat).all():
             # tanh keeps the loss bounded, so a blow-up shows in the
             # weights first (overflow on an oversized step)
             raise DivergenceError(
                 f"training diverged: non-finite weights at epoch {epoch}", epoch=epoch
             )
-        current = NetworkModel(net.layers, tuple(weights))
-    return current
+    return NetworkModel(net.layers, tuple(batch.weights))
 
 
 def footprint(net: NetworkModel) -> FootprintReport:

@@ -554,6 +554,58 @@ def test_train_bad_sizes_flag(capsys, tmp_path):
     assert code == 5
 
 
+def set_feature_cell(path, row, col, text):
+    lines = path.read_text().splitlines()
+    cells = lines[row + 1].split(",")
+    cells[col] = text
+    lines[row + 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("value,extra", [("nan", ()), ("inf", ("--no-normalize",))])
+def test_train_rejects_a_non_finite_feature_row(capsys, tmp_path, value, extra):
+    feat, lab, _ = write_training_set(tmp_path)
+    set_feature_cell(feat, 7, 2, value)
+    model = tmp_path / "x.net"
+    code, stdout, stderr = run_cli(
+        capsys, "train", str(feat), str(lab), "-o", str(model), "--epochs", "5", *extra
+    )
+    assert code == 3
+    assert stderr == "error: feature row 7 contains a non-finite value\n"
+    assert stdout == "" and list(tmp_path.glob("x.net*")) == []
+
+
+@pytest.mark.parametrize("value", ["1e300", "-1.7e308"])
+def test_train_rejects_a_column_whose_statistics_overflow(capsys, tmp_path, value):
+    feat, lab, _ = write_training_set(tmp_path)
+    set_feature_cell(feat, 11, 3, value)
+    set_feature_cell(feat, 12, 3, value)
+    model = tmp_path / "x.net"
+    code, stdout, stderr = run_cli(
+        capsys, "train", str(feat), str(lab), "-o", str(model), "--epochs", "5"
+    )
+    assert code == 3
+    assert stderr == (
+        "error: feature column gsrh_uS overflows: "
+        "its mean or standard deviation is not finite\n"
+    )
+    assert stdout == "" and list(tmp_path.glob("x.net*")) == []
+
+
+def test_train_matches_the_snapshot(capsys, data_dir, tmp_path, monkeypatch):
+    # regenerated by tools/gen_golden.py; the CLI defaults train 5-50-50-3
+    # for 500 epochs at learning rate 0.1 from seed 0
+    feat, lab, _ = write_training_set(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = run_cli(
+        capsys, "train", str(feat), str(lab), "-o", "golden_train.net", "--json"
+    )
+    assert code == 0
+    assert stdout == (data_dir / "golden_train.json").read_text()
+    for name in ("golden_train.net", "golden_train.net.norm.json"):
+        assert (tmp_path / name).read_bytes() == (data_dir / name).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # quantize
 
@@ -628,6 +680,27 @@ def test_bad_numeric_flags_are_config_errors(capsys, data_dir, tmp_path, argv, f
     assert code == 5
     assert stdout == "" and not out.exists()
     assert stderr.startswith("error: " + flag)
+
+
+@pytest.mark.parametrize("doc", [
+    {"mean": [0.0] * 5, "std": [1.0, 1.0, 0.0, 1.0, 1.0]},
+    {"mean": [0.0] * 4, "std": [1.0] * 5},
+    {"mean": [0.0, 0.0, float("nan"), 0.0, 0.0], "std": [1.0] * 5},
+    {"mean": [0.0, float("-inf"), 0.0, 0.0, 0.0], "std": [1.0] * 5},
+    {"mean": [0.0] * 5, "std": [1.0, 1.0, 1.0, float("nan"), 1.0]},
+    {"mean": [0.0] * 5, "std": [1.0, 1.0, 1.0, 1.0, float("inf")]},
+], ids=["zero-std", "short-mean", "nan-mean", "-inf-mean", "nan-std", "inf-std"])
+def test_classify_rejects_a_malformed_sidecar(capsys, data_dir, tmp_path, doc):
+    sidecar = tmp_path / "norm.json"
+    # json.dumps spells the non-finite values NaN, Infinity and -Infinity
+    sidecar.write_text(json.dumps(doc))
+    code, stdout, stderr = run_cli(
+        capsys, "classify", str(data_dir / "golden_features.csv"),
+        "--model", str(data_dir / "network_a_random.net"), "--norm-file", str(sidecar),
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: {sidecar}: normalization sidecar is malformed\n"
 
 
 def test_train_zero_epochs_writes_the_initial_network(capsys, tmp_path):

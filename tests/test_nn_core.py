@@ -249,10 +249,83 @@ def test_zero_learning_rate_leaves_weights():
 def test_training_divergence_names_epoch():
     # a linear output lets the loss actually blow up; tanh would clamp it
     net = build_mlp([2, 4, 1], seed=0, output_activation=Activation.LINEAR)
+    before = [np.array(w) for w in net.weights]
     with pytest.raises(DivergenceError) as exc:
         train(net, xor_dataset(), epochs=500, learning_rate=10.0)
-    assert exc.value.epoch >= 0
-    assert "epoch" in str(exc.value)
+    assert exc.value.epoch == 98
+    assert str(exc.value) == "training diverged: non-finite loss at epoch 98"
+    assert all(np.array_equal(a, b) for a, b in zip(before, net.weights))
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_infinite_input_diverges_in_the_weights_first():
+    # tanh saturates the inf row's outputs, so the loss stays finite and the
+    # first step's gradient (inf times a delta) poisons the weights
+    ds = xor_dataset()
+    ds[1] = (np.array([np.inf, 1.0]), ds[1][1])
+    net = build_mlp([2, 4, 1], seed=0)
+    before = [np.array(w) for w in net.weights]
+    with pytest.raises(DivergenceError) as exc:
+        train(net, ds, epochs=500, learning_rate=0.1)
+    assert exc.value.epoch == 0
+    assert str(exc.value) == "training diverged: non-finite weights at epoch 0"
+    assert all(np.array_equal(a, b) for a, b in zip(before, net.weights))
+
+
+# The batch forward/backward pass and epoch loop as they stood before the
+# flat-buffer pass: fresh arrays every epoch and each layer's input extended
+# by a new ones column. The package must match them bit for bit.
+
+def reference_forward(weights, layers, xs):
+    acts = [xs]
+    for w, spec in zip(weights, layers[1:]):
+        z = acts[-1] @ w[:-1] + w[-1]
+        acts.append(np.tanh(z) if spec.activation is Activation.TANH else z)
+    return acts
+
+
+def reference_gradients(weights, layers, acts, ts):
+    grads = [None] * len(weights)
+    delta = 2.0 * (acts[-1] - ts) / ts.size
+    for l in range(len(weights) - 1, -1, -1):
+        if layers[l + 1].activation is Activation.TANH:
+            delta = delta * (1.0 - acts[l + 1] ** 2)
+        a_ext = np.hstack([acts[l], np.ones((acts[l].shape[0], 1))])
+        grads[l] = a_ext.T @ delta
+        if l > 0:
+            delta = delta @ weights[l][:-1].T
+    return grads
+
+
+def reference_train(net, xs, ts, epochs, learning_rate):
+    weights = [np.array(w) for w in net.weights]
+    for _ in range(epochs):
+        acts = reference_forward(weights, net.layers, xs)
+        grads = reference_gradients(weights, net.layers, acts, ts)
+        weights = [w - learning_rate * g for w, g in zip(weights, grads)]
+    return weights
+
+
+ORACLE_SIZES = [[2, 4, 1], [3, 5, 2], [5, 8, 3], [5, 50, 50, 3], [7, 16, 16, 16, 4]]
+
+
+@pytest.mark.parametrize("output", [Activation.TANH, Activation.LINEAR])
+@pytest.mark.parametrize("sizes", ORACLE_SIZES, ids=lambda s: "-".join(map(str, s)))
+def test_pass_matches_the_reference_loop_bit_for_bit(sizes, output):
+    # 239 rows: the window count of a 1 h recording
+    rng = np.random.default_rng(sum(sizes))
+    xs = rng.normal(0.0, 1.0, (239, sizes[0]))
+    ts = rng.uniform(-0.9, 0.9, (239, sizes[-1]))
+    ds = list(zip(xs, ts))
+    net = build_mlp(sizes, seed=5, output_activation=output)
+
+    acts = reference_forward(net.weights, net.layers, xs)
+    assert mse_loss(net, ds) == float(np.mean((acts[-1] - ts) ** 2))
+    want = reference_gradients(net.weights, net.layers, acts, ts)
+    assert all(np.array_equal(g, w) for g, w in zip(mse_gradients(net, ds), want))
+
+    want = reference_train(net, xs, ts, 60, 0.05)
+    assert all(np.array_equal(g, w) for g, w in zip(train(net, ds, 60, 0.05).weights, want))
 
 
 def test_train_rejects_bad_shapes():

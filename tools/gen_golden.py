@@ -13,6 +13,11 @@ byte for byte:
 * golden_labels.csv      - expected classify output, computed by an
                            independent pure-Python forward pass over the
                            *serialized* model and feature text
+* golden_train.net       - train with the CLI defaults (5-50-50-3, 500
+                           epochs, learning rate 0.1, seed 0) on the 36-row
+                           set of tests/test_cli.py's write_training_set
+* golden_train.net.norm.json - its normalization sidecar
+* golden_train.json      - its train --json stdout, run from tests/data
 
 The label oracle parses the .net file itself and loops over scalars with
 math.tanh, sharing no code with the package's inference path. The chosen
@@ -20,17 +25,23 @@ weight seed is the first one whose smallest decision margin clears
 MIN_MARGIN, so fixed-point rounding can never flip a golden label.
 """
 
+import contextlib
+import io
 import math
+import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from stresswatch import build_network_a, quantize, write_fann  # noqa: E402
 from stresswatch.cli import main as cli_main  # noqa: E402
 from stresswatch.quantizer import QFormat, infer_fixed  # noqa: E402
+from test_cli import write_training_set  # noqa: E402
 
 DATA = Path(__file__).resolve().parents[1] / "tests" / "data"
 MIN_MARGIN = 0.05
@@ -182,6 +193,24 @@ def main():
     )
     print(f"wrote network_a_random.net, network_a_q16.net (seed {seed})")
     print("wrote golden_labels.csv:", rows)
+
+    # train --json prints the -o path as given, so train from inside DATA
+    with tempfile.TemporaryDirectory() as tmp:
+        feats_csv, labels_csv, _ = write_training_set(Path(tmp))
+        out = io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(DATA)
+        try:
+            with contextlib.redirect_stdout(out):
+                rc = cli_main([
+                    "train", str(feats_csv), str(labels_csv),
+                    "-o", "golden_train.net", "--json",
+                ])
+        finally:
+            os.chdir(cwd)
+    assert rc == 0
+    (DATA / "golden_train.json").write_text(out.getvalue(), encoding="ascii")
+    print("wrote golden_train.net, golden_train.net.norm.json, golden_train.json")
 
 
 if __name__ == "__main__":
