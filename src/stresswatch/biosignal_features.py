@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySeriesError, InsufficientDataError
+from .errors import ConfigError, EmptySeriesError, InsufficientDataError
 
 DEFAULT_WINDOW_S = 30.0
 DEFAULT_OVERLAP = 0.5
@@ -232,6 +232,12 @@ def extract_window_features(
             f"{span:.3g} s recording"
         )
 
+    # checked before dividing: a tiny stride asks for more windows than memory holds
+    if span - cfg.window_length_s >= t.size * cfg.stride_s:
+        raise ConfigError(
+            f"a {cfg.window_length_s} s window at overlap {cfg.overlap} gives "
+            f"more windows than the {t.size} ECG samples"
+        )
     n_windows = int(np.floor((span - cfg.window_length_s) / cfg.stride_s + 1e-9)) + 1
     starts = t[0] + np.arange(n_windows) * cfg.stride_s
     stops = starts + cfg.window_length_s

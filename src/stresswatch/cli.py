@@ -236,14 +236,21 @@ def cmd_classify(args) -> int:
             f"model takes {float_net.n_inputs} inputs, "
             f"features have {features.shape[1]} columns"
         )
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad.size:
+        raise InsufficientDataError(f"feature row {bad[0]} contains a non-finite value")
     x = features
     if norm is not None and x.shape[0]:
         if norm[0].size != x.shape[1]:
             raise ShapeError("normalization sidecar length does not match features")
-        x = (x - norm[0]) / norm[1]
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-    if bad.size:
-        raise InsufficientDataError(f"feature row {bad[0]} contains a non-finite value")
+        with np.errstate(over="ignore"):
+            x = (x - norm[0]) / norm[1]
+        rows, cols = np.nonzero(~np.isfinite(x))
+        if rows.size:
+            raise InsufficientDataError(
+                f"feature row {rows[0]}: {bf.FEATURE_NAMES[cols[0]]} overflows "
+                "when scaled by the normalization sidecar"
+            )
 
     outputs = np.empty((x.shape[0], float_net.n_outputs))
     max_disc = 0.0
@@ -551,6 +558,11 @@ def _soc_lines(start: int, n: np.ndarray) -> bytes:
 
 
 def cmd_budget(args) -> int:
+    if args.days is None:
+        for flag, value in (("--rate", args.rate), ("--start-charge", args.start_charge),
+                            ("--soc-out", args.soc_out)):
+            if value is not None:
+                raise ConfigError(f"{flag} needs --days")
     table = perf_model.load_calibration(args.calibration) if args.calibration \
         else perf_model.builtin_calibration()
     scenario = _resolve_scenario(args)

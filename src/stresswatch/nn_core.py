@@ -3,6 +3,8 @@
 Defines the two network containers, the float ``NetworkModel`` and its
 32-bit fixed-point mirror ``FixedPointNet`` (with its ``QFormat``), which
 share one set of structural checks, and the text format both serialize to.
+A network is its layer sizes and one weight matrix per connection: the
+input layer passes its values through, and tanh follows every connection.
 Also the operations the rest of the pipeline builds on: the two reference
 topologies (the small 5-50-50-3 classifier and the large 100-input
 benchmark net), float inference, batch gradient-descent training, and the
@@ -16,7 +18,6 @@ its last row holds the biases, as if fed by a constant input of 1.0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
@@ -32,23 +33,6 @@ BYTES_PER_LAYER = 8
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
-
-
-class Activation(Enum):
-    LINEAR = "linear"
-    TANH = "tanh"
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """One layer: neuron count (bias excluded) and activation function."""
-
-    size: int
-    activation: Activation
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"layer size must be >= 1, got {self.size}")
 
 
 @dataclass(frozen=True)
@@ -94,31 +78,33 @@ class QFormat:
 
 @dataclass(frozen=True, eq=False)
 class _Network:
-    """Layer specs plus one weight matrix per connection, checked and frozen.
+    """Layer sizes plus one weight matrix per connection, checked and frozen.
 
-    weights[l] has shape ``(layers[l].size + 1, layers[l + 1].size)`` with
+    Neuron counts exclude the bias. The input layer passes its values
+    through and tanh follows every connection.
+    weights[l] has shape ``(layer_sizes[l] + 1, layer_sizes[l + 1])`` with
     the bias row last. Arrays are copied to ``DTYPE`` and frozen at
     construction; each subclass adds the rule its values must satisfy.
     """
 
-    layers: tuple[LayerSpec, ...]
+    layer_sizes: tuple[int, ...]
     weights: tuple[np.ndarray, ...]
     DTYPE: ClassVar[type]
 
     def __post_init__(self):
-        layers = tuple(self.layers)
-        if len(layers) < 2:
+        sizes = tuple(self.layer_sizes)
+        if len(sizes) < 2:
             raise ShapeError("a network needs at least an input and an output layer")
-        if layers[0].activation is not Activation.LINEAR:
-            raise ShapeError("input layer activation must be linear")
-        if len(self.weights) != len(layers) - 1:
+        if min(sizes) < 1:
+            raise ShapeError(f"layer sizes must be >= 1, got {sizes}")
+        if len(self.weights) != len(sizes) - 1:
             raise ShapeError(
-                f"expected {len(layers) - 1} weight matrices, got {len(self.weights)}"
+                f"expected {len(sizes) - 1} weight matrices, got {len(self.weights)}"
             )
         frozen = []
         for l, w in enumerate(self.weights):
             w = np.array(w, dtype=self.DTYPE)
-            want = (layers[l].size + 1, layers[l + 1].size)
+            want = (sizes[l] + 1, sizes[l + 1])
             if w.shape != want:
                 raise ShapeError(
                     f"weight matrix {l}: expected shape {want}, got {w.shape}"
@@ -126,23 +112,19 @@ class _Network:
             self._check_values(l, w)
             w.setflags(write=False)
             frozen.append(w)
-        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "layer_sizes", sizes)
         object.__setattr__(self, "weights", tuple(frozen))
 
     def _check_values(self, l: int, w: np.ndarray) -> None:
         raise NotImplementedError
 
     @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return tuple(spec.size for spec in self.layers)
-
-    @property
     def layer_count(self) -> int:
-        return len(self.layers)
+        return len(self.layer_sizes)
 
     @property
     def neuron_count(self) -> int:
-        return sum(spec.size for spec in self.layers)
+        return sum(self.layer_sizes)
 
     @property
     def weight_count(self) -> int:
@@ -150,11 +132,11 @@ class _Network:
 
     @property
     def n_inputs(self) -> int:
-        return self.layers[0].size
+        return self.layer_sizes[0]
 
     @property
     def n_outputs(self) -> int:
-        return self.layers[-1].size
+        return self.layer_sizes[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,23 +186,17 @@ def _init_weights(sizes: Sequence[int], rng: np.random.Generator) -> list[np.nda
 def build_mlp(
     sizes: Sequence[int],
     seed: int | None = 0,
-    output_activation: Activation = Activation.TANH,
     weights: Sequence[np.ndarray] | None = None,
 ) -> NetworkModel:
-    """Build an MLP with a linear input layer and tanh hidden layers.
+    """Build an MLP of the given layer sizes, tanh after every connection.
 
     With ``weights=None`` the matrices are drawn uniformly from [-0.5, 0.5]
     using ``seed``, so identical seeds give identical networks.
     """
     sizes = [int(s) for s in sizes]
-    if len(sizes) < 2:
-        raise ShapeError("need at least input and output sizes")
-    layers = [LayerSpec(sizes[0], Activation.LINEAR)]
-    layers += [LayerSpec(s, Activation.TANH) for s in sizes[1:-1]]
-    layers.append(LayerSpec(sizes[-1], output_activation))
     if weights is None:
         weights = _init_weights(sizes, np.random.default_rng(seed))
-    return NetworkModel(tuple(layers), tuple(weights))
+    return NetworkModel(tuple(sizes), tuple(weights))
 
 
 def build_network_a(seed: int | None = 0) -> NetworkModel:
@@ -269,9 +245,9 @@ def infer_float(net: NetworkModel, x) -> np.ndarray:
     a, single = _input_rows(x, net.n_inputs)
     if not np.isfinite(a).all():
         raise ShapeError("input contains non-finite values")
-    for w, spec in zip(net.weights, net.layers[1:]):
+    for w in net.weights:
         z = (a[:, None, :] @ w[:-1])[:, 0, :] + w[-1]
-        a = np.tanh(z) if spec.activation is Activation.TANH else z
+        a = np.tanh(z)
     return a[0] if single else a
 
 
@@ -307,7 +283,6 @@ class _Pass:
     def __init__(self, net: NetworkModel, dataset: Iterable[tuple]):
         xs, self.ts = _stack_dataset(net, dataset)
         rows = xs.shape[0]
-        self.tanh = [spec.activation is Activation.TANH for spec in net.layers[1:]]
         self.flat = np.concatenate([w.ravel() for w in net.weights])
         self.grad_flat = np.empty_like(self.flat)
         self.weights, self.grads = [], []
@@ -330,8 +305,7 @@ class _Pass:
         for l, w in enumerate(self.weights):
             a = np.matmul(self.inputs[l], w[:-1], out=self.acts[l])
             a += w[-1]
-            if self.tanh[l]:
-                np.tanh(a, out=a)
+            np.tanh(a, out=a)
             if l + 1 < len(self.inputs):
                 self.inputs[l + 1][...] = a
         err = np.subtract(self.acts[-1], self.ts, out=self.deltas[-1])
@@ -344,11 +318,10 @@ class _Pass:
         delta *= 2.0
         delta /= self.ts.size
         for l in range(len(self.weights) - 1, -1, -1):
-            if self.tanh[l]:
-                a = self.acts[l]
-                np.square(a, out=a)
-                np.subtract(1.0, a, out=a)
-                delta *= a
+            a = self.acts[l]
+            np.square(a, out=a)
+            np.subtract(1.0, a, out=a)
+            delta *= a
             np.matmul(self.ext[l].T, delta, out=self.grads[l])
             if l > 0:
                 delta = np.matmul(delta, self.weights[l][:-1].T, out=self.deltas[l - 1])
@@ -395,7 +368,7 @@ def train(
             raise DivergenceError(
                 f"training diverged: non-finite weights at epoch {epoch}", epoch=epoch
             )
-    return NetworkModel(net.layers, tuple(batch.weights))
+    return NetworkModel(net.layer_sizes, tuple(batch.weights))
 
 
 def footprint(net: NetworkModel) -> FootprintReport:
@@ -421,31 +394,20 @@ def footprint(net: NetworkModel) -> FootprintReport:
 # row-major within each matrix, bias row last. Floats are written at 9
 # significant digits, which round-trips text->value->text exactly;
 # fixed-point weights are raw integers. The reader is whitespace tolerant
-# inside the weight block but strict about the header. Only the stock
-# topology (linear inputs, tanh everywhere else) is serializable; the tag
-# carries no per-layer activation info.
+# inside the weight block but strict about the header. The format carries
+# no activation: tanh follows every connection.
 
 TAG_FLOAT = "SWNET_FLO_1"
 TAG_FIXED = "SWNET_FIX_1"
 
 
-def _check_serializable(layers: tuple[LayerSpec, ...]) -> None:
-    for spec in layers[1:]:
-        if spec.activation is not Activation.TANH:
-            raise ValueError(
-                "only tanh hidden/output layers can be serialized, "
-                f"got {spec.activation.name}"
-            )
-
-
 def save_fann(model: _Network) -> str:
     """Render a float or fixed-point network to the text format."""
     fixed = isinstance(model, FixedPointNet)
-    _check_serializable(model.layers)
     sizes = " ".join(str(s) for s in model.layer_sizes)
     lines = [
         TAG_FIXED if fixed else TAG_FLOAT,
-        f"num_layers={len(model.layers)}",
+        f"num_layers={model.layer_count}",
         f"layer_sizes={sizes}",
     ]
     if fixed:
@@ -604,10 +566,6 @@ def load_fann(text: str) -> NetworkModel | FixedPointNet:
     expected = sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
     values = _read_weights(lines, body_start, expected, fixed)
 
-    layers = tuple(
-        LayerSpec(s, Activation.LINEAR if i == 0 else Activation.TANH)
-        for i, s in enumerate(sizes)
-    )
     weights = []
     pos = 0
     for a, b in zip(sizes, sizes[1:]):
@@ -616,8 +574,8 @@ def load_fann(text: str) -> NetworkModel | FixedPointNet:
         pos += n
 
     if fixed:
-        return FixedPointNet(layers, tuple(weights), QFormat(frac_bits))
-    return NetworkModel(layers, tuple(weights))
+        return FixedPointNet(tuple(sizes), tuple(weights), QFormat(frac_bits))
+    return NetworkModel(tuple(sizes), tuple(weights))
 
 
 def write_fann(model, path) -> None:

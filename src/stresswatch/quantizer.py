@@ -36,7 +36,6 @@ from .errors import FixedPointRangeError
 from .nn_core import (
     INT32_MAX,
     INT32_MIN,
-    Activation,
     FixedPointNet,
     NetworkModel,
     QFormat,
@@ -140,7 +139,7 @@ def quantize(net: NetworkModel, fmt: QFormat = QFormat()) -> FixedPointNet:
         v = np.clip(v, INT32_MIN, INT32_MAX)
         q_weights.append(v.astype(np.int64))
     return FixedPointNet(
-        layers=net.layers,
+        layer_sizes=net.layer_sizes,
         weights=tuple(q_weights),
         qformat=fmt,
         saturated_weights=saturated,
@@ -150,7 +149,7 @@ def quantize(net: NetworkModel, fmt: QFormat = QFormat()) -> FixedPointNet:
 def dequantize_network(fp: FixedPointNet) -> NetworkModel:
     """Float network with the quantized weight values (for comparisons)."""
     return NetworkModel(
-        fp.layers, tuple(fp.qformat.dequantize(w) for w in fp.weights)
+        fp.layer_sizes, tuple(fp.qformat.dequantize(w) for w in fp.weights)
     )
 
 
@@ -221,7 +220,7 @@ def infer_fixed(fp: FixedPointNet, x) -> np.ndarray:
     ``(rows, inputs)``; the result is ``(outputs,)`` or ``(rows, outputs)``.
     Per connection layer: bias-extended activations (bias input is 1.0 in
     fixed point) are accumulated wide, rescaled once per neuron, saturated,
-    then passed through the tanh table (or left as-is for linear layers).
+    then passed through the tanh table.
     """
     rows, single = _input_rows(x, fp.n_inputs)
     fmt = fp.qformat
@@ -229,8 +228,8 @@ def infer_fixed(fp: FixedPointNet, x) -> np.ndarray:
     lut = build_tanh_lut(fmt)
     a = quantize_inputs(rows, fmt).reshape(rows.shape)
     bias = np.full((a.shape[0], 1), scale, dtype=np.int64)
-    for w, spec in zip(fp.weights, fp.layers[1:]):
+    for w in fp.weights:
         z = _accumulate_rescale(np.hstack((a, bias)), w, fmt.frac_bits)
-        a = tanh_lut_eval(z, lut) if spec.activation is Activation.TANH else z
+        a = tanh_lut_eval(z, lut)
     out = a / scale
     return out[0] if single else out

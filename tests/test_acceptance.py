@@ -13,9 +13,7 @@ import numpy as np
 import pytest
 
 from stresswatch import (
-    Activation,
     BatteryState,
-    LayerSpec,
     FixedPointNet,
     QFormat,
     RRSeries,
@@ -211,22 +209,21 @@ def _oracle_fixed_forward(fp, x_q):
         q = int(math.floor(math.tanh(k / 32.0) * scale + 0.5))
         knots[k], knots[-k] = q, -q
     a = [int(v) for v in x_q]
-    for w, spec in zip(fp.weights, fp.layers[1:]):
+    for w in fp.weights:
         a_ext = a + [scale]
         nxt = []
         for j in range(w.shape[1]):
             acc = sum(a_ext[i] * int(w[i, j]) for i in range(len(a_ext)))
             q = (acc + scale // 2) // scale if acc >= 0 else -((-acc + scale // 2) // scale)
             q = min(max(q, I32_MIN), I32_MAX)
-            if spec.activation is Activation.TANH:
-                sign = -1 if q < 0 else 1
-                aq = abs(q)
-                if aq >= 4 * scale:
-                    q = sign * (scale - 1)
-                else:
-                    idx, r = divmod(aq * 32, scale)
-                    num = knots[idx] * (scale - r) + knots[idx + 1] * r
-                    q = sign * ((num + scale // 2) // scale)
+            sign = -1 if q < 0 else 1
+            aq = abs(q)
+            if aq >= 4 * scale:
+                q = sign * (scale - 1)
+            else:
+                idx, r = divmod(aq * 32, scale)
+                num = knots[idx] * (scale - r) + knots[idx + 1] * r
+                q = sign * ((num + scale // 2) // scale)
             nxt.append(q)
         a = nxt
     return [v / scale for v in a]
@@ -252,11 +249,10 @@ def test_acceptance_07_fixed_point_fidelity():
 
     # adversarial extremes: accumulators overflow int64, results must still
     # match the unbounded-integer oracle exactly (no wraparound, ever)
-    layers = (LayerSpec(4, Activation.LINEAR), LayerSpec(3, Activation.TANH))
     for trial in range(5):
         w = rng.integers(I32_MIN, I32_MAX, size=(5, 3), endpoint=True)
         w[:, 0] = I32_MAX
-        fp = FixedPointNet(layers, (w,), fmt)
+        fp = FixedPointNet((4, 3), (w,), fmt)
         x_q = np.full(4, I32_MAX)
         if infer_fixed(fp, x_q / fmt.scale).tolist() != _oracle_fixed_forward(fp, x_q):
             oracle_mismatches += 1

@@ -179,6 +179,20 @@ def test_features_bad_window_flags_are_config_errors(capsys, data_dir, flag, val
     assert "error:" in stderr
 
 
+def test_features_more_windows_than_samples_is_a_config_error(capsys, data_dir):
+    # rejected before the window array is allocated
+    code, stdout, stderr = run_cli(
+        capsys, "features", str(data_dir / "ecg_60s.csv"),
+        str(data_dir / "gsr_60s.csv"), "--window-s", "1e-300",
+    )
+    assert code == 5
+    assert stdout == ""
+    assert stderr == (
+        "error: a 1e-300 s window at overlap 0.5 gives more windows "
+        "than the 15360 ECG samples\n"
+    )
+
+
 @pytest.mark.parametrize("which,row", [("ecg", 19), ("gsr", 8)])
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_features_non_finite_sample_is_a_data_error(capsys, data_dir, tmp_path, which, row, value):
@@ -386,6 +400,20 @@ def test_classify_non_finite_feature_is_a_data_error(capsys, data_dir, tmp_path,
     assert "row 261" in stderr
     assert stdout == ""
     assert not out.exists()
+
+
+def test_classify_names_a_finite_feature_that_overflows_when_scaled(capsys, data_dir, tmp_path):
+    feats = tmp_path / "big.csv"
+    feats.write_bytes((data_dir / "golden_features.csv").read_bytes())
+    set_feature_cell(feats, 0, 3, "1.7e308")
+    code, stdout, stderr = run_cli(
+        capsys, "classify", str(feats), "--model", str(data_dir / "golden_train.net"),
+    )
+    assert code == 3
+    assert stdout == ""
+    assert stderr == (
+        "error: feature row 0: gsrh_uS overflows when scaled by the normalization sidecar\n"
+    )
 
 
 def classify_rows_reference(float_net, fixed_net, xs):
@@ -1140,6 +1168,20 @@ def test_budget_start_charge_validation(capsys):
     )
     assert code == 5
     assert "--start-charge" in stderr
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--rate", "30"), ("--start-charge", "0.5"), ("--soc-out", "soc.csv")]
+)
+def test_budget_simulation_flags_without_days_are_config_errors(
+    capsys, tmp_path, monkeypatch, flag, value
+):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run_cli(capsys, "budget", flag, value)
+    assert code == 5
+    assert stdout == ""
+    assert stderr == f"error: {flag} needs --days\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

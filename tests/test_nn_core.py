@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from stresswatch import (
-    Activation,
     DivergenceError,
     FixedPointNet,
     FixedPointRangeError,
-    LayerSpec,
     NetworkModel,
     ParseError,
     QFormat,
@@ -33,13 +31,13 @@ from stresswatch import nn_core
 def naive_forward(net, x):
     """Independent scalar-loop oracle for the forward pass."""
     act = [float(v) for v in x]
-    for mat, spec in zip(net.weights, net.layers[1:]):
+    for mat in net.weights:
         nxt = []
         for j in range(mat.shape[1]):
             s = float(mat[-1, j])  # bias row is last
             for i, a in enumerate(act):
                 s += a * float(mat[i, j])
-            nxt.append(math.tanh(s) if spec.activation is Activation.TANH else s)
+            nxt.append(math.tanh(s))
         act = nxt
     return np.array(act)
 
@@ -79,33 +77,31 @@ def test_weight_count_formula_matches_storage():
     "make, bad_value, value_error",
     [
         (NetworkModel, np.nan, ShapeError),
-        (lambda layers, weights: FixedPointNet(layers, weights, QFormat()),
+        (lambda sizes, weights: FixedPointNet(sizes, weights, QFormat()),
          2**31, FixedPointRangeError),
     ],
     ids=["NetworkModel", "FixedPointNet"],
 )
 def test_weight_matrix_shapes_validated(make, bad_value, value_error):
-    lin2, tanh3 = LayerSpec(2, Activation.LINEAR), LayerSpec(3, Activation.TANH)
-    layers = (lin2, tanh3)
+    sizes = (2, 3)
     with pytest.raises(ShapeError):
-        make(layers, (np.zeros((2, 3)),))  # needs (2+1) x 3
+        make(sizes, (np.zeros((2, 3)),))  # needs (2+1) x 3
     with pytest.raises(ShapeError):
-        make((lin2,), ())  # a single layer
+        make((2,), ())  # a single layer
     with pytest.raises(ShapeError):
-        make((LayerSpec(2, Activation.TANH), tanh3), (np.zeros((3, 3)),))
+        make((2, 0), (np.zeros((3, 0)),))  # an empty layer
     with pytest.raises(ShapeError):
-        make(layers, (np.zeros((3, 3)), np.zeros((4, 3))))  # one too many
+        make(sizes, (np.zeros((3, 3)), np.zeros((4, 3))))  # one too many
     with pytest.raises(ShapeError):
-        make((lin2, tanh3, tanh3), (np.zeros((3, 3)),))  # one too few
+        make((2, 3, 3), (np.zeros((3, 3)),))  # one too few
     with pytest.raises(value_error):
-        make(layers, (np.full((3, 3), bad_value),))
+        make(sizes, (np.full((3, 3), bad_value),))
 
 
 def test_networks_compare_and_hash_by_identity():
-    lin2, tanh3 = LayerSpec(2, Activation.LINEAR), LayerSpec(3, Activation.TANH)
-    fixed = FixedPointNet((lin2, tanh3), (np.ones((3, 3)),), QFormat())
+    fixed = FixedPointNet((2, 3), (np.ones((3, 3)),), QFormat())
     for make in (lambda: build_network_a(1), lambda: build_network_b(1),
-                 lambda: FixedPointNet(fixed.layers, fixed.weights, fixed.qformat)):
+                 lambda: FixedPointNet(fixed.layer_sizes, fixed.weights, fixed.qformat)):
         a, b = make(), make()
         assert a == a
         assert a != b                    # equal contents, two objects
@@ -164,15 +160,14 @@ def test_batch_rows_are_bit_identical_to_single_rows():
 
     def per_row(net, x):
         a = np.asarray(x, dtype=np.float64)
-        for w, spec in zip(net.weights, net.layers[1:]):
-            z = a @ w[:-1] + w[-1]
-            a = np.tanh(z) if spec.activation is Activation.TANH else z
+        for w in net.weights:
+            a = np.tanh(a @ w[:-1] + w[-1])
         return a
 
     rng = np.random.default_rng(17)
     nets = [
         build_network_a(seed=4),
-        build_mlp([3, 7, 2], seed=5, output_activation=Activation.LINEAR),
+        build_mlp([3, 7, 2], seed=5),
         build_mlp([1, 4, 1], seed=6),
     ]
     for net in nets:
@@ -226,8 +221,8 @@ def test_gradients_match_central_differences():
                 w_plus[li][idx] += eps
                 w_minus = [np.array(w) for w in net.weights]
                 w_minus[li][idx] -= eps
-                up = mse_loss(NetworkModel(net.layers, tuple(w_plus)), ds)
-                dn = mse_loss(NetworkModel(net.layers, tuple(w_minus)), ds)
+                up = mse_loss(NetworkModel(net.layer_sizes, tuple(w_plus)), ds)
+                dn = mse_loss(NetworkModel(net.layer_sizes, tuple(w_minus)), ds)
                 fd = (up - dn) / (2 * eps)
                 denom = max(abs(g[idx]), abs(fd), 1e-8)
                 assert abs(g[idx] - fd) / denom <= 1e-4
@@ -245,15 +240,17 @@ def test_zero_learning_rate_leaves_weights():
     assert all(np.array_equal(a, b) for a, b in zip(net.weights, trained.weights))
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_training_divergence_names_epoch():
-    # a linear output lets the loss actually blow up; tanh would clamp it
-    net = build_mlp([2, 4, 1], seed=0, output_activation=Activation.LINEAR)
+    # tanh outputs keep the loss of finite rows bounded, so a nan input row is
+    # what makes the loss itself non-finite, before any step is taken
+    ds = xor_dataset()
+    ds[2] = (np.array([1.0, np.nan]), ds[2][1])
+    net = build_mlp([2, 4, 1], seed=0)
     before = [np.array(w) for w in net.weights]
     with pytest.raises(DivergenceError) as exc:
-        train(net, xor_dataset(), epochs=500, learning_rate=10.0)
-    assert exc.value.epoch == 98
-    assert str(exc.value) == "training diverged: non-finite loss at epoch 98"
+        train(net, ds, epochs=500, learning_rate=0.1)
+    assert exc.value.epoch == 0
+    assert str(exc.value) == "training diverged: non-finite loss at epoch 0"
     assert all(np.array_equal(a, b) for a, b in zip(before, net.weights))
 
 
@@ -276,20 +273,18 @@ def test_infinite_input_diverges_in_the_weights_first():
 # flat-buffer pass: fresh arrays every epoch and each layer's input extended
 # by a new ones column. The package must match them bit for bit.
 
-def reference_forward(weights, layers, xs):
+def reference_forward(weights, xs):
     acts = [xs]
-    for w, spec in zip(weights, layers[1:]):
-        z = acts[-1] @ w[:-1] + w[-1]
-        acts.append(np.tanh(z) if spec.activation is Activation.TANH else z)
+    for w in weights:
+        acts.append(np.tanh(acts[-1] @ w[:-1] + w[-1]))
     return acts
 
 
-def reference_gradients(weights, layers, acts, ts):
+def reference_gradients(weights, acts, ts):
     grads = [None] * len(weights)
     delta = 2.0 * (acts[-1] - ts) / ts.size
     for l in range(len(weights) - 1, -1, -1):
-        if layers[l + 1].activation is Activation.TANH:
-            delta = delta * (1.0 - acts[l + 1] ** 2)
+        delta = delta * (1.0 - acts[l + 1] ** 2)
         a_ext = np.hstack([acts[l], np.ones((acts[l].shape[0], 1))])
         grads[l] = a_ext.T @ delta
         if l > 0:
@@ -300,8 +295,8 @@ def reference_gradients(weights, layers, acts, ts):
 def reference_train(net, xs, ts, epochs, learning_rate):
     weights = [np.array(w) for w in net.weights]
     for _ in range(epochs):
-        acts = reference_forward(weights, net.layers, xs)
-        grads = reference_gradients(weights, net.layers, acts, ts)
+        acts = reference_forward(weights, xs)
+        grads = reference_gradients(weights, acts, ts)
         weights = [w - learning_rate * g for w, g in zip(weights, grads)]
     return weights
 
@@ -309,19 +304,18 @@ def reference_train(net, xs, ts, epochs, learning_rate):
 ORACLE_SIZES = [[2, 4, 1], [3, 5, 2], [5, 8, 3], [5, 50, 50, 3], [7, 16, 16, 16, 4]]
 
 
-@pytest.mark.parametrize("output", [Activation.TANH, Activation.LINEAR])
 @pytest.mark.parametrize("sizes", ORACLE_SIZES, ids=lambda s: "-".join(map(str, s)))
-def test_pass_matches_the_reference_loop_bit_for_bit(sizes, output):
+def test_pass_matches_the_reference_loop_bit_for_bit(sizes):
     # 239 rows: the window count of a 1 h recording
     rng = np.random.default_rng(sum(sizes))
     xs = rng.normal(0.0, 1.0, (239, sizes[0]))
     ts = rng.uniform(-0.9, 0.9, (239, sizes[-1]))
     ds = list(zip(xs, ts))
-    net = build_mlp(sizes, seed=5, output_activation=output)
+    net = build_mlp(sizes, seed=5)
 
-    acts = reference_forward(net.weights, net.layers, xs)
+    acts = reference_forward(net.weights, xs)
     assert mse_loss(net, ds) == float(np.mean((acts[-1] - ts) ** 2))
-    want = reference_gradients(net.weights, net.layers, acts, ts)
+    want = reference_gradients(net.weights, acts, ts)
     assert all(np.array_equal(g, w) for g, w in zip(mse_gradients(net, ds), want))
 
     want = reference_train(net, xs, ts, 60, 0.05)
@@ -380,12 +374,6 @@ def test_golden_network_file_loads(data_dir):
     net = load_fann((data_dir / "network_a_random.net").read_text())
     assert net.layer_sizes == (5, 50, 50, 3)
     assert net.weight_count == 3003
-
-
-def test_save_rejects_linear_output():
-    net = build_mlp([2, 2], output_activation=Activation.LINEAR)
-    with pytest.raises(ValueError):
-        save_fann(net)
 
 
 def corrupt_first_weight(lines):
@@ -553,7 +541,7 @@ def save_fann_per_value(model):
     an int() per fixed-point weight. The reference for save_fann."""
     fixed = isinstance(model, FixedPointNet)
     lines = [nn_core.TAG_FIXED if fixed else nn_core.TAG_FLOAT,
-             f"num_layers={len(model.layers)}",
+             f"num_layers={len(model.layer_sizes)}",
              "layer_sizes=" + " ".join(str(s) for s in model.layer_sizes)]
     if fixed:
         lines.append(f"decimal_point={model.qformat.frac_bits}")

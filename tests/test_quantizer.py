@@ -12,10 +12,8 @@ import numpy as np
 import pytest
 
 from stresswatch import (
-    Activation,
     FixedPointNet,
     FixedPointRangeError,
-    LayerSpec,
     QFormat,
     ShapeError,
     TanhTable,
@@ -75,16 +73,14 @@ def oracle_forward_q(fp, x_q):
     scale = 1 << fp.qformat.frac_bits
     knots = oracle_knots(fp.qformat.frac_bits)
     a = [int(v) for v in x_q]
-    for w, spec in zip(fp.weights, fp.layers[1:]):
+    for w in fp.weights:
         a_ext = a + [scale]
         nxt = []
         for j in range(w.shape[1]):
             acc = sum(a_ext[i] * int(w[i, j]) for i in range(len(a_ext)))
             q = div_half_away(acc, scale)
             q = min(max(q, I32_MIN), I32_MAX)
-            if spec.activation is Activation.TANH:
-                q = oracle_tanh_q(q, fp.qformat.frac_bits, knots)
-            nxt.append(q)
+            nxt.append(oracle_tanh_q(q, fp.qformat.frac_bits, knots))
         a = nxt
     return [v / scale for v in a]
 
@@ -151,9 +147,8 @@ def test_quantization_error_within_half_ulp():
 
 
 def test_fixed_net_rejects_out_of_range_weights():
-    layers = (LayerSpec(1, Activation.LINEAR), LayerSpec(1, Activation.TANH))
     with pytest.raises(FixedPointRangeError):
-        FixedPointNet(layers, (np.array([[2**31], [0]]),), QFormat())
+        FixedPointNet((1, 1), (np.array([[2**31], [0]]),), QFormat())
 
 
 def test_fixed_net_counts_match_float_counts():
@@ -296,13 +291,11 @@ def test_fixed_matches_oracle_on_ordinary_nets():
 
 def test_fixed_batch_matches_oracle_row_by_row():
     """A (rows, inputs) matrix goes through one call; each output row must
-    equal the oracle on that row alone, across shapes, a linear output
-    layer and other fraction widths."""
+    equal the oracle on that row alone, across shapes and other fraction
+    widths."""
     rng = np.random.default_rng(37)
     cases = [(build_mlp(sizes, seed=1100 + i), QFormat())
              for i, sizes in enumerate([[2, 3, 1], [4, 6, 6, 2], [5, 8, 3], [1, 2, 2, 2, 1]])]
-    cases.append((build_mlp([4, 8, 2], seed=1200, output_activation=Activation.LINEAR),
-                  QFormat()))
     cases += [(build_network_a(seed=1300 + f), QFormat(f)) for f in (12, 20)]
     for net, fmt in cases:
         fp = quantize(net, fmt)
@@ -320,11 +313,6 @@ def test_fixed_matches_oracle_under_forced_overflow():
     still saturate exactly where the big-integer oracle does."""
     fmt = QFormat()
     half = fmt.scale >> 1
-    layers = (
-        LayerSpec(4, Activation.LINEAR),
-        LayerSpec(3, Activation.TANH),
-        LayerSpec(2, Activation.TANH),
-    )
     rng = np.random.default_rng(41)
     wide_blocks = saturated = 0
     for trial in range(25):
@@ -337,7 +325,7 @@ def test_fixed_matches_oracle_under_forced_overflow():
             w1 = np.full((4, 2), I32_MIN)
             x_q = np.full(4, I32_MAX)
         x_q[0] = I32_MAX  # guarantees the accumulator bound trips
-        fp = FixedPointNet(layers, (w0, w1), fmt)
+        fp = FixedPointNet((4, 3, 2), (w0, w1), fmt)
         got = infer_fixed(fp, x_q / fmt.scale)
         want = oracle_forward_q(fp, x_q)
         assert got.tolist() == want
@@ -428,14 +416,20 @@ def test_fixed_point_net_caps_each_column_below_2_52():
     float64 limbs no bit; one unit less is accepted and still saturates
     exactly."""
     fmt = QFormat()
-    layers = (LayerSpec(2**21 - 1, Activation.LINEAR), LayerSpec(1, Activation.LINEAR))
+    sizes = (2**21 - 1, 1)
     w = np.full((2**21, 1), I32_MIN, dtype=np.int64)
     with pytest.raises(FixedPointRangeError, match="2\\^52"):
-        FixedPointNet(layers, (w,), fmt)
+        FixedPointNet(sizes, (w,), fmt)
     w[0, 0] += 1
-    fp = FixedPointNet(layers, (w,), fmt)
-    assert infer_fixed(fp, np.ones(2**21 - 1)).tolist() == [I32_MIN / fmt.scale]
-    assert infer_fixed(fp, -np.ones(2**21 - 1)).tolist() == [I32_MAX / fmt.scale]
+    fp = FixedPointNet(sizes, (w,), fmt)
+    # inputs of +-1.0 and the bias input 1.0, as infer_fixed extends them
+    a_ext = np.full((2, 2**21), fmt.scale, dtype=np.int64)
+    a_ext[1, :-1] = -fmt.scale
+    z = _accumulate_rescale(a_ext, fp.weights[0], fmt.frac_bits)
+    assert z.tolist() == [[I32_MIN], [I32_MAX]]
+    sat = build_tanh_lut(fmt).saturation / fmt.scale
+    assert infer_fixed(fp, np.ones(2**21 - 1)).tolist() == [-sat]
+    assert infer_fixed(fp, -np.ones(2**21 - 1)).tolist() == [sat]
 
 
 @pytest.mark.parametrize("frac_bits", [20, 24, 26, 28])
@@ -469,9 +463,8 @@ def test_saturated_accumulator_lands_on_lut_clamp():
     # is itself far outside the table, so the output is the saturation value
     fmt = QFormat()
     lut = build_tanh_lut(fmt)
-    layers = (LayerSpec(1, Activation.LINEAR), LayerSpec(2, Activation.TANH))
     w = np.array([[I32_MAX, I32_MIN], [I32_MAX, I32_MIN]])
-    fp = FixedPointNet(layers, (w,), fmt)
+    fp = FixedPointNet((1, 2), (w,), fmt)
     out = infer_fixed(fp, [1.0])
     sat = lut.saturation / fmt.scale
     assert out.tolist() == [sat, -sat]
@@ -488,16 +481,6 @@ def test_fixed_tracks_float_within_tolerance():
         diff = np.max(np.abs(infer_fixed(fp, x) - infer_float(net, x)))
         worst = max(worst, float(diff))
     assert 0.0 < worst <= 1e-2
-
-
-def test_fixed_tracks_float_with_linear_output():
-    rng = np.random.default_rng(61)
-    net = build_mlp([4, 8, 2], seed=7, output_activation=Activation.LINEAR)
-    fp = quantize(net)
-    for _ in range(20):
-        x = rng.uniform(-1, 1, size=4)
-        diff = np.max(np.abs(infer_fixed(fp, x) - infer_float(net, x)))
-        assert diff <= 1e-2
 
 
 def test_fixed_fidelity_other_formats():

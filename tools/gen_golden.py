@@ -1,7 +1,9 @@
 """Regenerate the checked-in golden fixtures under tests/data/.
 
+Usage: python tools/gen_golden.py [OUT_DIR]   (default: tests/data)
+
 Everything here is deterministic, so reruns reproduce the committed files
-byte for byte:
+byte for byte (tests/test_golden.py checks that):
 
 * network_a_random.net   - randomly initialized 5-50-50-3 network
 * network_a_q16.net      - the same network quantized to Q16.16
@@ -17,7 +19,7 @@ byte for byte:
                            epochs, learning rate 0.1, seed 0) on the 36-row
                            set of tests/test_cli.py's write_training_set
 * golden_train.net.norm.json - its normalization sidecar
-* golden_train.json      - its train --json stdout, run from tests/data
+* golden_train.json      - its train --json stdout, run from the output directory
 
 The label oracle parses the .net file itself and loops over scalars with
 math.tanh, sharing no code with the package's inference path. The chosen
@@ -134,40 +136,41 @@ def parse_features_csv(path):
     return [[float(v) for v in line.split(",")] for line in lines[1:]]
 
 
-def main():
-    DATA.mkdir(parents=True, exist_ok=True)
+def main(out_dir=DATA):
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     t, x = synth_ecg()
-    write_csv(DATA / "ecg_60s.csv", "time_s,ecg", t, x)
+    write_csv(out_dir / "ecg_60s.csv", "time_s,ecg", t, x)
     t, x = synth_gsr()
-    write_csv(DATA / "gsr_60s.csv", "time_s,gsr_uS", t, x)
+    write_csv(out_dir / "gsr_60s.csv", "time_s,gsr_uS", t, x)
     print("wrote ecg_60s.csv, gsr_60s.csv")
 
     rc = cli_main([
         "features",
-        str(DATA / "ecg_60s.csv"),
-        str(DATA / "gsr_60s.csv"),
-        "-o", str(DATA / "golden_features.csv"),
+        str(out_dir / "ecg_60s.csv"),
+        str(out_dir / "gsr_60s.csv"),
+        "-o", str(out_dir / "golden_features.csv"),
     ])
     assert rc == 0
-    feats = parse_features_csv(DATA / "golden_features.csv")
+    feats = parse_features_csv(out_dir / "golden_features.csv")
     print(f"wrote golden_features.csv ({len(feats)} windows)")
     rc = cli_main([
         "features",
-        str(DATA / "ecg_60s.csv"),
-        str(DATA / "gsr_60s.csv"),
-        "--json", "-o", str(DATA / "golden_features.json"),
+        str(out_dir / "ecg_60s.csv"),
+        str(out_dir / "gsr_60s.csv"),
+        "--json", "-o", str(out_dir / "golden_features.json"),
     ])
     assert rc == 0
     print("wrote golden_features.json")
 
-    (DATA / "hand_2_2_1.net").write_text(HAND_NET, encoding="ascii")
+    (out_dir / "hand_2_2_1.net").write_text(HAND_NET, encoding="ascii")
     print("wrote hand_2_2_1.net")
 
     for seed in range(1234, 1434):
         net = build_network_a(seed=seed)
-        write_fann(net, DATA / "network_a_random.net")
-        sizes, mats = parse_net_file(DATA / "network_a_random.net")
+        write_fann(net, out_dir / "network_a_random.net")
+        sizes, mats = parse_net_file(out_dir / "network_a_random.net")
         assert sizes == [5, 50, 50, 3]
 
         rows, ok = [], True
@@ -187,19 +190,19 @@ def main():
     else:
         raise SystemExit("no seed gave comfortable margins; widen the search")
 
-    write_fann(fp, DATA / "network_a_q16.net")
-    (DATA / "golden_labels.csv").write_text(
+    write_fann(fp, out_dir / "network_a_q16.net")
+    (out_dir / "golden_labels.csv").write_text(
         "row,label,margin\n" + "\n".join(rows) + "\n", encoding="ascii"
     )
     print(f"wrote network_a_random.net, network_a_q16.net (seed {seed})")
     print("wrote golden_labels.csv:", rows)
 
-    # train --json prints the -o path as given, so train from inside DATA
+    # train --json prints the -o path as given, so train from inside out_dir
     with tempfile.TemporaryDirectory() as tmp:
         feats_csv, labels_csv, _ = write_training_set(Path(tmp))
         out = io.StringIO()
         cwd = os.getcwd()
-        os.chdir(DATA)
+        os.chdir(out_dir)
         try:
             with contextlib.redirect_stdout(out):
                 rc = cli_main([
@@ -209,9 +212,9 @@ def main():
         finally:
             os.chdir(cwd)
     assert rc == 0
-    (DATA / "golden_train.json").write_text(out.getvalue(), encoding="ascii")
+    (out_dir / "golden_train.json").write_text(out.getvalue(), encoding="ascii")
     print("wrote golden_train.net, golden_train.net.norm.json, golden_train.json")
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:2])
