@@ -28,6 +28,16 @@ class InsufficientDataError(StressWatchError):
     input data that cannot be used at all (e.g. non-finite feature values)."""
 
 
+class ActivationOverflowError(InsufficientDataError):
+    """A layer's weighted sum is not finite for some input row, although
+    every input is. Carries the first such row (0-based) and the layer."""
+
+    def __init__(self, row: int, layer: int):
+        self.row = row
+        self.layer = layer
+        super().__init__(f"row {row}: the weighted sum into layer {layer} is not finite")
+
+
 class EmptySeriesError(InsufficientDataError):
     """Peak detection produced no usable beat intervals."""
 

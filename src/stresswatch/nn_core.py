@@ -22,7 +22,13 @@ from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, FixedPointRangeError, ParseError, ShapeError
+from .errors import (
+    ActivationOverflowError,
+    DivergenceError,
+    FixedPointRangeError,
+    ParseError,
+    ShapeError,
+)
 
 # Storage costs of the embedded runtime, in bytes. Each neuron is described
 # by 4 integers (activation id, index bookkeeping), each weight is a 32-bit
@@ -241,13 +247,21 @@ def infer_float(net: NetworkModel, x) -> np.ndarray:
     Each row goes through its own vector-matrix product, so a row's result
     is bit-identical whether it is passed alone or inside a matrix (a plain
     2-D matmul may round differently in the last place).
+
+    A finite input whose weighted sum overflows (inputs near 1e308 do) raises
+    ``ActivationOverflowError`` naming its row, instead of a numpy warning
+    and a label computed from an infinity.
     """
     a, single = _input_rows(x, net.n_inputs)
     if not np.isfinite(a).all():
         raise ShapeError("input contains non-finite values")
-    for w in net.weights:
-        z = (a[:, None, :] @ w[:-1])[:, 0, :] + w[-1]
-        a = np.tanh(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer, w in enumerate(net.weights, start=1):
+            z = (a[:, None, :] @ w[:-1])[:, 0, :] + w[-1]
+            finite = np.isfinite(z)
+            if not finite.all():
+                raise ActivationOverflowError(int(np.argmin(finite)) // z.shape[1], layer)
+            a = np.tanh(z)
     return a[0] if single else a
 
 

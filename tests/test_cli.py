@@ -7,8 +7,11 @@ JSON mode, and the exit-code contract (0 ok, 2 parse, 3 data, 4 shape,
 5 config).
 """
 
+import gzip
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from stresswatch import biosignal_features as bf
 from stresswatch import cli, nn_core, perf_model
 from stresswatch import harvest_sim as hs
 from stresswatch.cli import main as cli_main
-from stresswatch.errors import ParseError
+from stresswatch.errors import InsufficientDataError, ParseError
 
 
 def run_cli(capsys, *args):
@@ -254,6 +257,18 @@ CSV_CASES = {
     "int labels written as 1.0": (b"label\n0\n1.0\n", ("label",), int, 3),
     "int label with underscore digits": (b"label\n0\n1_0\n", ("label",), int, [[0], [10]]),
     "int label beyond int64": (b"label\n0\n99999999999999999999\n", ("label",), int, 3),
+    "non-finite rows": (b"time_s,ecg\n0,1\n\n2,nan\n-inf,4\n", ECG_H, float,
+                        [[0, 1], [2, math.nan], [-math.inf, 4]]),
+    # numpy picks a decompressor from the suffix; the plain text must still parse
+    "plain text named .csv.gz": (b"time_s,ecg\n0,1\n2,3\n", ECG_H, float, [[0, 1], [2, 3]],
+                                 "in.csv.gz"),
+    "plain text named .csv.xz": (b"time_s,ecg\n0,1\n2,3\n", ECG_H, float, [[0, 1], [2, 3]],
+                                 "in.csv.xz"),
+    # a local name holding a URL scheme, which numpy's data source must not fetch
+    "name holding http:": (b"time_s,ecg\n0,1\n2,3\n", ECG_H, float, [[0, 1], [2, 3]],
+                           "http:/x/in.csv"),
+    "not utf-8": (b"time_s,ecg\n0,1\n2,\xff\n", ECG_H, float, None),
+    "gzip data": (gzip.compress(b"time_s,ecg\n0,1\n"), ECG_H, float, None, "in.csv.gz"),
 }
 
 
@@ -265,18 +280,118 @@ def read_outcome(reader, path, header, kind):
     return rows.dtype, rows.shape, rows.tobytes()
 
 
+def write_case(tmp_path, case):
+    """The case's bytes in a file under ``tmp_path``, and the case's fields."""
+    raw, header, kind, expected, *name = CSV_CASES[case]
+    path = tmp_path / (name[0] if name else "in.csv")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(raw)
+    return path, header, kind, expected
+
+
 @pytest.mark.parametrize("case", sorted(CSV_CASES))
 def test_read_csv_matches_row_scanner(tmp_path, case):
-    raw, header, kind, expected = CSV_CASES[case]
-    path = tmp_path / "in.csv"
-    path.write_bytes(raw)
+    path, header, kind, expected = write_case(tmp_path, case)
     got = read_outcome(cli._read_csv, path, header, kind)
     assert got == read_outcome(cli._scan_csv, path, header, kind)
-    if isinstance(expected, int):
+    if expected is None:
+        assert got == (None, f"{path}: not a UTF-8 text file")
+    elif isinstance(expected, int):
         assert got[0] == expected                        # the ParseError's line
     else:
         want = np.array(expected, dtype=kind).reshape(-1, len(header))
         assert got == (want.dtype, want.shape, want.tobytes())
+
+
+# well-formed files that numpy does not take, so only the row scanner reads them
+SCANNER_ONLY = {
+    "header only", "header only, no newline", "int label with underscore digits",
+    "plain text named .csv.gz", "plain text named .csv.xz", "quoted cells", "quoted header",
+    "underscore digits", "whitespace-only line",
+}
+
+
+@pytest.mark.parametrize("case", sorted(
+    c for c, (_, _, _, want, *_) in CSV_CASES.items()
+    if isinstance(want, list) and c not in SCANNER_ONLY
+))
+def test_read_csv_parses_a_clean_file_in_one_bulk_call(tmp_path, monkeypatch, case):
+    """A file numpy takes never reaches the row scanner, and numpy gets an
+    absolute path: handed an open file, it parses one line per ``next()``."""
+    path, header, kind, expected = write_case(tmp_path, case)
+    calls = []
+    loadtxt = np.loadtxt
+
+    def spy(fname, *args, **kwargs):
+        calls.append(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    def no_scan(*args):
+        raise AssertionError("a well-formed file went to the row scanner")
+
+    monkeypatch.setattr(cli.np, "loadtxt", spy)
+    monkeypatch.setattr(cli, "_scan_csv", no_scan)
+    rows = cli._read_csv(str(path), header, kind)
+    assert rows.tobytes() == np.array(expected, dtype=kind).tobytes()
+    assert len(calls) == 1
+    assert type(calls[0]) is str and os.path.isabs(calls[0])
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_read_csv_takes_a_pipe(data_dir):
+    """A pipe cannot be opened a second time: the bulk read goes on from the
+    handle that read the header, and gets every row."""
+    raw = (data_dir / "ecg_60s.csv").read_bytes()   # more than a pipe buffer holds
+    r, w = os.pipe()
+
+    def write():
+        with open(w, "wb") as fh:
+            fh.write(raw)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        rows = cli._read_csv(f"/dev/fd/{r}", ECG_H)
+    finally:
+        os.close(r)
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert rows.tobytes() == cli._read_csv(str(data_dir / "ecg_60s.csv"), ECG_H).tobytes()
+
+
+def test_non_finite_row_keeps_its_data_row_index(tmp_path):
+    # the blank line is not a data row: the first non-finite row is row 1
+    path, header, kind, _ = write_case(tmp_path, "non-finite rows")
+    rows = cli._read_csv(str(path), header, kind)
+    with pytest.raises(InsufficientDataError, match=r"^x: data row 1 contains a non-finite"):
+        cli._check_finite(rows, "x: data row")
+
+
+@pytest.mark.parametrize("row,col", [(0, 0), (3, 4), (6, 2)])
+def test_check_finite_names_the_first_non_finite_row(row, col):
+    rows = np.ones((7, 5))
+    rows[row, col] = np.nan
+    rows[6, 0] = -np.inf
+    with pytest.raises(InsufficientDataError, match=rf"^feature row {row} contains"):
+        cli._check_finite(rows, "feature row")
+    cli._check_finite(np.ones((0, 5)), "feature row")
+
+
+@pytest.mark.parametrize("case", ["not utf-8", "gzip data"])
+@pytest.mark.parametrize("command", ["features", "classify", "train"])
+def test_non_utf8_csv_is_a_parse_error_naming_the_file(capsys, data_dir, tmp_path, case, command):
+    path, _, _, _ = write_case(tmp_path, case)
+    ecg, gsr, feats = (str(data_dir / n) for n in ("ecg_60s.csv", "gsr_60s.csv",
+                                                     "golden_features.csv"))
+    args = {
+        "features": ("features", ecg, str(path)),
+        "classify": ("classify", str(path), "--model", str(data_dir / "golden_train.net")),
+        "train": ("train", feats, str(path), "-o", str(tmp_path / "x.net")),
+    }[command]
+    code, stdout, stderr = run_cli(capsys, *args)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: {path}: not a UTF-8 text file\n"
 
 
 def test_read_csv_matches_row_scanner_on_random_files(tmp_path):
@@ -413,6 +528,29 @@ def test_classify_names_a_finite_feature_that_overflows_when_scaled(capsys, data
     assert stdout == ""
     assert stderr == (
         "error: feature row 0: gsrh_uS overflows when scaled by the normalization sidecar\n"
+    )
+
+
+@pytest.mark.parametrize("fixed", [(), ("--fixed",)], ids=["float", "fixed"])
+def test_classify_names_a_finite_row_that_overflows_the_first_layer(
+    capsys, data_dir, tmp_path, fixed
+):
+    # +-1.7e308 signed like hidden unit 27's input weights (|w| sum 2.05):
+    # its weighted sum overflows, though every value and, without the
+    # sidecar, every input is finite
+    model = data_dir / "golden_train.net"
+    signs = np.sign(nn_core.read_fann(str(model)).weights[0][:-1, 27]).tolist()
+    feats = tmp_path / "big.csv"
+    feats.write_bytes((data_dir / "golden_features.csv").read_bytes())
+    for col, sign in enumerate(signs):
+        set_feature_cell(feats, 1, col, f"{sign * 1.7e308!r}")
+    code, stdout, stderr = run_cli(
+        capsys, "classify", str(feats), "--model", str(model), "--no-norm", *fixed
+    )
+    assert code == 3
+    assert stdout == ""
+    assert stderr == (
+        f"error: feature row 1 overflows the weighted sum into layer 1 of {model}\n"
     )
 
 
@@ -1171,7 +1309,9 @@ def test_budget_start_charge_validation(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag,value", [("--rate", "30"), ("--start-charge", "0.5"), ("--soc-out", "soc.csv")]
+    "flag,value",
+    [("--rate", "30"), ("--start-charge", "0.5"), ("--soc-out", "soc.csv"),
+     ("--battery-mah", "1"), ("--battery-volts", "3")],
 )
 def test_budget_simulation_flags_without_days_are_config_errors(
     capsys, tmp_path, monkeypatch, flag, value

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from stresswatch import (
+    ActivationOverflowError,
     DivergenceError,
     FixedPointNet,
     FixedPointRangeError,
@@ -186,6 +187,24 @@ def test_tanh_outputs_stay_inside_open_interval():
     big = np.array([1e6, -1e6, 1e6])
     out = infer_float(net, big)
     assert (np.abs(out) < 1.0).all()
+
+
+@pytest.mark.parametrize("layer", [1, 2])
+def test_infer_names_the_row_whose_weighted_sum_overflows(layer):
+    # layer 1 overflows on inputs near the float maximum; layer 2 on a
+    # weight near it, although its inputs are tanh outputs in (-1, 1)
+    weights = [np.full((3, 2), 0.75), np.full((3, 1), 0.5)]
+    x = np.ones((4, 2))
+    if layer == 1:
+        x[2:] = 1.7e308
+    else:
+        weights[1][:-1] = 1.7e308
+        x[:2] = -0.5  # hidden activations 0: the sums of rows 0 and 1 stay finite
+    net = build_mlp([2, 2, 1], weights=weights)
+    with np.errstate(all="raise"), pytest.raises(ActivationOverflowError) as exc:
+        infer_float(net, x)
+    assert (exc.value.row, exc.value.layer) == (2, layer)
+    assert str(exc.value) == f"row 2: the weighted sum into layer {layer} is not finite"
 
 
 def test_infer_shape_errors():
