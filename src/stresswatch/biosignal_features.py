@@ -7,6 +7,14 @@ duration (GSRL) of rising runs in the galvanic skin response.
 column order of ``FEATURE_NAMES``, which is also the order the classifier
 consumes and the header of the feature CSV.
 
+Every window gets the features its own slices would give, bit for bit, but
+the work windows share runs once per recording: the ECG's derivative energy,
+each window's peak energy, the threshold crossings and their 100 ms peak
+search, and the GSR's rising runs. Per window remain only its threshold
+test, the refractory pass, the RR statistics and the GSR means.
+``detect_r_peaks`` and ``gsr_slope_features`` are the one-window case of
+the same code.
+
 Unit conventions: RR intervals in milliseconds, conductance in microsiemens,
 time in seconds.
 """
@@ -29,6 +37,8 @@ MIN_SAMPLE_RATE_HZ = 100.0
 MIN_ECG_DURATION_S = 2.0
 _REFRACTORY_S = 0.25
 _PEAK_SEARCH_S = 0.10
+# crossings refined per gather: bounds its (block, 100 ms) copy of the signal
+_REFINE_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,10 +109,21 @@ def _diffs(rr: RRSeries, minimum: int, what: str) -> np.ndarray:
     return np.diff(rr.intervals_ms)
 
 
+def _rmssd(d: np.ndarray) -> float:
+    return float(np.sqrt(np.mean(d * d)))
+
+
+def _sdsd(d: np.ndarray) -> float:
+    return float(np.sqrt(np.mean((d - np.mean(d)) ** 2)))
+
+
+def _nn50(d: np.ndarray, threshold_ms: float = NN50_THRESHOLD_MS) -> int:
+    return int(np.count_nonzero(np.abs(d) > threshold_ms))
+
+
 def rmssd(rr: RRSeries) -> float:
     """Root mean square of successive RR-interval differences, in ms."""
-    d = _diffs(rr, 2, "rmssd")
-    return float(np.sqrt(np.mean(d * d)))
+    return _rmssd(_diffs(rr, 2, "rmssd"))
 
 
 def sdsd(rr: RRSeries) -> float:
@@ -111,8 +132,7 @@ def sdsd(rr: RRSeries) -> float:
     The divide-by-N convention is deliberate: it makes
     rmssd^2 == sdsd^2 + mean(diff)^2 an exact identity.
     """
-    d = _diffs(rr, 3, "sdsd")
-    return float(np.sqrt(np.mean((d - np.mean(d)) ** 2)))
+    return _sdsd(_diffs(rr, 3, "sdsd"))
 
 
 def nn50(rr: RRSeries, threshold_ms: float = NN50_THRESHOLD_MS) -> int:
@@ -120,8 +140,121 @@ def nn50(rr: RRSeries, threshold_ms: float = NN50_THRESHOLD_MS) -> int:
 
     Strict inequality: a difference of exactly 50 ms does not count.
     """
-    d = _diffs(rr, 2, "nn50")
-    return int(np.count_nonzero(np.abs(d) > threshold_ms))
+    return _nn50(_diffs(rr, 2, "nn50"), threshold_ms)
+
+
+def _window_beats(x: np.ndarray, sample_rate_hz: float, lo: np.ndarray, hi: np.ndarray) -> list:
+    """Beats of every ECG window ``x[lo[k]:hi[k]]``, as ``detect_r_peaks`` finds them.
+
+    Entry k is the window's beat indices into ``x`` (two or more, ascending),
+    or the ``InsufficientDataError`` / ``EmptySeriesError`` that
+    ``detect_r_peaks`` raises for that window alone. A non-finite sample in a
+    window that is long enough, at a rate that is high enough, raises
+    ``ValueError``.
+
+    Once per call: the derivative energy, every window's peak energy (one
+    ``reduceat``), the steps that reach the lowest threshold of the windows
+    holding them, and their refinement over the next 100 ms. Per window: the
+    crossings of its own threshold, searched again only where the 100 ms run
+    past its last sample, and the 250 ms refractory pass.
+    """
+    if sample_rate_hz < MIN_SAMPLE_RATE_HZ:
+        return [InsufficientDataError(
+            f"sample rate {sample_rate_hz} Hz is below the "
+            f"{MIN_SAMPLE_RATE_HZ} Hz minimum"
+        )] * lo.size
+    sizes = hi - lo
+    short = sizes < MIN_ECG_DURATION_S * sample_rate_hz
+    beats: list = [
+        InsufficientDataError(
+            f"need at least {MIN_ECG_DURATION_S} s of signal, "
+            f"got {size / sample_rate_hz:.3g} s"
+        ) if too_short else None
+        for size, too_short in zip(sizes.tolist(), short.tolist())
+    ]
+    usable = np.flatnonzero(~short)
+    if usable.size == 0:
+        return beats
+    lo, hi = lo[usable], hi[usable]
+
+    # energy[i] belongs to the step x[i] -> x[i + 1], so a window's steps are
+    # energy[lo:hi - 1]; the last slot only keeps hi - 1 a valid reduceat index
+    energy = np.empty(x.size)
+    steps = energy[:-1]
+    np.subtract(x[1:], x[:-1], out=steps)
+    steps *= sample_rate_hz
+    np.square(steps, out=steps)
+    energy[-1] = -np.inf
+    bounds = np.empty(2 * usable.size, dtype=np.intp)
+    bounds[0::2], bounds[1::2] = lo, hi - 1
+    peak_energy = np.maximum.reduceat(energy, bounds)[0::2]
+    # a non-finite sample makes its window's peak nan or inf; an inf peak can
+    # also be a finite step that overflows, so look at the samples themselves
+    suspect = ~np.isfinite(peak_energy)
+    for a, b in zip(lo[suspect].tolist(), hi[suspect].tolist()):
+        if not np.isfinite(x[a:b]).all():
+            raise ValueError("ECG signal contains non-finite values")
+    flat = peak_energy <= 0.0
+    for k in usable[flat].tolist():
+        beats[k] = EmptySeriesError("flat signal: no beats detectable")
+    live = ~flat
+    if not live.any():
+        return beats
+    usable, lo, hi = usable[live], lo[live], hi[live]
+    threshold = 0.25 * peak_energy[live]
+    refractory = int(round(_REFRACTORY_S * sample_rate_hz))
+    search = max(1, int(round(_PEAK_SEARCH_S * sample_rate_hz)))
+
+    # a step is a crossing when it reaches the lowest threshold of the windows
+    # that hold it: one quiet window must not make crossings of the steps of
+    # every other window. Between two edges, the same windows hold each step.
+    crossings = np.flatnonzero(energy >= threshold.min())
+    edges = np.unique(np.concatenate((lo, hi - 1)))
+    holders = np.empty(2 * edges.size, dtype=np.intp)  # windows [from, to) per edge
+    holders[0::2] = np.searchsorted(hi - 1, edges, side="right")
+    holders[1::2] = np.searchsorted(lo, edges, side="right")
+    lowest = np.minimum.reduceat(np.append(threshold, np.inf), holders)[0::2]
+    lowest[holders[0::2] >= holders[1::2]] = np.inf  # a step no window holds
+    crossing_energy = energy[crossings]
+    held = crossing_energy >= lowest[np.searchsorted(edges, crossings, side="right") - 1]
+    crossings, crossing_energy = crossings[held], crossing_energy[held]
+    del energy, steps  # the recording-length buffer is done with
+    head = crossings[:np.searchsorted(crossings, x.size - search)]
+    refined = np.empty_like(crossings)
+    ahead = np.lib.stride_tricks.sliding_window_view(x, search)
+    for s in range(0, head.size, _REFINE_BLOCK):
+        c = head[s:s + _REFINE_BLOCK]
+        refined[s:s + c.size] = c + 1 + np.argmax(ahead[c + 1], axis=1)
+
+    # window k's crossings are crossings[first:stop]; from cut on, the search
+    # span runs past its last sample hi - 1 and is cut there
+    first = np.searchsorted(crossings, lo)
+    stop = np.searchsorted(crossings, hi - 1)
+    cut = np.clip(np.searchsorted(crossings, hi - search), first, stop)
+    for k, b, thr, i, j, m in zip(usable.tolist(), hi.tolist(), threshold.tolist(),
+                                  first.tolist(), cut.tolist(), stop.tolist()):
+        found = refined[i:j][crossing_energy[i:j] >= thr].tolist()
+        for c in crossings[j:m][crossing_energy[j:m] >= thr].tolist():
+            found.append(c + 1 + int(np.argmax(x[c + 1:b])))
+        # refined peaks never decrease with c, and a repeat is always inside
+        # the refractory period, so this pass drops the repeats too
+        peaks: list[int] = []
+        last = -refractory
+        for p in found:
+            if p - last >= refractory:
+                peaks.append(p)
+                last = p
+        beats[k] = peaks if len(peaks) >= 2 else EmptySeriesError("fewer than two beats detected")
+    return beats
+
+
+def _rr_ms(peaks: list[int], lo: int, sample_rate_hz: float) -> np.ndarray:
+    """RR intervals in ms of beats at indices ``peaks`` of a window starting at ``lo``.
+
+    Beat times count from the window's first sample: indices into the whole
+    recording would round differently.
+    """
+    return np.diff((np.array(peaks) - lo) / sample_rate_hz) * 1000.0
 
 
 def detect_r_peaks(signal, sample_rate_hz: float) -> RRSeries:
@@ -131,48 +264,38 @@ def detect_r_peaks(signal, sample_rate_hz: float) -> RRSeries:
     each crossing is refined to the signal maximum in the following 100 ms
     and accepted if at least 250 ms after the previous beat. Plenty for
     clean wearable traces; this is not a clinical QRS detector.
+
+    This is the one-window case of the detector that
+    ``extract_window_features`` runs over all windows of a recording at
+    once: the derivative energy, every window's peak, the crossings and
+    their 100 ms search once per recording; each window's threshold test,
+    the search of a crossing cut short by the window's end, and the
+    refractory pass once per window.
     """
     x = np.asarray(signal, dtype=np.float64).reshape(-1)
-    if sample_rate_hz < MIN_SAMPLE_RATE_HZ:
-        raise InsufficientDataError(
-            f"sample rate {sample_rate_hz} Hz is below the "
-            f"{MIN_SAMPLE_RATE_HZ} Hz minimum"
-        )
-    if x.size < MIN_ECG_DURATION_S * sample_rate_hz:
-        raise InsufficientDataError(
-            f"need at least {MIN_ECG_DURATION_S} s of signal, "
-            f"got {x.size / sample_rate_hz:.3g} s"
-        )
-    if not np.isfinite(x).all():
-        raise ValueError("ECG signal contains non-finite values")
+    (peaks,) = _window_beats(x, sample_rate_hz, np.array([0]), np.array([x.size]))
+    if isinstance(peaks, Exception):
+        raise peaks
+    return RRSeries(_rr_ms(peaks, 0, sample_rate_hz))
 
-    energy = (np.diff(x) * sample_rate_hz) ** 2
-    peak_energy = energy.max()
-    if peak_energy <= 0.0:
-        raise EmptySeriesError("flat signal: no beats detectable")
-    threshold = 0.25 * peak_energy
-    refractory = int(round(_REFRACTORY_S * sample_rate_hz))
-    search = max(1, int(round(_PEAK_SEARCH_S * sample_rate_hz)))
 
-    # candidate c refines to the first maximum of x[c+1 : c+1+search]; the
-    # -inf tail keeps every window full length without ever winning
-    crossings = np.flatnonzero(energy >= threshold)
-    ahead = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((x[1:], np.full(search - 1, -np.inf))), search
-    )
-    refined = crossings + 1 + np.argmax(ahead[crossings], axis=1)
-    # refined peaks never decrease with c, and a repeat is always inside the
-    # refractory period, so the pass over distinct peaks keeps the same beats
-    peaks: list[int] = []
-    last = -refractory
-    for j in np.unique(refined).tolist():
-        if j - last >= refractory:
-            peaks.append(j)
-            last = j
-    if len(peaks) < 2:
-        raise EmptySeriesError("fewer than two beats detected")
-    times = np.array(peaks, dtype=np.float64) / sample_rate_hz
-    return RRSeries(np.diff(times) * 1000.0)
+def _rising_runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, stops): first and last sample of each maximal strictly
+    increasing run of ``x``, in order."""
+    rising = (np.diff(x) > 0).astype(np.int8)
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], rising, [0]))))
+    return edges[0::2], edges[1::2]
+
+
+def _run_means(g: GsrTrace, starts, stops, threshold_us: float) -> tuple[float, float]:
+    """(GSRH, GSRL) of the runs ``starts[i]..stops[i]`` of ``g``."""
+    x = g.conductance_us
+    rises = x[stops] - x[starts]
+    accepted = rises >= threshold_us
+    if not accepted.any():
+        return 0.0, 0.0
+    durations = g.times_s[stops] - g.times_s[starts]
+    return float(np.mean(rises[accepted])), float(np.mean(durations[accepted]))
 
 
 def gsr_slope_features(
@@ -184,18 +307,9 @@ def gsr_slope_features(
     accepted when its total rise reaches threshold_us. Returns (0, 0) when
     nothing qualifies, which is a value, not an error.
     """
-    x = g.conductance_us
-    if x.size < 2:
+    if len(g) < 2:
         return 0.0, 0.0
-    rising = (np.diff(x) > 0).astype(np.int8)
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], rising, [0]))))
-    starts, stops = edges[0::2], edges[1::2]
-    rises = x[stops] - x[starts]
-    accepted = rises >= threshold_us
-    if not accepted.any():
-        return 0.0, 0.0
-    durations = g.times_s[stops] - g.times_s[starts]
-    return float(np.mean(rises[accepted])), float(np.mean(durations[accepted]))
+    return _run_means(g, *_rising_runs(g.conductance_us), threshold_us)
 
 
 def extract_window_features(
@@ -213,6 +327,13 @@ def extract_window_features(
     recorded span. Windows whose ECG slice yields no usable beats keep zero
     HRV features instead of aborting the run, so one noisy stretch cannot
     sink a long recording.
+
+    Each row equals what ``detect_r_peaks`` and ``gsr_slope_features`` give
+    on the window's own slices, bit for bit, but the work windows share runs
+    once per recording: the derivative energy, every window's peak energy,
+    the threshold crossings and their refinement, and the GSR rising runs.
+    Per window remain its own threshold, the refractory pass, the RR
+    statistics, and the GSR runs clipped to the window's samples.
     """
     t = np.asarray(ecg_times_s, dtype=np.float64).reshape(-1)
     x = np.asarray(ecg_signal, dtype=np.float64).reshape(-1)
@@ -247,18 +368,28 @@ def extract_window_features(
     glo = np.searchsorted(gsr.times_s, starts - 1e-9)
     ghi = np.searchsorted(gsr.times_s, stops - 1e-9)
 
+    beats = _window_beats(x, sample_rate, lo, hi)
+    # run_lo:run_hi are the runs that overlap window [ga, gb); clipped to its
+    # samples ga..gb - 1, they are the runs of the window's own slice
+    run_starts, run_stops = _rising_runs(gsr.conductance_us)
+    run_lo = np.searchsorted(run_stops, glo, side="right")
+    run_hi = np.searchsorted(run_starts, ghi - 1)
+
     out = np.zeros((n_windows, len(FEATURE_NAMES)))
-    for row, a, b, ga, gb in zip(out, lo.tolist(), hi.tolist(), glo.tolist(), ghi.tolist()):
-        try:
-            rr = detect_r_peaks(x[a:b], sample_rate)
-        except (EmptySeriesError, InsufficientDataError):
-            pass  # no usable beats: the HRV columns stay zero
-        else:
-            if len(rr) >= 2:
-                row[0], row[2] = rmssd(rr), nn50(rr)
-            if len(rr) >= 3:
-                row[1] = sdsd(rr)
+    for row, peaks, a, ga, gb, r0, r1 in zip(
+        out, beats, lo.tolist(), glo.tolist(), ghi.tolist(), run_lo.tolist(), run_hi.tolist()
+    ):
+        if not isinstance(peaks, Exception):  # otherwise the HRV columns stay zero
+            d = np.diff(_rr_ms(peaks, a, sample_rate))
+            if d.size >= 1:
+                row[0], row[2] = _rmssd(d), _nn50(d)
+            if d.size >= 2:
+                row[1] = _sdsd(d)
         if gb - ga >= 2:
-            window_trace = GsrTrace(gsr.times_s[ga:gb], gsr.conductance_us[ga:gb])
-            row[3:] = gsr_slope_features(window_trace, gsr_threshold_us)
+            row[3:] = _run_means(
+                gsr,
+                np.maximum(run_starts[r0:r1], ga),
+                np.minimum(run_stops[r0:r1], gb - 1),
+                gsr_threshold_us,
+            )
     return out

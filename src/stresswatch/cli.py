@@ -19,8 +19,10 @@ explicit ``--seed`` where randomness exists), byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import io
 import json
 import lzma
 import math
@@ -93,19 +95,23 @@ def _read_csv(path: str, header: tuple[str, ...], kind: type = float) -> np.ndar
     The data source picks a decompressor from the suffix, so a plain-text
     file named ``a.csv.gz`` raises ``OSError`` (``.xz``: ``LZMAError``) and
     goes through ``_scan_csv`` like any other file numpy does not take.
-    Only a pipe or other non-regular file, which cannot be read twice,
-    stays on its handle after the header.
+    A pipe or other non-regular file can be read only once, so its bytes
+    are read into memory first; ``np.loadtxt`` reads on from the in-memory
+    handle after the header, and ``_scan_csv`` reads that handle again.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+    with contextlib.ExitStack() as stack:
+        fh = stack.enter_context(open(path, "r", encoding="utf-8-sig", newline=""))
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            source, skip = os.path.abspath(path), 1
+        else:
+            data = io.BytesIO(fh.buffer.read())
+            fh = stack.enter_context(io.TextIOWrapper(data, encoding="utf-8-sig", newline=""))
+            source, skip = fh, 0
         try:
             first = fh.readline()
         except UnicodeDecodeError:
             first = ""  # _scan_csv reports it
         if '"' not in first and [c.strip() for c in first.split(",")] == list(header):
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                source, skip = os.path.abspath(path), 1
-            else:
-                source, skip = fh, 0
             try:
                 with warnings.catch_warnings():
                     # a header-only file warns "input contained no data"
@@ -119,44 +125,44 @@ def _read_csv(path: str, header: tuple[str, ...], kind: type = float) -> np.ndar
             else:
                 if rows.shape[1] == len(header):
                     return rows
-    return _scan_csv(path, header, kind)
+        fh.seek(0)
+        return _scan_csv(fh, path, header, kind)
 
 
-def _scan_csv(path: str, header: tuple[str, ...], kind: type) -> np.ndarray:
-    """The reference reader behind ``_read_csv``, one ``csv`` row at a time.
+def _scan_csv(fh, path: str, header: tuple[str, ...], kind: type) -> np.ndarray:
+    """The reference reader behind ``_read_csv``: the text handle ``fh``,
+    one ``csv`` row at a time.
 
     It alone takes quoted cells, Python number syntax such as ``1_0``, and
     whitespace-only lines, and it raises ``ParseError`` with the line number,
-    or naming the file when it is not UTF-8 text.
+    or naming the file ``path`` when it is not UTF-8 text.
     """
     values = []
     linenos = []  # the line of each data row
     try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            for lineno, row in enumerate(reader, start=1):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if lineno == 1:
-                    cells = [c.strip() for c in row]
-                    if cells != list(header):
-                        raise ParseError(
-                            f"expected header {','.join(header)!r}, got {','.join(cells)!r}",
-                            line=1,
-                        )
-                    continue
-                if len(row) != len(header):
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if lineno == 1:
+                cells = [c.strip() for c in row]
+                if cells != list(header):
                     raise ParseError(
-                        f"expected {len(header)} column(s), got {len(row)}", line=lineno
+                        f"expected header {','.join(header)!r}, got {','.join(cells)!r}",
+                        line=1,
                     )
-                try:
-                    # float() and int() skip surrounding whitespace themselves
-                    values.extend(map(kind, row))
-                except ValueError:
-                    raise ParseError(
-                        f"expected {kind.__name__} values, got {row!r}", line=lineno
-                    ) from None
-                linenos.append(lineno)
+                continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"expected {len(header)} column(s), got {len(row)}", line=lineno
+                )
+            try:
+                # float() and int() skip surrounding whitespace themselves
+                values.extend(map(kind, row))
+            except ValueError:
+                raise ParseError(
+                    f"expected {kind.__name__} values, got {row!r}", line=lineno
+                ) from None
+            linenos.append(lineno)
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not a UTF-8 text file") from None
     try:
@@ -218,17 +224,16 @@ def cmd_features(args) -> int:
     ecg, gsr = _read_csv(args.ecg, ECG_HEADER), _read_csv(args.gsr, GSR_HEADER)
     for path, rows in ((args.ecg, ecg), (args.gsr, gsr)):
         _check_finite(rows, f"{path}: data row")
-    # contiguous columns: numpy float sums over strided views can round differently
-    ecg_t, ecg_x = np.ascontiguousarray(ecg.T)
-    gsr_t, gsr_x = np.ascontiguousarray(gsr.T)
-    for path, t in ((args.ecg, ecg_t), (args.gsr, gsr_t)):
-        if not (np.diff(t) > 0).all():
+    for path, rows in ((args.ecg, ecg), (args.gsr, gsr)):
+        if not (np.diff(rows[:, 0]) > 0).all():
             raise InsufficientDataError(f"{path}: time_s must be strictly increasing")
-    if gsr_t.size < 2:
+    if len(gsr) < 2:
         raise InsufficientDataError("GSR recording has fewer than 2 samples")
-    trace = bf.GsrTrace(gsr_t, gsr_x)
+    # the columns are strided views of the rows: no feature sums over them, so
+    # a contiguous copy (another 15 MB for a 1 h ECG) would change no bit
+    trace = bf.GsrTrace(gsr[:, 0], gsr[:, 1])
     rows = bf.extract_window_features(
-        ecg_t, ecg_x, trace, cfg, gsr_threshold_us=args.gsr_threshold
+        ecg[:, 0], ecg[:, 1], trace, cfg, gsr_threshold_us=args.gsr_threshold
     ).tolist()
     for row in rows:
         row[2] = int(row[2])  # NN50 is a count: written without a decimal point

@@ -483,7 +483,101 @@ def test_windows_match_masked_loop(fs, gsr_fs):
                     WindowConfig(4.0, 0.5), WindowConfig(span / 3.0, 0.0), WindowConfig(span, 0.0)):
             threshold = float(rng.uniform(0.0, 0.2))
             got = extract_window_features(t, x, gsr, cfg, threshold)
-            assert np.array_equal(got, masked_window_features(t, x, gsr, cfg, threshold))
+            assert got.tobytes() == masked_window_features(t, x, gsr, cfg, threshold).tobytes()
+    # the paper's rate of 24 per minute: 30 s windows every 2.5 s
+    t, x, gsr = jittered_recording(rng, fs, gsr_fs, 75.0, 0.3)
+    cfg = WindowConfig(30.0, 11 / 12)
+    got = extract_window_features(t, x, gsr, cfg)
+    assert len(got) >= 18
+    assert got.tobytes() == masked_window_features(t, x, gsr, cfg).tobytes()
+
+
+def triangle_beats(t, peak_times, heights, half_width=3):
+    """Triangles of the given heights, ``half_width`` samples up and down,
+    peaking at the samples nearest ``peak_times``: every step of a triangle
+    has the same derivative energy, so every step is a crossing."""
+    x = np.zeros(t.size)
+    for p, h in zip(np.searchsorted(t, peak_times), heights):
+        for k in range(-half_width, half_width + 1):
+            if 0 <= p + k < t.size:
+                x[p + k] = max(x[p + k], h * (1.0 - abs(k) / half_width))
+    return x
+
+
+def batching_edge_case(case):
+    """(t, x, gsr, cfg, threshold) of a 30 s recording at one of the edges
+    that computing all windows at once creates."""
+    rng = np.random.default_rng(sum(map(ord, case)))
+    fs = 90.0 if case == "low rate with a nan" else 256.0
+    t = np.arange(int(30 * fs)) / fs
+    beats = np.cumsum(rng.uniform(0.6, 0.9, size=50))
+    beats = beats[beats < 29.8]
+    cfg, threshold = WindowConfig(4.0, 0.5), DEFAULT_GSR_THRESHOLD_US
+    gt = np.arange(30 * 4) / 4.0
+    gv = 2.0 + 0.3 * np.sin(gt / 2.0)
+    if case == "crossing near a window end":
+        # a beat peaking 20 samples before to 12 after each window edge: a
+        # crossing inside the window whose 100 ms search runs past its end
+        edges = np.arange(2.0, 30.0, 2.0)
+        offsets = np.resize([-20, -3, 0, 1, 2, 12], edges.size) / fs
+        beats = np.sort(np.concatenate((beats[beats % 2.0 > 0.3], edges + offsets)))
+    x = triangle_beats(t, beats, rng.uniform(0.6, 1.4, size=beats.size))
+    if case == "short window after a gap":
+        # no samples in [10, 18.8): window [16, 20) holds 1.2 s, under 2 s at
+        # the rate the time base implies; its nan is never looked at
+        keep = (t < 10.0) | (t >= 18.8)
+        t, x = t[keep], x[keep]
+        x[np.searchsorted(t, 19.0)] = np.nan
+        cfg = WindowConfig(4.0, 0.0)
+    elif case in ("low rate with a nan", "nan at a usable rate"):
+        x[x.size // 2] = np.nan
+    elif case == "flat window":
+        x[(t >= 7.9) & (t < 14.1)] = 0.3
+    elif case == "quiet window":
+        # faint noise alone sets a threshold far below every other window's
+        quiet = (t >= 7.9) & (t < 14.1)
+        x[quiet] = rng.normal(0.0, 1e-4, size=np.count_nonzero(quiet))
+        x += rng.normal(0.0, 0.01, size=x.size) * ~quiet
+    elif case == "gsr run across a window edge":
+        # 1.5 s rises centred on each window edge, falls in between; clipped
+        # to a window, a run's rise can drop below the threshold
+        gt = np.arange(30 * 8) / 8.0
+        phase = (gt + 0.75) % 2.0
+        gv = 2.0 + np.where(phase < 1.5, 0.02 * phase * 8, 0.24 - 0.12 * (phase - 1.5) * 8)
+        threshold = 0.15
+    elif case == "gsr window with one sample":
+        gt = np.arange(0.0, 30.0, 3.0)
+        gv = 2.0 + 0.1 * (np.arange(gt.size) % 3)
+    return t, x, GsrTrace(gt, gv), cfg, threshold
+
+
+BATCHING_EDGE_CASES = ("crossing near a window end", "short window after a gap",
+                       "low rate with a nan", "nan at a usable rate", "flat window",
+                       "quiet window", "gsr run across a window edge",
+                       "gsr window with one sample")
+
+
+@pytest.mark.parametrize("case", BATCHING_EDGE_CASES)
+def test_windows_match_masked_loop_at_batching_edges(case):
+    t, x, gsr, cfg, threshold = batching_edge_case(case)
+    if case == "nan at a usable rate":
+        with pytest.raises(ValueError, match="non-finite"):
+            masked_window_features(t, x, gsr, cfg, threshold)
+        with pytest.raises(ValueError, match="non-finite"):
+            extract_window_features(t, x, gsr, cfg, threshold)
+        return
+    got = extract_window_features(t, x, gsr, cfg, threshold)
+    assert got.tobytes() == masked_window_features(t, x, gsr, cfg, threshold).tobytes()
+    hrv = got[:, :3]
+    if case == "low rate with a nan":
+        assert not hrv.any()
+    elif case in ("short window after a gap", "flat window"):
+        # the degraded windows read zero HRV; the rest do not
+        assert 0 < np.count_nonzero(~hrv.any(axis=1)) < len(got)
+    elif case == "gsr window with one sample":
+        assert 0 < np.count_nonzero(~got[:, 3:].any(axis=1)) < len(got)
+    else:
+        assert hrv.all(axis=1).any() and got[:, 3:].any()
 
 
 def test_windows_match_masked_loop_at_boundary_samples():
