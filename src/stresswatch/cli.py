@@ -40,6 +40,7 @@ from . import nn_core, perf_model
 from .errors import (
     ActivationOverflowError,
     ConfigError,
+    FixedPointRangeError,
     InsufficientDataError,
     ParseError,
     ShapeError,
@@ -305,7 +306,17 @@ def cmd_classify(args) -> int:
                 f"feature row {start + exc.row} overflows the weighted sum into "
                 f"layer {exc.layer} of {args.model}"
             ) from None
-        out = infer_fixed(fixed_net, block) if use_fixed else out_float
+        try:
+            out = infer_fixed(fixed_net, block) if use_fixed else out_float
+        except FixedPointRangeError as exc:
+            row, col = divmod(exc.index, block.shape[1])
+            fmt = fixed_net.qformat
+            verb = "scales to" if norm is not None else "is"
+            raise FixedPointRangeError(
+                f"feature row {start + row}: {bf.FEATURE_NAMES[col]} {verb} "
+                f"{float(block[row, col])!r}, outside the range [{fmt.min_value}, "
+                f"{fmt.max_value}] of Q{32 - fmt.frac_bits}.{fmt.frac_bits}"
+            ) from None
         if use_fixed:
             max_disc = max(max_disc, float(np.max(np.abs(out - out_float))))
         outputs[start:start + block.shape[0]] = out
@@ -331,10 +342,14 @@ def cmd_classify(args) -> int:
             args.output,
         )
     else:
-        lines = ["row,label,margin"]
-        for i, (label, margin) in enumerate(zip(labels, margins)):
-            lines.append(f"{i},{label},{margin:.9g}")
-        _emit("\n".join(lines) + "\n", args.output)
+        # one template over [i, label, margin, ...]: the bytes of
+        # f"{i},{label},{margin:.9g}" per row, without a format call per row
+        n = len(labels)
+        flat = [None] * (3 * n)
+        flat[0::3] = range(n)
+        flat[1::3] = labels
+        flat[2::3] = margins
+        _emit("row,label,margin\n" + ("%d,%d,%.9g\n" * n) % tuple(flat), args.output)
         if use_fixed:
             print(f"max |fixed - float| output discrepancy: {max_disc:.3g}", file=sys.stderr)
     return EXIT_OK

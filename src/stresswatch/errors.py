@@ -59,4 +59,9 @@ class DivergenceError(StressWatchError):
 
 
 class FixedPointRangeError(StressWatchError):
-    """Value cannot be represented in the active fixed-point format."""
+    """Value cannot be represented in the active fixed-point format. Carries
+    the flat index of the first such value when known."""
+
+    def __init__(self, message: str, index: int | None = None):
+        self.index = index
+        super().__init__(message)

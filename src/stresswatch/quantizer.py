@@ -18,10 +18,21 @@ rejects a weight column whose absolute sum reaches 2^52, so limbs are at
 least one bit wide. The int64 sum is exact mod 2^64. Where a block's
 worst-case accumulator could reach 2^63, a plain float64 matmul, within
 2^60 of the true sums, finds the entries past 2^62, which saturate; that
-margin keeps float rounding from deciding any result. Rescale and table
-are integer shifts and masks, so results are reproducible across
-platforms and equal an unbounded-integer evaluation bit for bit. The net
-containers, ``QFormat`` and ``FixedPointNet``, are imported from ``nn_core``.
+margin keeps float rounding from deciding any result.
+
+Each layer after the accumulate is one fused pass, as in PULP-NN's kernels,
+where requantization and activation share a loop. The sign is taken once,
+as a mask. The magnitude is rescaled by one rounding shift,
+``(|acc| + half) >> f``, and capped first at the 32-bit bound of its sign
+(``INT32_MAX - s``; it binds before the 4.0 clamp only at 29 and 30
+fraction bits), then at 4.0. The table is read as one base and one slope
+gather, ``y0[i] + ((dd[i] * r + half) >> f)``, which equals the two-knot
+interpolation exactly; slot 128 holds the saturation value with slope 0,
+so the clamp needs no mask. The sign is put back once, and the result is
+copied into the next layer's input buffer. Every step is an integer
+shift, mask or gather, so results are reproducible across platforms and
+equal an unbounded-integer evaluation bit for bit. The net containers,
+``QFormat`` and ``FixedPointNet``, are imported from ``nn_core``.
 """
 
 from __future__ import annotations
@@ -60,6 +71,16 @@ class TanhTable:
         # One ULP below 1.0 so activations stay strictly inside (-1, 1).
         return (1 << self.frac_bits) - 1
 
+    @functools.cached_property
+    def base_slope(self) -> tuple[np.ndarray, np.ndarray]:
+        """The non-negative half as ``(y0, dd)``: knot ``i`` and the step to
+        knot ``i + 1`` for ``i`` in 0..127, and slot 128 holding the
+        saturation value with step 0. Derived once per table."""
+        knots = self.values[_CENTER:]
+        y0 = np.append(knots[:-1], self.saturation)
+        dd = np.append(np.diff(knots), 0)
+        return y0, dd
+
 
 @functools.lru_cache(maxsize=None)
 def build_tanh_lut(fmt: QFormat) -> TanhTable:
@@ -80,44 +101,60 @@ def build_tanh_lut(fmt: QFormat) -> TanhTable:
     return TanhTable(fmt.frac_bits, values)
 
 
-def tanh_lut_eval(x, lut: TanhTable):
+def _magnitude(x: np.ndarray, shift: int, saturate: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The sign mask of ``x`` (0 or -1) and ``|x|`` rounded half away from
+    zero by 2^shift, as new arrays. With ``saturate`` the magnitude is
+    capped at ``INT32_MAX - sign``: the 32-bit range of its sign."""
+    s = x >> 63
+    mag = np.abs(x)
+    if shift:
+        mag += (1 << shift) >> 1
+        mag >>= shift
+    if saturate:
+        np.minimum(mag, INT32_MAX - s, out=mag)
+    return s, mag
+
+
+def tanh_lut_eval(x, lut: TanhTable, *, shift: int = 0):
     """Piecewise-linear tanh on fixed-point values.
 
     Interpolates between adjacent knots for |x| < 4.0 and returns the
     saturation value +/-(scale - 1) for |x| >= 4.0. All arithmetic is
-    integer and branch-free: the sign is a mask, the knot index and the
-    remainder are a shift and a mask of |x| * 32, and the rounding shift
-    floors a non-negative numerator. Accepts a scalar or an array and
-    returns the same kind.
+    integer and branch-free: the sign is taken once as a mask, the knot
+    index and the remainder are a shift and a mask of |x| * 32, and the
+    rounding shift floors a non-negative numerator. Accepts a scalar or an
+    array and returns the same kind.
+
+    The magnitude is capped at 4.0, where slot 128 of ``lut.base_slope``
+    yields the saturation value, so the clamp needs no mask. Between knots
+    the interpolation ``(y * 2^f + d * r + half) >> f`` of the knot ``y``,
+    the step ``d`` and the remainder ``r`` equals ``y + ((d * r + half) >> f)``
+    exactly, as ``y * 2^f`` is a multiple of 2^f: one base and one slope
+    gather.
+
+    With ``shift`` > 0, ``x`` is a layer's accumulator at 2^shift times the
+    table's scale: its magnitude is first rounded half away from zero by
+    2^shift and saturated into the 32-bit range, which is the rescale of
+    ``_accumulate_rescale`` fused with the table under one sign.
     """
     scalar = np.isscalar(x)
     xa = np.atleast_1d(np.asarray(x, dtype=np.int64))
     f = lut.frac_bits
     scale = 1 << f
-    x_sat = 4 * scale
-    # In-place steps on a few block-sized buffers: fresh arrays at this size
-    # cost more in page faults than the arithmetic does.
-    s = xa >> 63                          # 0 or -1
-    t = xa ^ s
-    t -= s                                # |x|
-    clamped = t >= x_sat
-    np.minimum(t, x_sat - 1, out=t)
-    t *= _KNOTS_PER_UNIT
-    idx = t >> f                          # 0..127 inside the table
-    t &= scale - 1                        # remainder r
-    knots = lut.values[_CENTER:]
-    y = knots.take(idx)
-    idx += 1
-    d = knots.take(idx)
-    # y * (scale - r) + y_next * r; knot values are <= scale, so this stays
-    # far below 2^63 for frac <= 30, and it is never negative.
-    d -= y
-    d *= t
-    y <<= f
+    # the 32-bit cap binds before the 4.0 clamp only past 28 fraction bits
+    s, mag = _magnitude(xa, shift, shift > 0 and 4 * scale > INT32_MAX)
+    y0, dd = lut.base_slope
+    np.minimum(mag, 4 * scale, out=mag)
+    mag *= _KNOTS_PER_UNIT
+    idx = mag >> f                        # 0..128
+    mag &= scale - 1                      # remainder r
+    y = y0.take(idx)
+    d = dd.take(idx)
+    # a knot step is about scale / 32 and r is below scale: far below 2^63
+    d *= mag
+    d += scale >> 1
+    d >>= f
     y += d
-    y += scale >> 1
-    y >>= f
-    np.putmask(y, clamped, lut.saturation)
     y ^= s
     y -= s
     return int(y[0]) if scalar else y
@@ -153,9 +190,10 @@ def dequantize_network(fp: FixedPointNet) -> NetworkModel:
     )
 
 
-def _accumulate_rescale(a_ext: np.ndarray, w: np.ndarray, frac_bits: int) -> np.ndarray:
-    """Dot products of the bias-extended activation rows with w, rounded
-    half away from zero by 2^frac_bits and saturated into the 32-bit range.
+def _accumulate(a_ext: np.ndarray, w: np.ndarray, frac_bits: int) -> np.ndarray:
+    """Dot products of the bias-extended activation rows with w, in int64:
+    exact, or +/-2^62 where the true sum saturates any 32-bit rescale by
+    2^frac_bits.
 
     The activations are split into limbs of k = 53 - bits(col_bound) bits
     (k >= 1 by ``FixedPointNet``'s column rule): the top limb by an
@@ -165,9 +203,8 @@ def _accumulate_rescale(a_ext: np.ndarray, w: np.ndarray, frac_bits: int) -> np.
     exact outright when the block bound fits int64. Past that bound, a plain
     float64 matmul is within n * 2^-53 * |a| @ |w| < 2^60 of the true sum
     for n < 2^30 inputs of 32 bits: an entry it puts at 2^62 or more has
-    |acc| > 2^61 >= 2^(31 + frac_bits) and saturates toward its sign, and
-    every other entry has |acc| + half < 2^63. The rescale rounds the
-    magnitude with one shift and puts the sign back by a mask, in place.
+    |acc| > 2^61 >= 2^(31 + frac_bits) and is set to 2^62 of its sign, and
+    every other entry has |acc| + half < 2^63.
     """
     half = (1 << frac_bits) >> 1
     col_bound = int(np.abs(w).sum(axis=0).max())
@@ -182,33 +219,40 @@ def _accumulate_rescale(a_ext: np.ndarray, w: np.ndarray, frac_bits: int) -> np.
         limb = (a_ext >> shift) & ((1 << k) - 1)
         acc <<= k
         acc += (limb.astype(np.float64) @ wf).astype(np.int64)
-    s = acc >> 63                         # 0 or -1
-    acc ^= s
-    acc -= s
-    acc += half
-    acc >>= frac_bits
-    acc ^= s
-    acc -= s
-    np.clip(acc, INT32_MIN, INT32_MAX, out=acc)
     if col_bound * a_bound + half >= 2**63:  # acc may have wrapped
         est = a_ext.astype(np.float64) @ wf
         sat = np.abs(est) >= 2.0**62
-        acc[sat] = np.clip(est[sat], INT32_MIN, INT32_MAX)
+        acc[sat] = np.clip(est[sat], -2.0**62, 2.0**62)
     return acc
+
+
+def _accumulate_rescale(a_ext: np.ndarray, w: np.ndarray, frac_bits: int) -> np.ndarray:
+    """Dot products of the bias-extended activation rows with w, rounded
+    half away from zero by 2^frac_bits and saturated into the 32-bit range:
+    ``_accumulate``, then the magnitude rounded by one shift and capped,
+    then its sign put back."""
+    s, mag = _magnitude(_accumulate(a_ext, w, frac_bits), frac_bits, True)
+    mag ^= s
+    mag -= s
+    return mag
 
 
 def quantize_inputs(x, fmt: QFormat) -> np.ndarray:
     """Quantize an input vector, raising if any value falls outside the
-    representable range of the format."""
+    representable range of the format. The error carries the flat index of
+    the first such value."""
     x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if not np.isfinite(x).all():
-        raise FixedPointRangeError("input contains non-finite values")
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise FixedPointRangeError("input contains non-finite values", int(np.argmin(finite)))
     v = _round_half_away(x * fmt.scale)
-    if (v < INT32_MIN).any() or (v > INT32_MAX).any():
-        bad = x[(v < INT32_MIN) | (v > INT32_MAX)][0]
+    outside = (v < INT32_MIN) | (v > INT32_MAX)
+    if outside.any():
+        index = int(np.argmax(outside))
         raise FixedPointRangeError(
-            f"input {bad!r} is outside the representable range "
-            f"[{fmt.min_value}, {fmt.max_value}]"
+            f"input {float(x[index])!r} is outside the representable range "
+            f"[{fmt.min_value}, {fmt.max_value}]",
+            index,
         )
     return v.astype(np.int64)
 
@@ -219,17 +263,22 @@ def infer_fixed(fp: FixedPointNet, x) -> np.ndarray:
     ``x`` is one row of shape ``(inputs,)`` or a matrix of shape
     ``(rows, inputs)``; the result is ``(outputs,)`` or ``(rows, outputs)``.
     Per connection layer: bias-extended activations (bias input is 1.0 in
-    fixed point) are accumulated wide, rescaled once per neuron, saturated,
-    then passed through the tanh table.
+    fixed point) are accumulated wide, then one ``tanh_lut_eval`` pass
+    rescales, saturates and applies the tanh table under one sign. Each
+    layer's input is a ``(rows, size + 1)`` buffer whose last column holds
+    the bias input, set once per call.
     """
     rows, single = _input_rows(x, fp.n_inputs)
     fmt = fp.qformat
-    scale = fmt.scale
     lut = build_tanh_lut(fmt)
-    a = quantize_inputs(rows, fmt).reshape(rows.shape)
-    bias = np.full((a.shape[0], 1), scale, dtype=np.int64)
-    for w in fp.weights:
-        z = _accumulate_rescale(np.hstack((a, bias)), w, fmt.frac_bits)
-        a = tanh_lut_eval(z, lut)
-    out = a / scale
+    exts = [np.empty((rows.shape[0], size + 1), dtype=np.int64)
+            for size in fp.layer_sizes[:-1]]
+    for ext in exts:
+        ext[:, -1] = fmt.scale
+    exts[0][:, :-1] = quantize_inputs(rows, fmt).reshape(rows.shape)
+    for l, w in enumerate(fp.weights):
+        a = tanh_lut_eval(_accumulate(exts[l], w, fmt.frac_bits), lut, shift=fmt.frac_bits)
+        if l + 1 < len(exts):
+            exts[l + 1][:, :-1] = a
+    out = a / fmt.scale
     return out[0] if single else out

@@ -19,6 +19,7 @@ import pytest
 import yaml
 
 from stresswatch import (
+    build_mlp,
     builtin_calibration,
     calibration_report,
     dequantize_network,
@@ -660,6 +661,91 @@ def test_classify_blocks_match_row_at_a_time(capsys, data_dir, tmp_path, mode):
         (i, *row) for i, row in enumerate(want)
     ]
     assert doc["max_abs_discrepancy"] == (disc if fixed_net is not None else None)
+
+
+def csv_test_nets(data_dir):
+    """Three float nets whose margins cover the CSV's number forms: net A
+    (ordinary margins); net A with output 2 a copy of output 1 plus a 1e-6
+    bias, so float margins fall below 1e-4 (exponent form) and quantized
+    margins tie at exactly 0; and the hand-made 2-2-1 net with three
+    zero-weight inputs, whose one output is printed as the margin and can
+    be negative."""
+    net_a = load_fann((data_dir / "network_a_random.net").read_text())
+    w_tie = net_a.weights[-1].copy()
+    w_tie[:, 2] = w_tie[:, 1]
+    w_tie[-1, 2] += 1e-6
+    w_tie[-1, 0] = -8.0                   # output 0 never leads
+    tie = build_mlp(net_a.layer_sizes, weights=[*net_a.weights[:-1], w_tie])
+    hand = load_fann((data_dir / "hand_2_2_1.net").read_text())
+    w_in = np.vstack((hand.weights[0][:-1], np.zeros((3, 2)), hand.weights[0][-1:]))
+    one = build_mlp([5, 2, 1], weights=[w_in, hand.weights[1]])
+    return {"net_a": net_a, "tie": tie, "one_output": one}
+
+
+def test_classify_csv_bytes_match_the_per_row_format(capsys, data_dir, tmp_path):
+    """The CSV equals f"{i},{label},{margin:.9g}" per row, byte for byte, on
+    the float, --fixed and fixed-file paths, across zero, sub-1e-4 and
+    negative margins."""
+    xs = np.random.default_rng(43).uniform(-2.0, 2.0, size=(300, 5))
+    feats = tmp_path / "rows.csv"
+    feats.write_text(
+        "rmssd_ms,sdsd_ms,nn50,gsrh_uS,gsrl_s\n"
+        + "".join(",".join(repr(float(v)) for v in x) + "\n" for x in xs)
+    )
+    seen = set()
+    for name, net in csv_test_nets(data_dir).items():
+        float_path = tmp_path / f"{name}.net"
+        float_path.write_text(nn_core.save_fann(net))
+        fixed_path = tmp_path / f"{name}_q16.net"
+        fixed_path.write_text(nn_core.save_fann(quantize(net)))
+        for mode, model, extra in [("float", float_path, ()),
+                                   ("fixed", float_path, ("--fixed",)),
+                                   ("file", fixed_path, ())]:
+            kernel = infer_float if mode == "float" else infer_fixed
+            kernel_net = net if mode == "float" else quantize(net)
+            want = ["row,label,margin\n"]
+            for i, x in enumerate(xs):
+                out = kernel(kernel_net, x)
+                order = np.sort(out)[::-1]
+                margin = float(order[0] - order[1]) if out.size > 1 else float(order[0])
+                seen.update({"zero"} if margin == 0 else
+                            {"tiny"} if 0 < margin < 1e-4 else
+                            {"negative"} if margin < 0 else set())
+                want.append(f"{i},{int(np.argmax(out))},{margin:.9g}\n")
+            code, stdout, _ = run_cli(capsys, "classify", str(feats), "--model", str(model), *extra)
+            assert code == 0
+            assert stdout == "".join(want), (name, mode)
+    assert seen == {"zero", "tiny", "negative"}
+
+
+def test_classify_names_the_feature_outside_the_fixed_range(capsys, data_dir, tmp_path):
+    """At Q2.30 a normalized golden feature lies past 2.0: the error names
+    the file's row and column and prints a plain float."""
+    code, stdout, stderr = run_cli(
+        capsys, "classify", str(data_dir / "golden_features.csv"),
+        "--model", str(data_dir / "golden_train.net"), "--fixed", "--frac-bits", "30",
+    )
+    assert code == 3
+    assert stdout == ""
+    assert stderr == (
+        "error: feature row 0: nn50 scales to 2.7760648527308236, outside the "
+        "range [-2.0, 1.9999999990686774] of Q2.30\n"
+    )
+    # unscaled, in the second block
+    rows = ["0.1,0.2,0.3,0.4,0.5"] * 300
+    rows[261] = "0.1,0.2,0.3,-4.5,0.5"
+    feats = tmp_path / "wide.csv"
+    feats.write_text("rmssd_ms,sdsd_ms,nn50,gsrh_uS,gsrl_s\n" + "\n".join(rows) + "\n")
+    code, stdout, stderr = run_cli(
+        capsys, "classify", str(feats), "--model", str(data_dir / "network_a_random.net"),
+        "--fixed", "--frac-bits", "29",
+    )
+    assert code == 3
+    assert stdout == ""
+    assert stderr == (
+        "error: feature row 261: gsrh_uS is -4.5, outside the range "
+        "[-4.0, 3.999999998137355] of Q3.29\n"
+    )
 
 
 def test_classify_shape_mismatch(capsys, data_dir):

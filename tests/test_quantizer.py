@@ -253,6 +253,13 @@ def test_quantize_inputs_range_errors():
     fmt = QFormat()
     with pytest.raises(FixedPointRangeError):
         quantize_inputs([40000.0], fmt)
+    # a plain float in the message, and the flat index of the first bad value
+    with pytest.raises(FixedPointRangeError) as info:
+        quantize_inputs(np.array([[0.0, 1.0], [-40000.0, 40000.0]]), fmt)
+    assert str(info.value) == (
+        "input -40000.0 is outside the representable range [-32768.0, 32767.99998474121]"
+    )
+    assert info.value.index == 2
     with pytest.raises(FixedPointRangeError):
         quantize_inputs([0.0, float("nan")], fmt)
     with pytest.raises(FixedPointRangeError):
@@ -456,6 +463,42 @@ def test_net_a_fused_kernel_matches_exact_products(frac_bits):
     got = infer_fixed(fp, x[:8])
     for x_row, row in zip(x[:8], got):
         assert row.tolist() == oracle_forward_q(fp, quantize_inputs(x_row, fmt))
+
+
+@pytest.mark.parametrize("frac_bits", [29, 30])
+def test_32_bit_clip_binds_before_the_table_clamp(frac_bits):
+    """Past 28 fraction bits the 32-bit range ends below 4.0 on the
+    positive side (29 bits) or on both (30 bits): a pre-activation past it
+    is clipped to INT32_MAX or INT32_MIN and then interpolated, not sent to
+    the table's saturation value. Batches must match the oracle row by
+    row, with clipped pre-activations of both signs in every layer."""
+    fmt = QFormat(frac_bits)
+    scale = fmt.scale
+    rng = np.random.default_rng(frac_bits)
+    sizes = (4, 6, 6, 3)
+    weights = tuple(rng.integers(I32_MIN, I32_MAX, size=(n + 1, m), endpoint=True)
+                    for n, m in zip(sizes[:-1], sizes[1:]))
+    fp = FixedPointNet(sizes, weights, fmt)
+    xs = rng.uniform(fmt.min_value, fmt.max_value, size=(300, sizes[0]))
+    got = infer_fixed(fp, xs)
+    knots = oracle_knots(frac_bits)
+    binding = {"high": 0, "low": 0}
+    for x, row in zip(xs, got):
+        a = quantize_inputs(x, fmt).tolist()
+        assert row.tolist() == oracle_forward_q(fp, a)
+        for w in fp.weights:
+            z = [div_half_away(sum(int(v) * int(c) for v, c in zip(a + [scale], col)), scale)
+                 for col in w.T]
+            clipped = [min(max(q, I32_MIN), I32_MAX) for q in z]
+            for q, c in zip(z, clipped):
+                if oracle_tanh_q(c, frac_bits, knots) != oracle_tanh_q(q, frac_bits, knots):
+                    binding["high" if q > 0 else "low"] += 1
+            a = [oracle_tanh_q(c, frac_bits, knots) for c in clipped]
+    assert binding["high"] >= 50
+    if frac_bits == 30:
+        assert binding["low"] >= 50
+    else:
+        assert binding["low"] == 0      # -2^31 is exactly -4.0 at 29 bits
 
 
 def test_saturated_accumulator_lands_on_lut_clamp():
