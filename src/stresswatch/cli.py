@@ -215,6 +215,13 @@ def _load_norm(model_path: str, norm_file: str | None, disabled: bool):
     return mean, std
 
 
+def _remove_stale(sidecar: str) -> None:
+    """Delete a normalization sidecar left by an earlier model at the same
+    path, so that classify does not scale a new model's inputs by it."""
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(sidecar)
+
+
 def cmd_features(args) -> int:
     try:
         cfg = bf.WindowConfig(args.window_s, args.overlap)
@@ -420,8 +427,10 @@ def cmd_train(args) -> int:
     final_mse = nn_core.mse_loss(net, dataset)
 
     nn_core.write_fann(net, args.output)
-    if norm is not None:
-        sidecar = args.output + ".norm.json"
+    sidecar = args.output + ".norm.json"
+    if norm is None:
+        _remove_stale(sidecar)
+    else:
         with open(sidecar, "w", encoding="ascii") as fh:
             json.dump(
                 {"mean": [float(v) for v in norm[0]], "std": [float(v) for v in norm[1]]},
@@ -452,15 +461,19 @@ def cmd_quantize(args) -> int:
     model = nn_core.read_fann(args.model)
     if isinstance(model, FixedPointNet):
         raise ConfigError(f"{args.model} is already fixed point")
+    if os.path.exists(args.output) and os.path.samefile(args.model, args.output):
+        raise ConfigError(f"output {args.output} is the input model")
     fp = quantize(model, qformat)
     nn_core.write_fann(fp, args.output)
     # carry the normalization sidecar along so classify keeps scaling
     # inputs the way the float model was trained
     sidecar = args.model + ".norm.json"
-    copied = None
+    copied = args.output + ".norm.json"
     if os.path.exists(sidecar):
-        copied = args.output + ".norm.json"
         shutil.copyfile(sidecar, copied)
+    else:
+        _remove_stale(copied)
+        copied = None
     if args.json:
         _emit_json(
             {
@@ -745,7 +758,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gsr-threshold", type=float, default=bf.DEFAULT_GSR_THRESHOLD_US,
                    help="minimum rise (uS) for a GSR run to count")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("classify", help="run the classifier over feature rows")
     p.add_argument("features", help="CSV from the features subcommand")
@@ -760,7 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-norm", action="store_true", help="skip input normalization")
     p.add_argument("-o", "--output", help="output CSV (default stdout)")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("train", help="train a network on labeled feature rows")
     p.add_argument("features")
@@ -773,14 +784,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-normalize", action="store_true",
                    help="train on raw features, write no sidecar")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("quantize", help="convert a float model file to fixed point")
     p.add_argument("model")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--frac-bits", type=int, default=16)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("report", help="cycle/time/energy table for the platforms")
     p.add_argument("--network", choices=["A", "B"])
@@ -789,7 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibration", help="YAML calibration table (default built in)")
     p.add_argument("--csv", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("budget", help="daily energy budget and sustainability")
     p.add_argument("--scenario", default="indoor-day",
@@ -810,22 +818,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initial charge as a fraction of capacity (default 1.0)")
     p.add_argument("--calibration", help="YAML calibration table (default built in)")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_budget)
 
     p = sub.add_parser("footprint", help="memory footprint of a network")
     p.add_argument("--network", choices=["A", "B"])
     p.add_argument("--model", help="network file to measure")
     p.add_argument("--sizes", help="comma-separated layer sizes")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_footprint)
 
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args keeps no state between calls
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up by name at call time, so a rebound cmd_* is the one that runs
+    command = globals()["cmd_" + args.command]
     try:
-        return args.func(args)
+        return command(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -17,6 +17,7 @@ its last row holds the biases, as if fed by a constant input of 1.0.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import ClassVar, Iterable, Sequence
 
@@ -405,11 +406,13 @@ def footprint(net: NetworkModel) -> FootprintReport:
 #     <weights>
 #
 # Weights appear in connection-layer order (inputs->first hidden first),
-# row-major within each matrix, bias row last. Floats are written at 9
-# significant digits, which round-trips text->value->text exactly;
-# fixed-point weights are raw integers. The reader is whitespace tolerant
-# inside the weight block but strict about the header. The format carries
-# no activation: tanh follows every connection.
+# row-major within each matrix, one line per source neuron, bias row last.
+# Floats are written at 9 significant digits, which round-trips
+# text->value->text exactly; fixed-point weights are raw integers. The
+# reader parses that layout one matrix per numpy call and scans any other
+# token by token: it is whitespace tolerant inside the weight block but
+# strict about the header. The format carries no activation: tanh follows
+# every connection.
 
 TAG_FLOAT = "SWNET_FLO_1"
 TAG_FIXED = "SWNET_FIX_1"
@@ -426,13 +429,13 @@ def save_fann(model: _Network) -> str:
     ]
     if fixed:
         lines.append(f"decimal_point={model.qformat.frac_bits}")
-        for w in model.weights:
-            lines += [" ".join(map(str, row)) for row in w.tolist()]
-    else:
-        for w in model.weights:
-            fmt = " ".join(["%.9g"] * w.shape[1])
-            lines += [fmt % tuple(row) for row in w.tolist()]
-    return "\n".join(lines) + "\n"
+    parts = ["\n".join(lines) + "\n"]
+    # one text row per source neuron, each matrix spelled by one template
+    spec = "%d" if fixed else "%.9g"
+    for w in model.weights:
+        row = " ".join([spec] * w.shape[1]) + "\n"
+        parts.append(row * w.shape[0] % tuple(w.ravel().tolist()))
+    return "".join(parts)
 
 
 def _header_field(line: str, key: str, lineno: int) -> str:
@@ -442,31 +445,55 @@ def _header_field(line: str, key: str, lineno: int) -> str:
     return line[len(prefix):]
 
 
-def _read_weights(
-    lines: list[str], start: int, expected: int, fixed: bool
-) -> np.ndarray:
-    """The ``expected`` weights in ``lines[start:]`` as one int64 or float64
-    array.
+def _read_rows(
+    lines: list[str], start: int, sizes: Sequence[int], dtype: type
+) -> np.ndarray | None:
+    """The weights as one flat array when ``lines[start:]`` holds each
+    matrix as its own rows, one line per source neuron as ``save_fann``
+    writes them, and every line parses; None otherwise.
 
-    The block is split once and converted by one ``np.array`` call. A wrong
-    token count, a token numpy rejects, a non-finite float or a fixed-point
-    weight outside the 32-bit range sends it to ``_scan_weights``, which
+    Each matrix goes through one ``np.loadtxt`` call, and a numpy warning
+    counts as a failure.
+    """
+    if len(lines) - start != sum(a + 1 for a in sizes[:-1]):
+        return None
+    flat = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in zip(sizes, sizes[1:]):
+            try:
+                w = np.loadtxt(lines[start:start + a + 1], dtype=dtype,
+                               comments=None, ndmin=2)
+            except (ValueError, OverflowError, Warning):
+                return None
+            if w.shape != (a + 1, b):
+                return None
+            flat.append(w.ravel())
+            start += a + 1
+    return np.concatenate(flat)
+
+
+def _read_weights(
+    lines: list[str], start: int, sizes: Sequence[int], fixed: bool
+) -> np.ndarray:
+    """The weights of a net with layer ``sizes`` in ``lines[start:]``, as
+    one flat int64 or float64 array.
+
+    ``_read_rows`` parses the layout ``save_fann`` writes. Any other layout,
+    a token numpy rejects, a non-finite float or a fixed-point weight
+    outside the 32-bit range sends the block to ``_scan_weights``, which
     defines what is accepted and names the line of the first problem, so
     both paths give the same array or the same error.
     """
-    tokens = " ".join(lines[start:]).split()
-    if len(tokens) == expected:
-        try:
-            values = np.array(tokens, dtype=np.int64 if fixed else np.float64)
-        except (ValueError, OverflowError):
-            pass
+    values = _read_rows(lines, start, sizes, np.int64 if fixed else np.float64)
+    if values is not None:
+        if fixed:
+            bad = (values < INT32_MIN) | (values > INT32_MAX)
         else:
-            if fixed:
-                bad = (values < INT32_MIN) | (values > INT32_MAX)
-            else:
-                bad = ~np.isfinite(values)
-            if not bad.any():
-                return values
+            bad = ~np.isfinite(values)
+        if not bad.any():
+            return values
+    expected = sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
     return _scan_weights(lines, start, expected, fixed)
 
 
@@ -577,8 +604,7 @@ def load_fann(text: str) -> NetworkModel | FixedPointNet:
             )
         body_start = 4
 
-    expected = sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
-    values = _read_weights(lines, body_start, expected, fixed)
+    values = _read_weights(lines, body_start, sizes, fixed)
 
     weights = []
     pos = 0

@@ -804,6 +804,23 @@ def test_train_no_normalize_writes_no_sidecar(capsys, tmp_path):
     assert not (tmp_path / "raw.net.norm.json").exists()
 
 
+def test_train_no_normalize_removes_a_stale_sidecar(capsys, data_dir, tmp_path):
+    """Retraining a model path without normalization must not leave the
+    earlier model's sidecar to scale the new model's inputs."""
+    feat, lab, _ = write_training_set(tmp_path)
+    model = tmp_path / "m.net"
+    train = ("train", str(feat), str(lab), "-o", str(model), "--sizes", "5,6,3",
+             "--epochs", "50")
+    assert run_cli(capsys, *train)[0] == 0
+    assert (tmp_path / "m.net.norm.json").exists()
+    assert run_cli(capsys, *train, "--no-normalize")[0] == 0
+    assert not (tmp_path / "m.net.norm.json").exists()
+    classify = ("classify", str(data_dir / "golden_features.csv"), "--model", str(model))
+    code, stdout, _ = run_cli(capsys, *classify)
+    assert code == 0
+    assert stdout == run_cli(capsys, *classify, "--no-norm")[1]
+
+
 def test_train_is_deterministic(capsys, tmp_path):
     feat, lab, _ = write_training_set(tmp_path)
     blobs = []
@@ -960,6 +977,41 @@ def test_quantize_carries_normalization_sidecar(capsys, tmp_path):
         outputs.append([row.split(",")[1] for row in stdout.splitlines()[1:]])
     assert outputs[0] == outputs[1]
     assert outputs[0] == [str(v) for v in want]
+
+
+def test_quantize_without_a_sidecar_removes_a_stale_one(capsys, data_dir, tmp_path):
+    fixed = tmp_path / "q.net"
+    stale = tmp_path / "q.net.norm.json"
+    stale.write_bytes((data_dir / "golden_train.net.norm.json").read_bytes())
+    code, stdout, _ = run_cli(
+        capsys, "quantize", str(data_dir / "network_a_random.net"), "-o", str(fixed), "--json",
+    )
+    assert code == 0
+    assert json.loads(stdout)["norm_sidecar"] is None
+    assert not stale.exists()
+    classify = ("classify", str(data_dir / "golden_features.csv"), "--model", str(fixed))
+    code, stdout, _ = run_cli(capsys, *classify)
+    assert code == 0
+    assert stdout == run_cli(capsys, *classify, "--no-norm")[1]
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
+def test_quantize_rejects_its_input_as_output_before_writing(capsys, data_dir, tmp_path, spelling):
+    model = tmp_path / "m.net"
+    original = (data_dir / "network_a_random.net").read_bytes()
+    model.write_bytes(original)
+    sidecar = tmp_path / "m.net.norm.json"
+    sidecar.write_text('{"mean": [0, 0, 0, 0, 0], "std": [1, 1, 1, 1, 1]}\n')
+    output = {"same": model, "dotted": tmp_path / "." / "m.net",
+              "symlink": tmp_path / "link.net"}[spelling]
+    if spelling == "symlink":
+        output.symlink_to(model)
+    code, stdout, stderr = run_cli(capsys, "quantize", str(model), "-o", str(output))
+    assert code == 5
+    assert stdout == ""
+    assert stderr == f"error: output {output} is the input model\n"
+    assert model.read_bytes() == original
+    assert sidecar.exists()
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -1600,3 +1652,29 @@ def test_model_files_round_trip_through_cli(capsys, data_dir, tmp_path):
     fp = load_fann(out.read_text())
     float_net = load_fann((data_dir / "network_a_random.net").read_text())
     assert fp.layer_sizes == float_net.layer_sizes
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+def test_main_carries_no_state_from_one_call_to_the_next(capsys, data_dir):
+    features = str(data_dir / "golden_features.csv")
+    model = str(data_dir / "network_a_random.net")
+    code, _, stderr = run_cli(capsys, "classify", features, "--model", model, "--fixed")
+    assert code == 0 and "discrepancy" in stderr
+    code, stdout, stderr = run_cli(capsys, "classify", features, "--model", model)
+    assert code == 0 and stderr == ""
+    assert stdout == (data_dir / "golden_labels.csv").read_text()
+
+    plain = run_cli(capsys, "budget", "--days", "1", "--json")
+    at_rate = run_cli(capsys, "budget", "--days", "1", "--rate", "3", "--json")
+    assert at_rate != plain
+    assert run_cli(capsys, "budget", "--days", "1", "--json") == plain
+
+
+def test_main_runs_a_command_rebound_after_the_first_call(capsys, monkeypatch):
+    assert run_cli(capsys, "footprint", "--network", "A")[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_footprint", lambda args: seen.append(args.network) or 7)
+    assert run_cli(capsys, "footprint", "--network", "B")[0] == 7
+    assert seen == ["B"]

@@ -447,10 +447,11 @@ def weights_outcome(reader, lines, start, expected, fixed):
 
 
 def reader_outcomes(text, fixed, expected):
-    """What the bulk reader and the per-token scanner make of one file."""
+    """What the per-matrix reader and the per-token scanner make of one file."""
     lines = text.splitlines()
     start = 4 if fixed else 3
-    got = weights_outcome(nn_core._read_weights, lines, start, expected, fixed)
+    sizes = [int(tok) for tok in lines[2].split("=")[1].split()]
+    got = weights_outcome(nn_core._read_weights, lines, start, sizes, fixed)
     want = weights_outcome(nn_core._scan_weights, lines, start, expected, fixed)
     return got, want
 
@@ -496,9 +497,23 @@ def test_weight_reader_matches_token_scanner_on_odd_tokens(token, fixed):
         ("1 2 3 4 5 6 7 8\n\n", 2),
         ("1 2 3 4 5 6 7 8 9\n\n10\n", 3),
         ("", 0),
+        # save_fann's layout, one line per source neuron, with one change
+        ("1 2\n\n3 4\n5 6\n7\n8\n9\n", None),
+        ("1 2\n3 4\n5 6\n \t\n7\n8\n9\n", None),
+        ("1 2\n3 4\n5 6\n7\n8\n9\n\n\n", None),
+        ("1 2\n3 4\n5 6\n7\n8\n9\n \n", None),
+        ("1\n2 3 4\n5 6\n7\n8\n9\n", None),
+        ("1 2\n3\xa04\n5 6\n7\n8\n9\n", None),
+        ("1 2\n3 4\xa0\n5 6\n7\n8\n9\n", None),
+        ("1 2\n3 4\x00\n5 6\n7\n8\n9\n", 2),
+        ("1 2\n\x003 4\n5 6\n7\n8\n9\n", 2),
+        ("1 2\n3\x004\n5 6\n7\n8\n9\n", 6),
     ],
     ids=["crlf", "form-feed", "separators", "blank-lines", "tabs",
-         "one-too-many", "one-too-few", "extra-after-blank", "no-body"],
+         "one-too-many", "one-too-few", "extra-after-blank", "no-body",
+         "rows-blank-in-matrix", "rows-blank-between", "rows-trailing-blanks",
+         "rows-trailing-space-line", "rows-token-moved", "rows-nbsp", "rows-nbsp-trailing",
+         "rows-nul-after-token", "rows-nul-before-token", "rows-nul-joins-tokens"],
 )
 def test_weight_reader_matches_token_scanner_on_layouts(body, line, fixed):
     head = header(fixed, [2, 2, 1])
@@ -621,3 +636,45 @@ def test_save_matches_per_value_formatter_and_round_trips():
         assert all(a.tobytes() == b.tobytes() for a, b in zip(fp.weights, back.weights))
     for net in (build_network_a(4), build_network_b(4)):
         assert save_fann(net) == save_fann_per_value(net)
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["float", "fixed"])
+@pytest.mark.parametrize("row, col", [(0, 0), (2, 1), (5, 0)],
+                         ids=["first-row", "bias-row", "last-matrix"])
+@pytest.mark.parametrize("token", ODD_TOKENS)
+def test_per_matrix_reader_matches_token_scanner_on_odd_tokens_anywhere(token, row, col, fixed):
+    # save_fann's layout for [2, 2, 1]: rows 0-2 are the first matrix (row 2
+    # its bias row), rows 3-5 the second
+    rows = [["1", "2"], ["3", "4"], ["5", "6"], ["7"], ["8"], ["9"]]
+    rows[row][col] = token
+    head = header(fixed, [2, 2, 1])
+    got, want = reader_outcomes("\n".join(head + [" ".join(r) for r in rows]) + "\n", fixed, 9)
+    assert got == want
+    line = len(head) + row + 1
+    if want[0] == "range":
+        assert want[1].startswith(f"line {line}: ")
+    elif isinstance(want[0], int):
+        assert want[0] == line
+
+
+@pytest.mark.parametrize("fixed", [False, True], ids=["float", "fixed"])
+def test_save_fann_layout_goes_through_the_per_matrix_reader(fixed):
+    rng = np.random.default_rng(73)
+    sizes = [1, 8, 1, 12, 1, 9]                 # one- and many-column matrices
+    shapes = [(a + 1, b) for a, b in zip(sizes, sizes[1:])]
+    start = 4 if fixed else 3
+    for _ in range(10):
+        if fixed:
+            model = quantize(build_mlp(sizes, weights=[
+                rng.uniform(-1.0, 1.0, sh) * 10.0 ** rng.integers(-6, 4, sh) for sh in shapes
+            ]), QFormat(16))
+            ref = np.concatenate([w.ravel() for w in model.weights])
+        else:
+            model = build_mlp(sizes, weights=[odd_floats(rng, sh) for sh in shapes])
+            ref = np.array([float(f"{v:.9g}") for w in model.weights for v in w.ravel()])
+        text = save_fann(model)
+        assert text == save_fann_per_value(model)
+        flat = nn_core._read_rows(text.splitlines(), start, sizes, ref.dtype)
+        assert flat is not None and flat.tobytes() == ref.tobytes()
+        got, want = reader_outcomes(text, fixed, model.weight_count)
+        assert got == want == (ref.dtype, ref.shape, ref.tobytes())
