@@ -576,7 +576,24 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def _soc_lines(start: int, n: np.ndarray) -> bytes:
+class _SocWork:
+    """Work buffers for spelling up to ``size`` per-second lines, allocated
+    once and reused by every chunk: ``nj`` for the charges, int64 and uint32
+    scratch, the table indices, and the 24-byte rows, which live in a
+    ``bytearray`` so that ``translate`` compacts them without a copy first."""
+
+    def __init__(self, size: int):
+        self.nj = np.empty(size, dtype=np.int64)
+        self.wide = np.empty((2, size), dtype=np.int64)
+        self.split = np.empty((10, size), dtype=np.uint32)
+        self.count = np.arange(size, dtype=np.uint32)
+        self.index = np.empty(size, dtype=np.intp)
+        self.mask = np.empty((2, size), dtype=bool)
+        self.text = bytearray(24 * size)
+        self.rows = np.frombuffer(self.text, dtype=np.uint8).reshape(size, 24)
+
+
+def _soc_lines(start: int, n: np.ndarray, out: _SocWork | None = None) -> bytes | bytearray:
     """The lines ``f"{i},{v:.12g}\\n"`` of the charges ``v = n / 1e9`` J,
     given as int64 nJ ``n`` and numbered from ``start``, as ASCII bytes.
 
@@ -584,51 +601,83 @@ def _soc_lines(start: int, n: np.ndarray) -> bytes:
     and the index, are cut into 4-digit groups with uint32 arithmetic and
     spelled through the 4-digit tables into a 24-byte row (index, comma,
     integer part, point, 9 decimals, newline). Unused bytes are 0, and one
-    ``bytes.translate`` drops them. The f-string is the reference: it
-    formats the chunk whenever a charge needs an exponent (below 1e-4 J) or
-    may round to a 5th integer digit, or an index has more than 8 digits.
+    ``bytearray.translate`` drops them. Every step writes into the buffers
+    of ``out`` (fresh ones for ``n`` when None), which may be reused
+    across calls: each call rewrites every byte of the rows it returns. The
+    f-string is the reference: it formats the chunk whenever a charge needs
+    an exponent (below 1e-4 J) or may round to a 5th integer digit, or an
+    index has more than 8 digits.
     """
-    if not (
-        start + n.size <= 10**8
-        and ((n < 10**13 - 5) & ((n >= 10**5) | (n == 0))).all()
-    ):
+    work = _SocWork(n.size) if out is None else out
+    m = n.size
+    low, nonzero = work.mask[:, :m]
+    np.less(n, 10**5, out=low)
+    low &= np.not_equal(n, 0, out=nonzero)
+    top = n.max(initial=0)
+    if not (start + m <= 10**8 and top < 10**13 - 5 and not low.any()):
         lines = enumerate((n / 1e9).tolist(), start)
         return "".join(f"{i},{v:.12g}\n" for i, v in lines).encode("ascii")
-    big = n >= 10**12
-    if big.any():
+    rounded, scratch = work.wide[:, :m]
+    if top >= 10**12:
         # from 1000 J on, 12 significant digits end at 10 nJ; on a 5 the binary
         # value decides which way to round, as it does for the f-string
-        tie = np.flatnonzero(big & (n % 10 == 5))
-        rounded = np.where(big, (n + 5) // 10 * 10, n)
+        np.add(n, 5, out=rounded)
+        rounded //= 10
+        rounded *= 10
+        np.copyto(rounded, n, where=np.less(n, 10**12, out=low))
+        tie = np.flatnonzero(np.equal(np.subtract(rounded, n, out=scratch), 5, out=low))
         rounded[tie] = [int(f"{v:.8f}".replace(".", "")) * 10 for v in (n[tie] / 1e9).tolist()]
         n = rounded
 
     lead, trail = _digit_tables()
-    whole = n // 10**9
-    frac = (n - whole * 10**9).astype(np.uint32)
-    whole = whole.astype(np.uint32)
-    i = np.arange(start, start + n.size, dtype=np.uint32)
-    i_hi = i // 10**4
-    i_lo = i - i_hi * 10**4
-    f_hi = frac // 10**5
-    rest = frac - f_hi * 10**5
-    f_lo = rest // 10
-    f_last = rest - f_lo * 10
-    rows = np.empty((n.size, 24), dtype=np.uint8)
-    for col, word in (
-        (0, np.where(i_hi != 0, np.take(lead, i_hi), 0)),
-        (4, np.take(lead, i_lo + 10**4 * (i_hi != 0))),
-        (9, np.take(lead, whole)),
-        # a decimal group keeps its trailing zeros when a later digit is not 0
-        (14, np.take(trail, f_hi + 10**4 * (rest != 0))),
-        (18, np.take(trail, f_lo + 10**4 * (f_last != 0))),
-    ):
-        rows[:, col:col + 4].view(np.uint32)[:, 0] = word
+    whole, frac, i, i_hi, i_lo, f_hi, rest, f_lo, f_last, tmp = work.split[:, :m]
+    np.floor_divide(n, 10**9, out=scratch)
+    np.copyto(whole, scratch, casting="unsafe")
+    scratch *= 10**9
+    np.copyto(frac, np.subtract(n, scratch, out=scratch), casting="unsafe")
+    np.add(work.count[:m], start, out=i)
+    np.floor_divide(i, 10**4, out=i_hi)
+    np.subtract(i, np.multiply(i_hi, 10**4, out=i_lo), out=i_lo)
+    np.floor_divide(frac, 10**5, out=f_hi)
+    np.subtract(frac, np.multiply(f_hi, 10**5, out=rest), out=rest)
+    np.floor_divide(rest, 10, out=f_lo)
+    np.subtract(rest, np.multiply(f_lo, 10, out=f_last), out=f_last)
+
+    # rows past this chunk's are 0 throughout, so they drop out with the
+    # unused bytes and the whole bytearray translates without a slice copy
+    work.rows[m:] = 0
+    rows, index = work.rows[:m], work.index[:m]
     rows[:, 8] = ord(",")
-    rows[:, 13] = np.where(frac != 0, ord("."), 0)
-    rows[:, 22] = np.where(f_last != 0, ord("0") + f_last, 0)
     rows[:, 23] = ord("\n")
-    return rows.tobytes().translate(None, b"\0")
+    # the rows whose index has no upper 4-digit group
+    head = min(max(10**4 - start, 0), m)
+
+    def spell(col, table):
+        np.take(table, index, out=tmp, mode="clip")
+        rows[:, col:col + 4].view(np.uint32)[:, 0] = tmp
+
+    np.copyto(index, i_hi)
+    spell(0, lead)
+    rows[:head, 0:4] = 0
+    np.add(i_lo, 10**4, out=index)
+    index[:head] -= 10**4
+    spell(4, lead)
+    np.copyto(index, whole)
+    spell(9, lead)
+    # a decimal group keeps its trailing zeros when a later digit is not 0
+    for col, group, later in ((14, f_hi, rest), (18, f_lo, f_last)):
+        np.minimum(later, 1, out=tmp)
+        tmp *= 10**4
+        np.add(group, tmp, out=index)
+        spell(col, trail)
+    np.minimum(frac, 1, out=tmp)
+    tmp *= ord(".")
+    rows[:, 13] = tmp
+    np.minimum(f_last, 1, out=tmp)
+    tmp *= ord("0")
+    tmp += f_last
+    rows[:, 22] = tmp
+    return work.text.translate(None, b"\0")
 
 
 def cmd_budget(args) -> int:
@@ -660,16 +709,19 @@ def cmd_budget(args) -> int:
         sim = hs.simulate_soc(scenario, battery, rate, e_det, days=args.days)
         if args.soc_out is not None:
             try:
-                series = hs.charge_series_nj(sim)
+                hs.require_int64_nj(sim.segments)
             except ConfigError:
                 raise ConfigError(
                     f"--soc-out records the charge as int64 nJ, which cannot hold a "
                     f"{battery.capacity_j:g} J battery; lower --battery-mah or --battery-volts"
                 ) from None
+            total = sim.days * hs.DAY_S
+            work = _SocWork(min(SOC_OUT_CHUNK_LINES, total))
             with open(args.soc_out, "wb") as fh:
                 fh.write(b"t_s,charge_j\n")
-                for s in range(0, series.size, SOC_OUT_CHUNK_LINES):
-                    fh.write(_soc_lines(s, series[s:s + SOC_OUT_CHUNK_LINES]))
+                for s in range(0, total, SOC_OUT_CHUNK_LINES):
+                    n = hs.charge_series_nj(sim, s, min(s + SOC_OUT_CHUNK_LINES, total), work.nj)
+                    fh.write(_soc_lines(s, n, work))
 
     if args.json:
         doc = {
@@ -709,19 +761,20 @@ def cmd_footprint(args) -> int:
     if given != 1:
         raise ConfigError("specify exactly one of --network, --model, --sizes")
     if args.network:
-        net = nn_core.build_network_a() if args.network == "A" else nn_core.build_network_b()
+        sizes = nn_core.NETWORK_A_SIZES if args.network == "A" else nn_core.NETWORK_B_SIZES
     elif args.model:
-        net = nn_core.read_fann(args.model)
+        # the whole file is read, so a corrupt body fails here as elsewhere
+        sizes = nn_core.read_fann(args.model).layer_sizes
     else:
-        net = nn_core.build_mlp(_parse_sizes(args.sizes))
-    fp = nn_core.footprint(net)
+        sizes = _parse_sizes(args.sizes)
+    fp = nn_core.footprint_of_sizes(sizes)
     if args.json:
         _emit_json(
             {
-                "layer_sizes": list(net.layer_sizes),
-                "neurons": net.neuron_count,
-                "weights": net.weight_count,
-                "layers": net.layer_count,
+                "layer_sizes": list(sizes),
+                "neurons": fp.neurons,
+                "weights": fp.weights,
+                "layers": fp.layers,
                 "neuron_bytes": fp.neuron_bytes,
                 "weight_bytes": fp.weight_bytes,
                 "layer_bytes": fp.layer_bytes,
@@ -730,9 +783,9 @@ def cmd_footprint(args) -> int:
             None,
         )
     else:
-        print(f"layers:       {'-'.join(str(s) for s in net.layer_sizes)}")
-        print(f"neurons:      {net.neuron_count}")
-        print(f"weights:      {net.weight_count}")
+        print(f"layers:       {'-'.join(str(s) for s in sizes)}")
+        print(f"neurons:      {fp.neurons}")
+        print(f"weights:      {fp.weights}")
         print(f"neuron bytes: {fp.neuron_bytes}")
         print(f"weight bytes: {fp.weight_bytes}")
         print(f"layer bytes:  {fp.layer_bytes}")

@@ -25,8 +25,10 @@ delta, to the last nanojoule.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 import yaml
@@ -311,19 +313,52 @@ def simulate_soc(
     )
 
 
-def charge_series_nj(sim: SocSimResult) -> np.ndarray:
-    """The charge (int64 nJ) at the end of every second of ``sim``; a charge
-    held of 2^63 nJ (about 9.2e9 J) or more is a ``ConfigError``."""
-    peak = max(max(start, end) for _, _, start, _, end in sim.segments)
+def require_int64_nj(records) -> None:
+    """Raise ``ConfigError`` if a charge the segment records hold reaches
+    2^63 nJ (about 9.2e9 J), past what int64 nJ can store."""
+    peak = max((max(start, end) for _, _, start, _, end in records), default=0)
     if peak >= 2**63:
         raise ConfigError(f"int64 nJ cannot hold a charge of {peak / 1e9:g} J")
-    series = np.empty(sim.days * DAY_S, dtype=np.int64)
-    for step, seconds, start, gain, end in sim.segments:
+
+
+def charge_series_nj(
+    sim: SocSimResult, start: int = 0, stop: int | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The charge (int64 nJ) at the end of each second ``start`` to ``stop``
+    (default: every second) of ``sim``, derived from its segment records.
+
+    With ``out`` the charges go into its first ``stop - start`` entries, and
+    that view is returned; nothing else is allocated. A charge held of 2^63
+    nJ or more in the window is a ``ConfigError``, raised before anything
+    is written.
+    """
+    stop = sim.days * DAY_S if stop is None else stop
+    if not 0 <= start <= stop <= sim.days * DAY_S:
+        raise ValueError(f"window [{start}, {stop}) outside the {sim.days * DAY_S} s run")
+    if out is not None and out.size < stop - start:
+        raise ValueError(f"out holds {out.size} charges, the window {stop - start}")
+    series = np.empty(stop - start, dtype=np.int64) if out is None else out[:stop - start]
+    first = bisect.bisect_right(sim.segments, start, key=itemgetter(0)) - 1
+    records = sim.segments[first:bisect.bisect_left(sim.segments, stop, key=itemgetter(0))]
+    require_int64_nj(records)
+    for step, seconds, c0, gain, c1 in records:
         # seconds before the charge reaches a bound and stays there
-        inside = seconds if gain == 0 else (end - start) // gain
-        if inside:  # else the charge pins at once, and gain may pass int64
-            series[step:step + inside] = start + gain * np.arange(1, inside + 1)
-        series[step + inside:step + seconds] = end
+        inside = seconds if gain == 0 else (c1 - c0) // gain
+        # the segment's seconds [lo, hi) lie in the window: [lo, mid) on the
+        # ramp, [mid, hi) pinned
+        lo, hi = max(start - step, 0), min(stop - step, seconds)
+        mid = min(max(inside, lo), hi)
+        ramp = series[step + lo - start:step + mid - start]
+        if ramp.size:  # else the charge pins at once, and gain may pass int64
+            # second k of the segment (from 1) holds c0 + gain * k; each pass
+            # copies the filled head onto the next stretch, shifted by its length
+            ramp[0] = c0 + gain * (lo + 1)
+            done = 1
+            while done < ramp.size:
+                n = min(done, ramp.size - done)
+                np.add(ramp[:n], gain * done, out=ramp[done:done + n])
+                done += n
+        series[step + mid - start:step + hi - start] = c1
     return series
 
 

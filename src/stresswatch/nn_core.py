@@ -38,14 +38,22 @@ BYTES_PER_NEURON = 16
 BYTES_PER_WEIGHT = 4
 BYTES_PER_LAYER = 8
 
+# The deployed stress classifier (net A) and the large benchmark net (net B)
+NETWORK_A_SIZES = (5, 50, 50, 3)
+NETWORK_B_SIZES = (100, *(8 * pair for pair in range(1, 13) for _ in range(2)), 8)
+
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
 
 
 @dataclass(frozen=True)
 class FootprintReport:
-    """Byte counts of a network in the embedded runtime's memory layout."""
+    """Counts and byte counts of a network in the embedded runtime's memory
+    layout. Weights include each layer's bias row."""
 
+    neurons: int
+    weights: int
+    layers: int
     neuron_bytes: int
     weight_bytes: int
     layer_bytes: int
@@ -83,6 +91,17 @@ class QFormat:
         return np.asarray(q, dtype=np.float64) / self.scale
 
 
+def _layer_sizes(sizes: Sequence[int]) -> tuple[int, ...]:
+    """``sizes`` as a tuple, checked: an input and an output layer at least,
+    each of one neuron or more."""
+    sizes = tuple(sizes)
+    if len(sizes) < 2:
+        raise ShapeError("a network needs at least an input and an output layer")
+    if min(sizes) < 1:
+        raise ShapeError(f"layer sizes must be >= 1, got {sizes}")
+    return sizes
+
+
 @dataclass(frozen=True, eq=False)
 class _Network:
     """Layer sizes plus one weight matrix per connection, checked and frozen.
@@ -99,11 +118,7 @@ class _Network:
     DTYPE: ClassVar[type]
 
     def __post_init__(self):
-        sizes = tuple(self.layer_sizes)
-        if len(sizes) < 2:
-            raise ShapeError("a network needs at least an input and an output layer")
-        if min(sizes) < 1:
-            raise ShapeError(f"layer sizes must be >= 1, got {sizes}")
+        sizes = _layer_sizes(self.layer_sizes)
         if len(self.weights) != len(sizes) - 1:
             raise ShapeError(
                 f"expected {len(sizes) - 1} weight matrices, got {len(self.weights)}"
@@ -212,7 +227,7 @@ def build_network_a(seed: int | None = 0) -> NetworkModel:
 
     108 neurons, 3003 weights.
     """
-    return build_mlp([5, 50, 50, 3], seed=seed)
+    return build_mlp(NETWORK_A_SIZES, seed=seed)
 
 
 def build_network_b(seed: int | None = 0) -> NetworkModel:
@@ -221,10 +236,7 @@ def build_network_b(seed: int | None = 0) -> NetworkModel:
 
     1356 neurons, 81032 weights.
     """
-    hidden = []
-    for pair in range(1, 13):
-        hidden += [8 * pair, 8 * pair]
-    return build_mlp([100] + hidden + [8], seed=seed)
+    return build_mlp(NETWORK_B_SIZES, seed=seed)
 
 
 def _input_rows(x, n_inputs: int) -> tuple[np.ndarray, bool]:
@@ -386,12 +398,21 @@ def train(
     return NetworkModel(net.layer_sizes, tuple(batch.weights))
 
 
+def footprint_of_sizes(sizes: Sequence[int]) -> FootprintReport:
+    """Memory footprint of an MLP with these layer sizes in the embedded
+    runtime layout, counted from the sizes alone: no weight is built."""
+    sizes = _layer_sizes([int(s) for s in sizes])
+    neurons = sum(sizes)
+    weights = sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
+    nb = BYTES_PER_NEURON * neurons
+    wb = BYTES_PER_WEIGHT * weights
+    lb = BYTES_PER_LAYER * len(sizes)
+    return FootprintReport(neurons, weights, len(sizes), nb, wb, lb, nb + wb + lb)
+
+
 def footprint(net: NetworkModel) -> FootprintReport:
     """Memory footprint of the network in the embedded runtime layout."""
-    nb = BYTES_PER_NEURON * net.neuron_count
-    wb = BYTES_PER_WEIGHT * net.weight_count
-    lb = BYTES_PER_LAYER * net.layer_count
-    return FootprintReport(nb, wb, lb, nb + wb + lb)
+    return footprint_of_sizes(net.layer_sizes)
 
 
 # ---------------------------------------------------------------------------

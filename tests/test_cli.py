@@ -13,6 +13,7 @@ import json
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1374,8 +1375,8 @@ def test_soc_lines_match_the_f_string_on_whole_chunks(start):
         assert cli._soc_lines(start, n) == soc_lines_reference(start, n)
 
 
-def fast_soc_lines(monkeypatch, start, n):
-    """``cli._soc_lines(start, n)``, failing unless it took the digit tables."""
+def fast_soc_lines(monkeypatch, start, n, out=None):
+    """``cli._soc_lines(start, n, out)``, failing unless it took the digit tables."""
     calls = []
     tables = cli._digit_tables
 
@@ -1384,9 +1385,9 @@ def fast_soc_lines(monkeypatch, start, n):
         return tables()
 
     monkeypatch.setattr(cli, "_digit_tables", spy)
-    out = cli._soc_lines(start, n)
+    lines = cli._soc_lines(start, n, out)
     assert calls, "the chunk fell back to the f-string"
-    return out
+    return lines
 
 
 def test_soc_lines_below_1000_joules_match_the_f_string(monkeypatch):
@@ -1408,6 +1409,49 @@ def test_soc_lines_match_the_f_string_at_the_index_limits(monkeypatch, start):
     rng = np.random.default_rng(start)
     n = rng.integers(10**5, 1.6e12, 65536, endpoint=True)
     assert fast_soc_lines(monkeypatch, start, n) == soc_lines_reference(start, n)
+
+
+def test_soc_lines_reuse_one_work_buffer_without_stale_bytes(monkeypatch):
+    # one buffer spells, in order, a full chunk from 1000 J with ties, a
+    # shorter chunk below 1000 J, and a full chunk of whole joules: every
+    # byte a chunk returns is its own, none left over from the one before
+    size = 4096
+    work = cli._SocWork(size)
+    rng = np.random.default_rng(20)
+    above = rng.integers(10**12, 1.6e12, size) // 10 * 10 + 5
+    above[::2] += rng.integers(-4, 5, size // 2)
+    below = rng.integers(10**5, 10**12, 1000)
+    whole = rng.integers(1, 1000, size) * 10**9
+    for start, n in ((0, above), (9500, below), (10**8 - size, whole)):
+        work.nj[:n.size] = n
+        got = fast_soc_lines(monkeypatch, start, work.nj[:n.size], work)
+        assert got == soc_lines_reference(start, n)
+    assert (above % 10 == 5).any() and (below < 10**12).all()
+    assert b"." not in got
+
+
+def traced_peak(call):
+    """The peak of traced Python and numpy allocations while ``call`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_budget_soc_out_memory_does_not_grow_with_days(capsys, tmp_path):
+    soc = tmp_path / "soc.csv"
+
+    def budget(days):
+        code, _, _ = run_cli(capsys, "budget", "--days", str(days), "--start-charge", "0.6",
+                             "--soc-out", str(soc), "--json")
+        assert code == 0
+
+    budget(1)  # the digit tables and the parser are built once per process
+    peaks = {days: traced_peak(lambda: budget(days)) for days in (2, 12)}
+    assert soc.stat().st_size > 12 * 86400 * 15
+    assert abs(peaks[12] - peaks[2]) < 2**20, peaks
 
 
 def test_budget_soc_csv_over_three_days_matches_the_f_string(capsys, tmp_path, monkeypatch):
@@ -1590,6 +1634,30 @@ def test_footprint_sizes_and_model(capsys, data_dir):
     doc = json.loads(stdout)
     assert doc["layer_sizes"] == [2, 2, 1]
     assert doc["weights"] == 9
+
+
+FOOTPRINT_2000_2000 = """{
+  "layer_bytes": 16,
+  "layer_sizes": [
+    2000,
+    2000
+  ],
+  "layers": 2,
+  "neuron_bytes": 64000,
+  "neurons": 4000,
+  "total_bytes": 16072016,
+  "weight_bytes": 16008000,
+  "weights": 4002000
+}
+"""
+
+
+def test_footprint_sizes_counts_without_building_the_weights(capsys):
+    # 4 M weights would take 32 MB as float64; the counts need none of them
+    run_cli(capsys, "footprint", "--sizes", "1,1", "--json")
+    peak = traced_peak(lambda: cli_main(["footprint", "--sizes", "2000,2000", "--json"]))
+    assert capsys.readouterr().out == FOOTPRINT_2000_2000
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("token", ["2147483648", "-2147483649"])

@@ -1,0 +1,31 @@
+"""tools/cold_run.py runs a stresswatch command in fresh interpreters and
+reports the child's own wall time, peak RSS and minor page faults."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "cold_run.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("cold_run", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_cold_run_reports_one_fresh_run(capsys):
+    cold_run = load_tool()
+    assert cold_run.main(["-n", "1", "footprint", "--network", "A"]) == 0
+    line = capsys.readouterr().out
+    got = re.fullmatch(r"runs 1  wall (\S+) s  maxrss (\S+) MB  minflt (\d+)\n", line)
+    assert got, line
+    wall, maxrss, minflt = map(float, got.groups())
+    assert wall > 0
+    # the child imports numpy, so it holds megabytes and faults its pages in
+    assert 5 < maxrss < 1000
+    assert minflt > 100
+
+    assert cold_run.main(["-n", "1", "footprint"]) == 1
+    assert "exited non-zero (5)" in capsys.readouterr().err

@@ -34,6 +34,7 @@ from stresswatch import (
     simulate_soc,
     sustainable_rate,
 )
+from stresswatch.harvest_sim import require_int64_nj
 
 DAY_S = 86400
 
@@ -349,6 +350,112 @@ def test_charge_series_refuses_a_charge_beyond_int64_nanojoules():
     series = charge_series_nj(res)
     assert series[-1] == nj(res.final_charge_j)
     assert series.max() == nj(res.max_charge_j)
+
+
+def assert_windows_match(sim, windows):
+    """``charge_series_nj(sim, a, b)``, fresh or into a longer buffer, is the
+    full series' ``[a:b]``, and the buffer past it is left alone."""
+    full = charge_series_nj(sim)
+    assert full.size == sim.days * DAY_S
+    for a, b in windows:
+        assert np.array_equal(charge_series_nj(sim, a, b), full[a:b]), (a, b)
+        out = np.full(b - a + 3, -7, dtype=np.int64)
+        got = charge_series_nj(sim, a, b, out)
+        assert got.size == b - a and (a == b or np.shares_memory(got, out))
+        assert np.array_equal(got, full[a:b]), (a, b)
+        assert (out[b - a:] == -7).all()
+
+
+def window_edges(sim):
+    """Windows cut at, just before and just after every segment boundary,
+    inside a segment, across one, and covering all or none of the run."""
+    total = sim.days * DAY_S
+    cuts = sorted({c for step, *_ in sim.segments for c in (step - 1, step, step + 1)
+                   if 0 <= c <= total} | {total})
+    windows = [(0, total), (0, 0), (total, total), (0, 1), (total - 1, total)]
+    windows += [(a, b) for a, b in zip(cuts, cuts[1:])]
+    windows += [(a, min(a + 7, total)) for a in cuts]
+    return windows
+
+
+def test_charge_series_windows_inside_a_segment_longer_than_the_window():
+    # indoor-day from 60 %: a 6 h rise and an 18 h fall, each far longer than
+    # a window, so each window starts deep inside its segment's ramp
+    res = simulate_soc(indoor_day_scenario(), BatteryState(capacity_j=1598.4, charge_j=959.04),
+                       24.0, 602.2e-6, days=3)
+    assert all(gain != 0 for _, _, _, gain, _ in res.segments)
+    windows = [(100, 200), (21599, 21601), (30000, 30001), (50000, 115536),
+               (DAY_S - 5, DAY_S + 5), (2 * DAY_S + 21000, 3 * DAY_S)]
+    assert_windows_match(res, windows + window_edges(res))
+
+
+@pytest.mark.parametrize("regime", ["spill", "brownout", "pinned"])
+def test_charge_series_windows_over_spill_brownout_and_pinned_stretches(regime):
+    if regime == "spill":        # fills within the sunny hour, then sits full
+        args = (outdoor_hour_scenario(), BatteryState(capacity_j=3.0, charge_j=1.0), 0.0)
+    elif regime == "brownout":   # empties partway into day 2, then sits empty
+        args = (indoor_day_scenario(), BatteryState(capacity_j=20.0), 30.0)
+    else:                        # full with a net gain: pinned from the first second
+        args = (indoor_day_scenario(), BatteryState(capacity_j=5.0), 1.0)
+    res = simulate_soc(*args, 602.2e-6, days=3)
+    full = charge_series_nj(res)
+    reached = {"spill": res.spilled_j > 0 and (full[:3600] == full[3599]).sum() > 1,
+               "brownout": res.brownout and full[-1] == 0,
+               "pinned": full[0] == full[21599] == nj(5.0)}
+    assert reached[regime]
+    # every window edge where a ramp ends at a bound, and its neighbours
+    bounds = np.flatnonzero(np.diff(full) == 0)
+    stops = [int(x) for x in bounds[:: max(len(bounds) // 20, 1)]]
+    assert_windows_match(res, window_edges(res) + [(a, a + 50) for a in stops if a + 50 <= full.size])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_charge_series_random_windows_over_a_choppy_day(seed):
+    rng = np.random.default_rng(300 + seed)
+    cap = float(rng.uniform(1e-3, 5.0))
+    res = simulate_soc(choppy_day(rng), BatteryState(capacity_j=cap, charge_j=cap / 2),
+                       float(rng.uniform(0.0, 3000.0)), 602.2e-6, days=2)
+    total = res.days * DAY_S
+    windows = [tuple(sorted(rng.integers(0, total + 1, 2).tolist())) for _ in range(40)]
+    windows += [(a, min(a + 65536, total)) for a in range(0, total, 65536)]
+    assert_windows_match(res, windows + window_edges(res))
+
+
+def test_charge_series_windows_under_a_load_beyond_int64():
+    # 1e20 detections a minute: the net loss of one second passes int64 nJ,
+    # so the battery is empty after the first second of every segment
+    res = simulate_soc(indoor_day_scenario(), BatteryState(), 1e20, 602.2e-6, days=2)
+    assert all(gain < -(2**63) for _, _, _, gain, _ in res.segments)
+    assert not charge_series_nj(res).any()
+    assert_windows_match(res, window_edges(res))
+
+
+def test_charge_series_rejects_a_window_outside_the_run_or_its_buffer():
+    res = simulate_soc(indoor_day_scenario(), BatteryState(), 24.0, 602.2e-6)
+    for a, b in [(-1, 5), (5, 4), (0, DAY_S + 1)]:
+        with pytest.raises(ValueError, match="window"):
+            charge_series_nj(res, a, b)
+    with pytest.raises(ValueError, match="out holds 9"):
+        charge_series_nj(res, 0, 10, np.empty(9, dtype=np.int64))
+
+
+def test_charge_series_guard_raises_before_anything_is_written():
+    # a dark hour holds the charge just below 2^63 nJ, then outdoor sun pushes
+    # it past: a window across both segments writes nothing before raising
+    day = HarvestScenario("edge", (Segment(3600.0), Segment(82800.0, (("solar", "outdoor"),))))
+    battery = BatteryState(capacity_j=1.4e10, charge_j=(2**63 - 10**10) / 1e9)
+    res = simulate_soc(day, battery, 0.0, 602.2e-6)
+    (_, _, c0, _, c1), (_, _, _, _, end) = res.segments
+    assert c0 == c1 < 2**63 <= end
+    out = np.full(200, -7, dtype=np.int64)
+    with pytest.raises(ConfigError, match="int64"):
+        charge_series_nj(res, 3500, 3700, out)
+    assert (out == -7).all()
+    with pytest.raises(ConfigError, match="int64"):
+        require_int64_nj(res.segments)
+    # the dark hour alone fits
+    assert (charge_series_nj(res, 3400, 3600, out) == c0).all()
+    require_int64_nj(res.segments[:1])
 
 
 def test_soc_results_compare_by_value():

@@ -365,6 +365,20 @@ def test_footprint_smallest_net():
     assert footprint(build_mlp([1, 1])).total_bytes == 56
 
 
+def test_footprint_counts_follow_the_layer_sizes():
+    for sizes in ([1, 1], [5, 50, 50, 3], [3, 7, 2, 9]):
+        net = build_mlp(sizes)
+        fp = footprint(net)
+        assert fp == nn_core.footprint_of_sizes(sizes)
+        assert (fp.neurons, fp.weights, fp.layers) == (
+            net.neuron_count, net.weight_count, net.layer_count)
+    assert nn_core.footprint_of_sizes(nn_core.NETWORK_A_SIZES) == footprint(build_network_a())
+    assert nn_core.footprint_of_sizes(nn_core.NETWORK_B_SIZES) == footprint(build_network_b())
+    for bad in ([4], [3, 0, 2]):
+        with pytest.raises(ShapeError):
+            nn_core.footprint_of_sizes(bad)
+
+
 # ------------------------------------------------------------ serialization
 
 def test_roundtrip_topology_and_weights():
