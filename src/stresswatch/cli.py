@@ -232,17 +232,22 @@ def cmd_features(args) -> int:
     ecg, gsr = _read_csv(args.ecg, ECG_HEADER), _read_csv(args.gsr, GSR_HEADER)
     for path, rows in ((args.ecg, ecg), (args.gsr, gsr)):
         _check_finite(rows, f"{path}: data row")
-    for path, rows in ((args.ecg, ecg), (args.gsr, gsr)):
-        if not (np.diff(rows[:, 0]) > 0).all():
-            raise InsufficientDataError(f"{path}: time_s must be strictly increasing")
     if len(gsr) < 2:
         raise InsufficientDataError("GSR recording has fewer than 2 samples")
-    # the columns are strided views of the rows: no feature sums over them, so
-    # a contiguous copy (another 15 MB for a 1 h ECG) would change no bit
-    trace = bf.GsrTrace(gsr[:, 0], gsr[:, 1])
-    rows = bf.extract_window_features(
-        ecg[:, 0], ecg[:, 1], trace, cfg, gsr_threshold_us=args.gsr_threshold
-    ).tolist()
+    # Columns of one finite row array: the only ValueError left in the trace
+    # and the extraction is a time base that does not strictly increase. No
+    # feature sums over these strided views, so a contiguous copy (another
+    # 15 MB for a 1 h ECG) would change no bit.
+    try:
+        trace = bf.GsrTrace(gsr[:, 0], gsr[:, 1])
+    except ValueError:
+        raise InsufficientDataError(f"{args.gsr}: time_s must be strictly increasing") from None
+    try:
+        rows = bf.extract_window_features(
+            ecg[:, 0], ecg[:, 1], trace, cfg, gsr_threshold_us=args.gsr_threshold
+        ).tolist()
+    except ValueError:
+        raise InsufficientDataError(f"{args.ecg}: time_s must be strictly increasing") from None
     for row in rows:
         row[2] = int(row[2])  # NN50 is a count: written without a decimal point
     if args.json:
@@ -697,14 +702,12 @@ def cmd_budget(args) -> int:
     if args.days is not None:
         mah = hs.BATTERY_CAPACITY_MAH if args.battery_mah is None else args.battery_mah
         volts = hs.BATTERY_NOMINAL_V if args.battery_volts is None else args.battery_volts
-        battery = hs.BatteryState(capacity_j=mah * 3.6 * volts)
-        if args.start_charge is not None:
-            if not 0.0 <= args.start_charge <= 1.0:
-                raise ConfigError("--start-charge must lie in [0, 1]")
-            battery = hs.BatteryState(
-                capacity_j=battery.capacity_j,
-                charge_j=battery.capacity_j * args.start_charge,
-            )
+        capacity = mah * 3.6 * volts
+        start = args.start_charge
+        if start is not None and not 0.0 <= start <= 1.0:
+            raise ConfigError("--start-charge must lie in [0, 1]")
+        battery = hs.BatteryState(capacity_j=capacity,
+                                  charge_j=None if start is None else capacity * start)
         rate = args.rate if args.rate is not None else report.max_detections_per_minute
         sim = hs.simulate_soc(scenario, battery, rate, e_det, days=args.days)
         if args.soc_out is not None:

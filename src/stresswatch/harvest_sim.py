@@ -2,7 +2,8 @@
 
 Two harvesters feed the device: a wrist-worn solar cell and a thermoelectric
 generator (TEG) riding the skin-ambient temperature gradient. Their measured
-intake powers (converter losses and quiescent draw already subtracted):
+intake powers (converter losses and quiescent draw already subtracted), the
+``SOURCE_POWER_W`` table:
 
     solar   outdoor (~30 klx)      24.711 mW
             indoor  (~700 lx)       0.9 mW
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
@@ -45,38 +46,10 @@ TEG_CONDITIONS_W = {
     "cool-room": 55.5e-6,
     "cool-room-wind": 155.4e-6,
 }
+SOURCE_POWER_W = {"solar": SOLAR_CONDITIONS_W, "teg": TEG_CONDITIONS_W}
 
 BATTERY_CAPACITY_MAH = 120.0
 BATTERY_NOMINAL_V = 3.7
-
-
-@dataclass(frozen=True)
-class SourceModel:
-    """One harvester: a label and its measured intake power per condition."""
-
-    kind: str
-    condition_power_w: dict[str, float]
-
-    def __post_init__(self):
-        for cond, p in self.condition_power_w.items():
-            if p < 0:
-                raise ConfigError(f"{self.kind}/{cond}: negative intake power")
-
-    def power_w(self, condition: str) -> float:
-        try:
-            return self.condition_power_w[condition]
-        except KeyError:
-            raise ConfigError(
-                f"unknown {self.kind} condition {condition!r}; "
-                f"choose from {sorted(self.condition_power_w)}"
-            ) from None
-
-
-def builtin_sources() -> dict[str, SourceModel]:
-    return {
-        "solar": SourceModel("solar", dict(SOLAR_CONDITIONS_W)),
-        "teg": SourceModel("teg", dict(TEG_CONDITIONS_W)),
-    }
 
 
 @dataclass(frozen=True)
@@ -106,12 +79,12 @@ class BatteryState:
     """Stored energy in joules; 120 mAh at 3.7 V nominal = 1598.4 J."""
 
     capacity_j: float = BATTERY_CAPACITY_MAH * 3.6 * BATTERY_NOMINAL_V
-    charge_j: float = field(default=-1.0)
+    charge_j: float | None = None  # None: start full
 
     def __post_init__(self):
         if not 0 < self.capacity_j < math.inf:
             raise ConfigError("battery capacity must be positive and finite")
-        if self.charge_j < 0:  # default: start full
+        if self.charge_j is None:
             object.__setattr__(self, "charge_j", self.capacity_j)
         if not 0 <= self.charge_j <= self.capacity_j:
             raise ConfigError("charge must lie in [0, capacity]")
@@ -177,14 +150,18 @@ def builtin_scenarios() -> dict[str, HarvestScenario]:
     }
 
 
-def segment_power_w(seg: Segment, sources: dict[str, SourceModel]) -> float:
+def segment_power_w(seg: Segment) -> float:
+    """Summed intake power of a segment's (kind, condition) pairs, in W."""
     total = 0.0
     for kind, condition in seg.sources:
-        if kind not in sources:
+        conditions = SOURCE_POWER_W.get(kind)
+        if conditions is None:
+            raise ConfigError(f"unknown source kind {kind!r}; choose from {sorted(SOURCE_POWER_W)}")
+        if condition not in conditions:
             raise ConfigError(
-                f"unknown source kind {kind!r}; choose from {sorted(sources)}"
+                f"unknown {kind} condition {condition!r}; choose from {sorted(conditions)}"
             )
-        total += sources[kind].power_w(condition)
+        total += conditions[condition]
     return total
 
 
@@ -199,10 +176,7 @@ def _require_full_day(scenario: HarvestScenario) -> None:
 def daily_intake(scenario: HarvestScenario) -> float:
     """Joules harvested over one 24 h pass of the schedule."""
     _require_full_day(scenario)
-    sources = builtin_sources()
-    return float(
-        sum(seg.duration_s * segment_power_w(seg, sources) for seg in scenario.segments)
-    )
+    return float(sum(seg.duration_s * segment_power_w(seg) for seg in scenario.segments))
 
 
 def sustainable_rate(
@@ -226,7 +200,6 @@ def sustainable_rate(
 
 def _day_plan_nw(scenario: HarvestScenario) -> list[tuple[int, int]]:
     """(whole seconds, intake in nW) per segment; must tile exactly 24 h."""
-    sources = builtin_sources()
     plan = []
     for seg in scenario.segments:
         seconds = int(round(seg.duration_s))
@@ -234,7 +207,7 @@ def _day_plan_nw(scenario: HarvestScenario) -> list[tuple[int, int]]:
             raise ConfigError(
                 f"segment duration {seg.duration_s} s is not a whole second"
             )
-        plan.append((seconds, int(round(segment_power_w(seg, sources) * 1e9))))
+        plan.append((seconds, int(round(segment_power_w(seg) * 1e9))))
     if sum(s for s, _ in plan) != DAY_S:
         raise ConfigError("scenario segments must tile exactly 24 h of whole seconds")
     return plan
@@ -266,9 +239,15 @@ def simulate_soc(
     _require_full_day(scenario)
     plan = _day_plan_nw(scenario)
 
-    load = int(round(rate_per_minute * detection_energy_j * 1e9 / SECONDS_PER_MINUTE))
-    cap = int(round(battery.capacity_j * 1e9))
-    c = int(round(battery.charge_j * 1e9))
+    load, cap, c = (rate_per_minute * detection_energy_j * 1e9 / SECONDS_PER_MINUTE,
+                    battery.capacity_j * 1e9, battery.charge_j * 1e9)
+    # served and unmet are at most the total demand and every charge at most
+    # the capacity, so each total below converts back to joules
+    for quantity, value in (("detection load", load), ("battery capacity", cap),
+                            ("start charge", c), ("total demand", load * DAY_S * days)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{quantity} in nanojoules is not a finite float")
+    load, cap, c = int(round(load)), int(round(cap)), int(round(c))
     c_init = c
     lo = hi = c
     intake = served = spilled = unmet = 0

@@ -49,21 +49,15 @@ _ENERGY_UJ = {
 }
 _NETWORK_WEIGHTS = {"A": 3003, "B": 81032}
 
-# Measured float-path cycles for network A on the M4's FPU; the fixed-point
-# kernel's 30210 cycles make the integer path ~1.27x faster. Kept for
-# reporting only - this codebase cannot re-measure hardware cycle counts.
-CORTEX_M4_FLOAT_CYCLES_A = 38478
-
 POWER_CONSISTENCY_LIMIT = 0.03
 
 # One detection's acquisition and feature costs. Only the two energies enter
-# the model; the duration, front-end powers and feature time are the measured
-# figures behind them, kept for reference.
+# the model; the duration and front-end powers are the measured figures
+# behind the acquisition energy, kept for reference.
 ACQUISITION_ENERGY_J = 600e-6
 ACQUISITION_DURATION_S = 3.0
 ECG_FRONTEND_POWER_W = 171e-6
 GSR_FRONTEND_POWER_W = 30e-6
-FEATURE_TIME_S = 50e-6
 FEATURE_ENERGY_J = 1e-6
 
 

@@ -54,7 +54,6 @@ from .nn_core import (
 )
 
 LUT_KNOTS = 257          # over [-4, 4] -> knot spacing 1/32
-LUT_X_MAX = 4.0
 _KNOTS_PER_UNIT = 32
 _CENTER = (LUT_KNOTS - 1) // 2
 
@@ -101,20 +100,6 @@ def build_tanh_lut(fmt: QFormat) -> TanhTable:
     return TanhTable(fmt.frac_bits, values)
 
 
-def _magnitude(x: np.ndarray, shift: int, saturate: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The sign mask of ``x`` (0 or -1) and ``|x|`` rounded half away from
-    zero by 2^shift, as new arrays. With ``saturate`` the magnitude is
-    capped at ``INT32_MAX - sign``: the 32-bit range of its sign."""
-    s = x >> 63
-    mag = np.abs(x)
-    if shift:
-        mag += (1 << shift) >> 1
-        mag >>= shift
-    if saturate:
-        np.minimum(mag, INT32_MAX - s, out=mag)
-    return s, mag
-
-
 def tanh_lut_eval(x, lut: TanhTable, *, shift: int = 0):
     """Piecewise-linear tanh on fixed-point values.
 
@@ -134,15 +119,21 @@ def tanh_lut_eval(x, lut: TanhTable, *, shift: int = 0):
 
     With ``shift`` > 0, ``x`` is a layer's accumulator at 2^shift times the
     table's scale: its magnitude is first rounded half away from zero by
-    2^shift and saturated into the 32-bit range, which is the rescale of
-    ``_accumulate_rescale`` fused with the table under one sign.
+    2^shift and saturated into the 32-bit range of its sign, so the layer's
+    one rescale shares the table's sign and loop.
     """
     scalar = np.isscalar(x)
     xa = np.atleast_1d(np.asarray(x, dtype=np.int64))
     f = lut.frac_bits
     scale = 1 << f
-    # the 32-bit cap binds before the 4.0 clamp only past 28 fraction bits
-    s, mag = _magnitude(xa, shift, shift > 0 and 4 * scale > INT32_MAX)
+    s = xa >> 63
+    mag = np.abs(xa)
+    if shift:
+        mag += (1 << shift) >> 1
+        mag >>= shift
+        # the 32-bit cap binds before the 4.0 clamp only past 28 fraction bits
+        if 4 * scale > INT32_MAX:
+            np.minimum(mag, INT32_MAX - s, out=mag)
     y0, dd = lut.base_slope
     np.minimum(mag, 4 * scale, out=mag)
     mag *= _KNOTS_PER_UNIT
@@ -224,17 +215,6 @@ def _accumulate(a_ext: np.ndarray, w: np.ndarray, frac_bits: int) -> np.ndarray:
         sat = np.abs(est) >= 2.0**62
         acc[sat] = np.clip(est[sat], -2.0**62, 2.0**62)
     return acc
-
-
-def _accumulate_rescale(a_ext: np.ndarray, w: np.ndarray, frac_bits: int) -> np.ndarray:
-    """Dot products of the bias-extended activation rows with w, rounded
-    half away from zero by 2^frac_bits and saturated into the 32-bit range:
-    ``_accumulate``, then the magnitude rounded by one shift and capped,
-    then its sign put back."""
-    s, mag = _magnitude(_accumulate(a_ext, w, frac_bits), frac_bits, True)
-    mag ^= s
-    mag -= s
-    return mag
 
 
 def quantize_inputs(x, fmt: QFormat) -> np.ndarray:

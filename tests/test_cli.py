@@ -175,6 +175,27 @@ def test_features_repeated_gsr_time_is_a_data_error(capsys, data_dir, tmp_path):
     assert str(gsr) in stderr and "strictly increasing" in stderr
 
 
+@pytest.mark.parametrize("gsr_rows,fault", [
+    ("0.5,2.0\n0.5,2.1\n", "{gsr}: time_s must be strictly increasing"),
+    ("0.5,2.0\n", "GSR recording has fewer than 2 samples"),
+])
+def test_features_with_both_files_broken_reports_the_gsr(
+    capsys, data_dir, tmp_path, gsr_rows, fault
+):
+    # the GSR trace is built before the ECG is windowed, so the GSR's fault
+    # is found first even when the ECG's time base is broken too
+    src = (data_dir / "ecg_60s.csv").read_text().splitlines()
+    src[3], src[4] = src[4], src[3]
+    ecg = tmp_path / "ecg.csv"
+    ecg.write_text("\n".join(src) + "\n")
+    gsr = tmp_path / "gsr.csv"
+    gsr.write_text("time_s,gsr_uS\n" + gsr_rows)
+    code, stdout, stderr = run_cli(capsys, "features", str(ecg), str(gsr))
+    assert code == 3
+    assert stdout == ""
+    assert stderr == f"error: {fault.format(gsr=gsr)}\n"
+
+
 @pytest.mark.parametrize("flag,value", [("--overlap", "1.5"), ("--window-s", "0")])
 def test_features_bad_window_flags_are_config_errors(capsys, data_dir, flag, value):
     code, _, stderr = run_cli(
@@ -1541,6 +1562,12 @@ def test_budget_start_charge_validation(capsys):
     )
     assert code == 5
     assert "--start-charge" in stderr
+    # checked before the battery is built, so it is named even when the
+    # capacity is bad too
+    code, _, stderr = run_cli(capsys, "budget", "--days", "1", "--battery-mah", "0",
+                              "--start-charge", "2")
+    assert code == 5
+    assert stderr == "error: --start-charge must lie in [0, 1]\n"
 
 
 @pytest.mark.parametrize(
@@ -1560,13 +1587,18 @@ def test_budget_simulation_flags_without_days_are_config_errors(
 
 
 @pytest.mark.parametrize(
-    "flag,value", [("--rate", "nan"), ("--rate", "inf"), ("--battery-volts", "inf")]
+    "flag,value,quantity",
+    [("--rate", "nan", "rate"), ("--rate", "inf", "rate"),
+     ("--battery-volts", "inf", "battery capacity"),
+     # finite flags whose nanojoules, or the run's whole demand in them, are not
+     ("--rate", "1e300", "total demand"), ("--rate", "1e306", "detection load"),
+     ("--battery-mah", "1e300", "battery capacity")],
 )
-def test_budget_non_finite_arguments_are_config_errors(capsys, flag, value):
+def test_budget_non_finite_arguments_are_config_errors(capsys, flag, value, quantity):
     code, stdout, stderr = run_cli(capsys, "budget", "--days", "1", flag, value)
     assert code == 5
     assert stdout == ""
-    assert "finite" in stderr
+    assert stderr.startswith(f"error: {quantity}") and "finite" in stderr
 
 
 @pytest.mark.parametrize("value", ["abc", "[1]", "true"])

@@ -21,9 +21,7 @@ from stresswatch import (
     HarvestScenario,
     Segment,
     SocSimResult,
-    SourceModel,
     builtin_scenarios,
-    builtin_sources,
     charge_series_nj,
     daily_intake,
     detection_energy,
@@ -34,7 +32,7 @@ from stresswatch import (
     simulate_soc,
     sustainable_rate,
 )
-from stresswatch.harvest_sim import require_int64_nj
+from stresswatch.harvest_sim import SOURCE_POWER_W, require_int64_nj
 
 DAY_S = 86400
 
@@ -48,7 +46,7 @@ def dark_scenario():
     return HarvestScenario("dark", (Segment(float(DAY_S)),))
 
 
-TEG_CONDITIONS = builtin_sources()["teg"].condition_power_w
+TEG_CONDITIONS = SOURCE_POWER_W["teg"]
 
 
 def random_day(rng):
@@ -102,20 +100,21 @@ def test_intake_requires_full_day():
 
 def test_segment_power_combines_sources():
     seg = Segment(3600.0, (("solar", "outdoor"), ("teg", "cool-room-wind")))
-    got = segment_power_w(seg, builtin_sources())
+    got = segment_power_w(seg)
     assert got == pytest.approx(24.711e-3 + 155.4e-6, rel=1e-12)
 
 
 def test_unknown_sources_rejected():
-    srcs = builtin_sources()
-    with pytest.raises(ConfigError, match="unknown source kind"):
-        segment_power_w(Segment(60.0, (("wind", "gale"),)), srcs)
-    with pytest.raises(ConfigError, match="choose from"):
-        srcs["teg"].power_w("sauna")
+    with pytest.raises(ConfigError) as kind:
+        segment_power_w(Segment(60.0, (("wind", "gale"),)))
+    assert str(kind.value) == "unknown source kind 'wind'; choose from ['solar', 'teg']"
+    with pytest.raises(ConfigError) as condition:
+        segment_power_w(Segment(60.0, (("teg", "sauna"),)))
+    assert str(condition.value) == (
+        "unknown teg condition 'sauna'; choose from ['cool-room', 'cool-room-wind', 'warm-room']"
+    )
     with pytest.raises(ConfigError):
         daily_intake(indoor_day_scenario(teg_condition="sauna"))
-    with pytest.raises(ConfigError, match="negative"):
-        SourceModel("solar", {"night": -1.0})
 
 
 def test_scenario_construction_guards():
@@ -215,9 +214,8 @@ def per_second_soc(scenario, battery, rate_per_minute, detection_energy_j, days)
     """Reference simulator: the same integer-nanojoule battery stepped one
     second at a time. ``simulate_soc`` must agree with it on every field but
     ``segments``, and ``charge_series_nj`` with its int64 nJ series."""
-    srcs = builtin_sources()
     plan = [
-        (int(round(seg.duration_s)), int(round(segment_power_w(seg, srcs) * 1e9)))
+        (int(round(seg.duration_s)), int(round(segment_power_w(seg) * 1e9)))
         for seg in scenario.segments
     ]
     load = int(round(rate_per_minute * detection_energy_j * 1e9 / 60.0))
@@ -537,9 +535,28 @@ def test_battery_state_validation():
     for capacity in (0.0, math.inf, math.nan):
         with pytest.raises(ConfigError):
             BatteryState(capacity_j=capacity)
-    with pytest.raises(ConfigError):
-        BatteryState(capacity_j=10.0, charge_j=11.0)
+    # a negative charge is an error too: only an omitted one starts full
+    for charge in (11.0, -3.0, -1.0):
+        with pytest.raises(ConfigError, match=r"charge must lie in \[0, capacity\]"):
+            BatteryState(capacity_j=10.0, charge_j=charge)
     assert BatteryState(capacity_j=10.0, charge_j=0.0).charge_j == 0.0
+    assert BatteryState(capacity_j=10.0).charge_j == 10.0
+
+
+def test_simulate_soc_rejects_nanojoules_that_overflow_a_float():
+    # each input is a finite float; its nanojoules, or the run's whole demand
+    # in them, are not, and the totals must convert back to joules
+    day, e = indoor_day_scenario(), 602.2e-6
+    for quantity, battery, rate, days in [
+        ("detection load", BatteryState(), 1e306, 1),
+        ("total demand", BatteryState(), 1e300, 1),
+        ("total demand", BatteryState(), 1e290, 10**10),
+        ("battery capacity", BatteryState(capacity_j=1e301), 1.0, 1),
+    ]:
+        with pytest.raises(ConfigError, match=f"^{quantity} in nanojoules is not a finite float$"):
+            simulate_soc(day, battery, rate, e, days=days)
+    res = simulate_soc(day, BatteryState(), 1e290, e)
+    assert res.brownout and math.isfinite(res.unmet_j)
 
 
 # ---------------------------------------------------------------------------

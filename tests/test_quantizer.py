@@ -29,7 +29,7 @@ from stresswatch import (
     save_fann,
     tanh_lut_eval,
 )
-from stresswatch.quantizer import _accumulate_rescale
+from stresswatch.quantizer import _accumulate
 
 I32_MIN = -(2**31)
 I32_MAX = 2**31 - 1
@@ -342,9 +342,11 @@ def test_fixed_matches_oracle_under_forced_overflow():
         block = rng.integers(-fmt.scale, fmt.scale, size=(7, 4), endpoint=True)
         block[trial % 7] = I32_MAX
         a_ext = np.hstack((block, np.full((7, 1), fmt.scale)))
-        z = _accumulate_rescale(a_ext, w0, fmt.frac_bits)
-        exact = _floor_div_rescale(a_ext.astype(object) @ w0.astype(object), fmt.scale, half)
-        assert np.array_equal(z, exact)
+        acc = _accumulate(a_ext, w0, fmt.frac_bits)
+        products = a_ext.astype(object) @ w0.astype(object)
+        assert_accumulate_contract(acc, products)
+        exact = _floor_div_rescale(products, fmt.scale, half)
+        assert np.array_equal(_floor_div_rescale(acc, fmt.scale, half), exact)
         col_bound = int(np.abs(w0).sum(axis=0).max())
         wide_blocks += col_bound * I32_MAX + half >= 2**63
         saturated += int(np.count_nonzero((exact == I32_MIN) | (exact == I32_MAX)))
@@ -370,6 +372,22 @@ def _floor_div_rescale(acc, scale, half):
     acc = acc.astype(object)
     q = np.where(acc >= 0, (acc + half) // scale, -((-acc + half) // scale))
     return np.clip(q, I32_MIN, I32_MAX).astype(np.int64)
+
+
+def assert_accumulate_contract(acc, exact):
+    """``_accumulate`` against exact integer products: equal wherever
+    |exact| < 2^61, 2^62 of the exact sign wherever the product passes
+    int64, and one of the two in between. Either way every 32-bit rescale
+    by 2^f, f <= 30, gives the same result."""
+    exact = np.asarray(exact, dtype=object)
+    assert acc.dtype == np.int64 and acc.shape == exact.shape
+    got = acc.astype(object)
+    magnitude = np.abs(exact)
+    equal = (got == exact).astype(bool)
+    pinned = (got == np.where(exact < 0, -(2**62), 2**62)).astype(bool)
+    assert equal[(magnitude < 2**61).astype(bool)].all()
+    assert pinned[(magnitude >= 2**63).astype(bool)].all()
+    assert (equal | pinned).all()
 
 
 def test_accumulate_limb_tier_matches_exact_products():
@@ -400,7 +418,9 @@ def test_accumulate_limb_tier_matches_exact_products():
         a = rng.integers(-a_max, a_max, size=(rows, n_in), endpoint=True)
         a[int(rng.integers(rows))] = a_max * rng.choice([-1, 1], size=n_in)
         exact = a.astype(object) @ w.astype(object)
-        assert np.array_equal(_accumulate_rescale(a, w, frac_bits),
+        acc = _accumulate(a, w, frac_bits)
+        assert_accumulate_contract(acc, exact)
+        assert np.array_equal(_floor_div_rescale(acc, scale, half),
                               _floor_div_rescale(exact, scale, half))
         bound = col_bound * a_max
         below_2_53 += bound < 2**53
@@ -409,8 +429,11 @@ def test_accumulate_limb_tier_matches_exact_products():
         if a_max == limit:
             heavy = np.where(w[:, np.abs(w).sum(axis=0).argmax()] < 0, -1, 1)
             a[0] = (limit + 1) * heavy * rng.choice([-1, 1])   # one past
-            want = _floor_div_rescale(a.astype(object) @ w.astype(object), scale, half)
-            assert np.array_equal(_accumulate_rescale(a, w, frac_bits), want)
+            exact = a.astype(object) @ w.astype(object)
+            acc = _accumulate(a, w, frac_bits)
+            assert_accumulate_contract(acc, exact)
+            want = _floor_div_rescale(exact, scale, half)
+            assert np.array_equal(_floor_div_rescale(acc, scale, half), want)
             saturated += int(np.count_nonzero((want == I32_MIN) | (want == I32_MAX)))
             past_limit += 1
     assert below_2_53 >= 50 and above_2_53 >= 50 and past_limit >= 5
@@ -432,8 +455,12 @@ def test_fixed_point_net_caps_each_column_below_2_52():
     # inputs of +-1.0 and the bias input 1.0, as infer_fixed extends them
     a_ext = np.full((2, 2**21), fmt.scale, dtype=np.int64)
     a_ext[1, :-1] = -fmt.scale
-    z = _accumulate_rescale(a_ext, fp.weights[0], fmt.frac_bits)
-    assert z.tolist() == [[I32_MIN], [I32_MAX]]
+    w = fp.weights[0]
+    acc = _accumulate(a_ext, w, fmt.frac_bits)
+    # every input is +-scale, so the exact sums are scale times int64 sums
+    assert_accumulate_contract(acc, (a_ext // fmt.scale @ w).astype(object) * fmt.scale)
+    half = fmt.scale >> 1
+    assert _floor_div_rescale(acc, fmt.scale, half).tolist() == [[I32_MIN], [I32_MAX]]
     sat = build_tanh_lut(fmt).saturation / fmt.scale
     assert infer_fixed(fp, np.ones(2**21 - 1)).tolist() == [-sat]
     assert infer_fixed(fp, -np.ones(2**21 - 1)).tolist() == [sat]
@@ -456,10 +483,11 @@ def test_net_a_fused_kernel_matches_exact_products(frac_bits):
     for w in fp.weights:
         a_ext = np.hstack((a, np.full((a.shape[0], 1), fmt.scale)))
         assert int(np.abs(w).sum(axis=0).max()) * int(np.abs(a_ext).max()) + half < 2**63
-        z = _accumulate_rescale(a_ext, w, frac_bits)
+        acc = _accumulate(a_ext, w, frac_bits)
         exact = a_ext.astype(object) @ w.astype(object)
-        assert np.array_equal(z, _floor_div_rescale(exact, fmt.scale, half))
-        a = tanh_lut_eval(z, lut)
+        assert acc.tolist() == exact.tolist()
+        a = tanh_lut_eval(_floor_div_rescale(acc, fmt.scale, half), lut)
+        assert np.array_equal(tanh_lut_eval(acc, lut, shift=frac_bits), a)
     got = infer_fixed(fp, x[:8])
     for x_row, row in zip(x[:8], got):
         assert row.tolist() == oracle_forward_q(fp, quantize_inputs(x_row, fmt))

@@ -1,19 +1,52 @@
-"""Source-level rules for the package's import graph and array types.
+"""Source-level rules for the package's import graph, array types and names.
 
 ``nn_core`` defines both network containers and the text format, and
 ``quantizer`` builds on it; an import back from ``nn_core`` would restore the
 cycle that once forced imports inside function bodies. The fixed-point
 kernel works in int64 alone, so no module may build an array of Python
-objects, which is how unbounded-integer arithmetic would come back.
+objects, which is how unbounded-integer arithmetic would come back. Every
+exported name and every module constant is read by the package, the bench
+or the tools, or is kept for a reason written down here.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "stresswatch"
+import stresswatch
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "stresswatch"
 MODULES = sorted(SRC.glob("*.py"))
+# the code that runs: the package (its export list is no caller), the bench
+# and the tools
+CALLER_FILES = sorted(
+    [p for p in MODULES if p.name != "__init__.py"]
+    + list((ROOT / "bench").rglob("*.py"))
+    + list((ROOT / "tools").rglob("*.py"))
+)
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+# Public names that none of CALLER_FILES reads, each with why it stays.
+UNREAD_KEPT = {
+    "predict": "prices a network of any size; the per-stage energy report will call it",
+    "ACQUISITION_DURATION_S": "measured figure behind ACQUISITION_ENERGY_J; "
+                              "the acquisition-time rate cap will read it",
+    "ECG_FRONTEND_POWER_W": "measured figure behind ACQUISITION_ENERGY_J; "
+                            "a continuous-sensing load will read it",
+    "GSR_FRONTEND_POWER_W": "measured figure behind ACQUISITION_ENERGY_J; "
+                            "a continuous-sensing load will read it",
+    "rmssd": "one-window oracle for the windowed RMSSD column",
+    "sdsd": "one-window oracle for the windowed SDSD column",
+    "nn50": "one-window oracle for the windowed NN50 column",
+    "detect_r_peaks": "one-window oracle for the windowed detector",
+    "gsr_slope_features": "one-window oracle for the windowed GSR columns",
+    "mse_gradients": "exposes the backward pass to the finite-difference test",
+    "build_network_b": "the paper's second reference network, promised API",
+    "footprint": "memory report of a loaded model, promised API",
+}
 
 
 def imported_modules(node):
@@ -83,3 +116,41 @@ def test_object_dtype_rule_sees_both_spellings():
     tree = ast.parse("a.astype(object) @ b.astype(np.object_)\n"
                      "np.array(x, dtype=object)\nnp.zeros(3, dtype=np.int64)\n")
     assert sorted(object_dtype_lines(tree)) == [1, 1, 2]
+
+
+def module_constants(tree):
+    """Names bound by module-level assignments that are spelled UPPER_CASE."""
+    names = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            names |= {n.id for n in ast.walk(target)
+                      if isinstance(n, ast.Name) and CONSTANT.fullmatch(n.id)}
+    return names
+
+
+def names_read(tree):
+    """Every name the code loads, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_every_public_name_has_a_caller():
+    trees = [ast.parse(p.read_text(encoding="utf-8"), filename=str(p)) for p in CALLER_FILES]
+    assert {"cli.py", "run.py", "gen_golden.py"} <= {p.name for p in CALLER_FILES}
+    read = set().union(*map(names_read, trees))
+    public = set(stresswatch.__all__).union(
+        *(module_constants(t) for p, t in zip(CALLER_FILES, trees) if p.parent == SRC))
+    assert UNREAD_KEPT.keys() <= public
+    # a kept name that gained a reader leaves the list
+    assert sorted(public - read) == sorted(UNREAD_KEPT)
+
+
+def test_caller_scan_ignores_definitions_and_strings():
+    tree = ast.parse("LIMIT = 3\ndef predict(): pass\nx = 'FLOOR'\ny = m.SPAN + DEPTH\n")
+    assert module_constants(tree) == {"LIMIT"}
+    assert names_read(tree) == {"m", "SPAN", "DEPTH"}
