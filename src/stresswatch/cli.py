@@ -497,9 +497,12 @@ def cmd_quantize(args) -> int:
     return EXIT_OK
 
 
+def _cell(v) -> str:
+    return str(v) if isinstance(v, (int, str)) else _fmt(v)
+
+
 def _print_table(rows: list[dict], columns: list[str]) -> None:
-    cells = [[str(r[c]) if isinstance(r[c], (int, str)) else _fmt(r[c]) for c in columns]
-             for r in rows]
+    cells = [[_cell(r[c]) for c in columns] for r in rows]
     widths = [max(len(col), *(len(row[i]) for row in cells)) if cells else len(col)
               for i, col in enumerate(columns)]
     print("  ".join(col.ljust(widths[i]) for i, col in enumerate(columns)).rstrip())
@@ -528,13 +531,8 @@ def cmd_report(args) -> int:
     if args.json:
         _emit_json({"rows": rows}, None)
     elif args.csv:
-        lines = [",".join(columns)]
-        for r in rows:
-            lines.append(",".join(
-                str(r[c]) if isinstance(r[c], (int, str)) else _fmt(r[c])
-                for c in columns
-            ))
-        sys.stdout.write("\n".join(lines) + "\n")
+        cells = [[_cell(r[c]) for c in columns] for r in rows]
+        sys.stdout.write("".join(",".join(row) + "\n" for row in [columns, *cells]))
     else:
         _print_table(rows, columns)
     return EXIT_OK
@@ -567,122 +565,144 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
 
     Entry ``k`` of the first spells ``k`` without leading zeros (0 as
     ``0``), entry ``k`` of the second without trailing zeros (0 as nothing);
-    entry ``10000 + k`` of both is the full spelling, such as ``0042``. A
-    dropped digit is a 0 byte.
+    entry ``10000 + k`` of both is the full spelling, such as ``0042``, and
+    entry 20000 is blank. A dropped digit is a 0 byte.
     """
     k = np.arange(10000)[:, None]
     col = np.arange(4)
     full = (48 + k // 10 ** (3 - col) % 10).astype(np.uint8)
     lead = np.where((k >= 10 ** (3 - col)) | (col == 3), full, 0).astype(np.uint8)
     trail = np.where(k % 10 ** (4 - col) != 0, full, 0).astype(np.uint8)
-    tables = tuple(np.concatenate([t, full]).view(np.uint32).ravel() for t in (lead, trail))
+    tables = tuple(np.concatenate([t, full, full[:1] * 0]).view(np.uint32).ravel()
+                   for t in (lead, trail))
     for t in tables:
         t.setflags(write=False)
     return tables
 
 
 class _SocWork:
-    """Work buffers for spelling up to ``size`` per-second lines, allocated
-    once and reused by every chunk: ``nj`` for the charges, int64 and uint32
-    scratch, the table indices, and the 24-byte rows, which live in a
-    ``bytearray`` so that ``translate`` compacts them without a copy first."""
+    """Work buffers for up to ``size`` per-second lines, reused by every chunk;
+    the rows of each width live in a ``bytearray`` that ``translate`` compacts."""
 
     def __init__(self, size: int):
         self.nj = np.empty(size, dtype=np.int64)
-        self.wide = np.empty((2, size), dtype=np.int64)
-        self.split = np.empty((10, size), dtype=np.uint32)
+        self.wide = np.empty((3, size), dtype=np.int64)
+        self.split = np.empty((8, size), dtype=np.uint32)
         self.count = np.arange(size, dtype=np.uint32)
         self.index = np.empty(size, dtype=np.intp)
-        self.mask = np.empty((2, size), dtype=bool)
-        self.text = bytearray(24 * size)
-        self.rows = np.frombuffer(self.text, dtype=np.uint8).reshape(size, 24)
+        self.mask = np.empty(size, dtype=bool)
+        self.texts: dict[int, bytearray] = {}
 
 
 def _soc_lines(start: int, n: np.ndarray, out: _SocWork | None = None) -> bytes | bytearray:
     """The lines ``f"{i},{v:.12g}\\n"`` of the charges ``v = n / 1e9`` J,
     given as int64 nJ ``n`` and numbered from ``start``, as ASCII bytes.
 
-    One int64 division splits each charge into whole joules and nJ; both,
-    and the index, are cut into 4-digit groups with uint32 arithmetic and
-    spelled through the 4-digit tables into a 24-byte row (index, comma,
-    integer part, point, 9 decimals, newline). Unused bytes are 0, and one
-    ``bytearray.translate`` drops them. Every step writes into the buffers
-    of ``out`` (fresh ones for ``n`` when None), which may be reused
-    across calls: each call rewrites every byte of the rows it returns. The
-    f-string is the reference: it formats the chunk whenever a charge needs
-    an exponent (below 1e-4 J) or may round to a 5th integer digit, or an
-    index has more than 8 digits.
+    A chunk's rows share one width: the index and the whole joules in as
+    many 4-digit groups as the chunk's largest of each needs (uint32, int64
+    past 2^32), a comma, a point, 9 decimals and a newline, all spelled
+    through the digit tables; ``bytearray.translate`` drops the unused 0
+    bytes. From D >= 4 integer digits on, the charge is first rounded to 12
+    significant digits, at 10^(D-3) nJ. The f-string spells single rows
+    only: the digits of a charge within the double's error of a half unit,
+    and the line of a charge below 1e-4 J (exponent notation). ``out``
+    (fresh for ``n`` when None) may be reused across calls.
     """
-    work = _SocWork(n.size) if out is None else out
     m = n.size
-    low, nonzero = work.mask[:, :m]
-    np.less(n, 10**5, out=low)
-    low &= np.not_equal(n, 0, out=nonzero)
-    top = n.max(initial=0)
-    if not (start + m <= 10**8 and top < 10**13 - 5 and not low.any()):
-        lines = enumerate((n / 1e9).tolist(), start)
-        return "".join(f"{i},{v:.12g}\n" for i, v in lines).encode("ascii")
-    rounded, scratch = work.wide[:, :m]
-    if top >= 10**12:
-        # from 1000 J on, 12 significant digits end at 10 nJ; on a 5 the binary
-        # value decides which way to round, as it does for the f-string
-        np.add(n, 5, out=rounded)
-        rounded //= 10
-        rounded *= 10
-        np.copyto(rounded, n, where=np.less(n, 10**12, out=low))
-        tie = np.flatnonzero(np.equal(np.subtract(rounded, n, out=scratch), 5, out=low))
-        rounded[tie] = [int(f"{v:.8f}".replace(".", "")) * 10 for v in (n[tie] / 1e9).tolist()]
-        n = rounded
-
-    lead, trail = _digit_tables()
-    whole, frac, i, i_hi, i_lo, f_hi, rest, f_lo, f_last, tmp = work.split[:, :m]
-    np.floor_divide(n, 10**9, out=scratch)
-    np.copyto(whole, scratch, casting="unsafe")
-    scratch *= 10**9
-    np.copyto(frac, np.subtract(n, scratch, out=scratch), casting="unsafe")
-    np.add(work.count[:m], start, out=i)
-    np.floor_divide(i, 10**4, out=i_hi)
-    np.subtract(i, np.multiply(i_hi, 10**4, out=i_lo), out=i_lo)
-    np.floor_divide(frac, 10**5, out=f_hi)
-    np.subtract(frac, np.multiply(f_hi, 10**5, out=rest), out=rest)
-    np.floor_divide(rest, 10, out=f_lo)
-    np.subtract(rest, np.multiply(f_lo, 10, out=f_last), out=f_last)
-
+    if not m:
+        return b""
+    work = _SocWork(m) if out is None else out
+    ping, pong, scratch = work.wide[:, :m]
+    band, index = work.mask[:m], work.index[:m]
+    low, high = int(n.min()), int(n.max())
+    tiny = np.flatnonzero((n > 0) & (n < 10**5)) if low < 10**5 else []
+    charge = n
+    for d in range(max(len(str(low // 10**9)), 4), len(str(high // 10**9)) + 1):
+        # the double n / 1e9 lies within n * 2^-52 of the charge, so only a
+        # charge within `slack` of a half unit may round the other way
+        unit, slack = 10 ** (d - 3), 10 ** (d + 9) >> 52
+        r = pong if charge is ping else ping
+        u = np.add(n.view(np.uint64), unit // 2, out=r.view(np.uint64))  # may exceed int64
+        u //= unit
+        u *= unit
+        # the rows below this band keep their charge; those above round again
+        np.copyto(r, charge, where=np.less(n, 10 ** (d + 8), out=band))
+        charge = r
+        np.abs(np.subtract(r, n, out=scratch), out=scratch)
+        tie = np.flatnonzero(np.greater_equal(scratch, unit // 2 - slack, out=band))
+        tie = tie[n[tie] < 10 ** (d + 9)]
+        r[tie] = [int(f"{v:.{12 - d}f}".replace(".", "")) * unit
+                  for v in (n[tie] / 1e9).tolist()]
+    last, top = start + m - 1, int(charge.max())
+    gi, gw = (-(-len(str(x)) // 4) for x in (last, top // 10**9))
+    width = 4 * (gi + gw) + 12
+    point = width - 11
+    if width not in work.texts:
+        work.texts[width] = bytearray(width * work.nj.size)
+    text = work.texts[width]
+    rows = np.frombuffer(text, dtype=np.uint8).reshape(-1, width)
     # rows past this chunk's are 0 throughout, so they drop out with the
     # unused bytes and the whole bytearray translates without a slice copy
-    work.rows[m:] = 0
-    rows, index = work.rows[:m], work.index[:m]
-    rows[:, 8] = ord(",")
-    rows[:, 23] = ord("\n")
-    # the rows whose index has no upper 4-digit group
-    head = min(max(10**4 - start, 0), m)
+    rows[m:] = 0
+    rows = rows[:m]
+    rows[:, 4 * gi] = ord(",")
+    rows[:, width - 1] = ord("\n")
+    lead, trail = _digit_tables()
+    whole, frac, i, f_hi, rest, f_lo, f_last, tmp = work.split[:, :m]
 
     def spell(col, table):
         np.take(table, index, out=tmp, mode="clip")
         rows[:, col:col + 4].view(np.uint32)[:, 0] = tmp
 
-    np.copyto(index, i_hi)
-    spell(0, lead)
-    rows[:head, 0:4] = 0
-    np.add(i_lo, 10**4, out=index)
-    index[:head] -= 10**4
-    spell(4, lead)
-    np.copyto(index, whole)
-    spell(9, lead)
+    def spell_groups(col, groups, v, lo, above, q):
+        # the lead table spells a value's first group (where ``first``), the
+        # full table those below it, and the blank entry those above it
+        for k in range(groups - 1, -1, -1):
+            unit = 10 ** (4 * k)
+            q = np.floor_divide(v, unit, out=q) if k else v
+            if k == groups - 1:
+                np.copyto(index, q)
+            else:
+                first = np.equal(above, 0, out=band) if lo < unit * 10**4 else None
+                np.subtract(q, np.multiply(above, 10**4, out=above), out=above)
+                np.add(above, 10**4, out=index)
+                if first is not None:
+                    np.subtract(index, 10**4, out=index, where=first)
+            if k and lo < unit:
+                np.copyto(index, 2 * 10**4, where=np.equal(q, 0, out=band))
+            spell(col + 4 * (groups - 1 - k), lead)
+            above, q = q, above
+
+    # uint32 with two scratch rows that the decimals fill later; int64 past 2^32
+    wide = np.empty((3, m), dtype=np.int64) if max(last, top // 10**9) >= 2**32 else None
+    i, spare = (i, (f_hi, rest)) if last < 2**32 else (wide[0], wide[1:])
+    np.add(work.count[:m], start, out=i, dtype=i.dtype)
+    spell_groups(0, gi, i, start, *spare)
+    whole, spare = (whole, (f_hi, rest)) if top < 2**32 * 10**9 else (wide[0], wide[1:])
+    np.floor_divide(charge, 10**9, out=scratch)
+    np.copyto(whole, scratch, casting="unsafe")
+    scratch *= 10**9
+    np.copyto(frac, np.subtract(charge, scratch, out=scratch), casting="unsafe")
+    spell_groups(4 * gi + 1, gw, whole, int(charge.min()) // 10**9 if gw > 1 else 0, *spare)
+
+    np.floor_divide(frac, 10**5, out=f_hi)
+    np.subtract(frac, np.multiply(f_hi, 10**5, out=rest), out=rest)
+    np.floor_divide(rest, 10, out=f_lo)
+    np.subtract(rest, np.multiply(f_lo, 10, out=f_last), out=f_last)
     # a decimal group keeps its trailing zeros when a later digit is not 0
-    for col, group, later in ((14, f_hi, rest), (18, f_lo, f_last)):
+    for col, group, later in ((point + 1, f_hi, rest), (point + 5, f_lo, f_last)):
         np.minimum(later, 1, out=tmp)
         tmp *= 10**4
         np.add(group, tmp, out=index)
         spell(col, trail)
-    np.minimum(frac, 1, out=tmp)
-    tmp *= ord(".")
-    rows[:, 13] = tmp
+    rows[:, point] = np.multiply(np.minimum(frac, 1, out=tmp), ord("."), out=tmp)
     np.minimum(f_last, 1, out=tmp)
     tmp *= ord("0")
     tmp += f_last
-    rows[:, 22] = tmp
-    return work.text.translate(None, b"\0")
+    rows[:, point + 9] = tmp
+    for j, v in zip(tiny, (n[tiny] / 1e9).tolist()):
+        text[j * width:(j + 1) * width] = f"{start + j},{v:.12g}\n".ljust(width, "\0").encode()
+    return text.translate(None, b"\0")
 
 
 def cmd_budget(args) -> int:
@@ -727,15 +747,7 @@ def cmd_budget(args) -> int:
                     fh.write(_soc_lines(s, n, work))
 
     if args.json:
-        doc = {
-            "scenario": scenario.name,
-            "platform": args.platform,
-            "daily_intake_j": report.daily_intake_j,
-            "detection_energy_j": report.detection_energy_j,
-            "max_detections_per_day": report.max_detections_per_day,
-            "max_detections_per_minute": report.max_detections_per_minute,
-            "detections_per_day_exact": report.detections_per_day_exact,
-        }
+        doc = {"scenario": scenario.name, "platform": args.platform, **vars(report)}
         if sim is not None:
             doc["simulation"] = {k: v for k, v in vars(sim).items() if k != "segments"}
         _emit_json(doc, None)
@@ -772,19 +784,7 @@ def cmd_footprint(args) -> int:
         sizes = _parse_sizes(args.sizes)
     fp = nn_core.footprint_of_sizes(sizes)
     if args.json:
-        _emit_json(
-            {
-                "layer_sizes": list(sizes),
-                "neurons": fp.neurons,
-                "weights": fp.weights,
-                "layers": fp.layers,
-                "neuron_bytes": fp.neuron_bytes,
-                "weight_bytes": fp.weight_bytes,
-                "layer_bytes": fp.layer_bytes,
-                "total_bytes": fp.total_bytes,
-            },
-            None,
-        )
+        _emit_json({"layer_sizes": list(sizes), **vars(fp)}, None)
     else:
         print(f"layers:       {'-'.join(str(s) for s in sizes)}")
         print(f"neurons:      {fp.neurons}")

@@ -65,7 +65,6 @@ class QFormat:
     """32-bit fixed-point format with ``frac_bits`` fractional bits."""
 
     frac_bits: int = 16
-    TOTAL_BITS: ClassVar[int] = 32
 
     def __post_init__(self):
         if not 1 <= self.frac_bits <= 30:

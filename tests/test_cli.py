@@ -1354,7 +1354,7 @@ def soc_lines_reference(start, n):
 # charge (nJ) -> its .12g spelling in joules
 SOC_NJ = {
     0: "0",
-    1: "1e-09",                        # exponent: the chunk falls back
+    1: "1e-09",                        # exponent: the f-string spells the row
     99999: "9.9999e-05",
     10**5: "0.0001",
     123456: "0.000123456",
@@ -1368,7 +1368,7 @@ SOC_NJ = {
     1598400000000: "1598.4",
     9999999999985: "9999.99999999",    # tie, the double lies above it
     9999999999994: "9999.99999999",
-    9999999999995: "9999.99999999",    # could round to 5 integer digits: falls back
+    9999999999995: "9999.99999999",    # tie, the double lies below it
     9999999999996: "10000",
     10**13: "10000",
 }
@@ -1386,7 +1386,8 @@ def test_soc_lines_match_the_f_string(start, nj):
 def test_soc_lines_match_the_f_string_on_whole_chunks(start):
     crafted = np.array(sorted(SOC_NJ), dtype=np.int64)
     fast = crafted[(crafted >= 10**5) & (crafted < 9999999999995)]
-    # each value below sends a chunk of otherwise fast values to the f-string
+    # a charge below 1e-4 J and a tie next to 5 integer digits, each among
+    # otherwise plain values
     odd = [20000, 9999999999995]
     for n in (crafted, fast, fast[:0], *(np.append(fast, v) for v in odd)):
         assert cli._soc_lines(start, n) == soc_lines_reference(start, n)
@@ -1449,6 +1450,74 @@ def test_soc_lines_reuse_one_work_buffer_without_stale_bytes(monkeypatch):
         assert got == soc_lines_reference(start, n)
     assert (above % 10 == 5).any() and (below < 10**12).all()
     assert b"." not in got
+
+
+def test_soc_lines_spell_a_brownout_ramp_with_one_exponent_row(monkeypatch):
+    # a ramp down to empty and back: one charge below 1e-4 J gets its own
+    # f-string row in the chunk the tables spell
+    n = np.concatenate([np.arange(5 * 10**9, -1, -10**7 - 3), np.zeros(100, np.int64),
+                        np.arange(37, 10**9, 10**7 + 11)])
+    assert ((n > 0) & (n < 10**5)).sum() == 1
+    lines = fast_soc_lines(monkeypatch, 1234, n)
+    assert lines == soc_lines_reference(1234, n)
+    assert b",3.7e-08\n" in lines
+
+
+def test_soc_lines_spell_every_digit_count_up_to_int64(monkeypatch):
+    # from 10^4 J to 2^63 - 1 nJ: at each count D of integer digits, a charge
+    # on the half unit 5 * 10^(D-4) nJ, the carry into D + 1 digits, the
+    # doubles that round a near-tie the other way, and random charges
+    ties = [10 ** (d + 8) + k * 10 ** (d - 3) + 5 * 10 ** (d - 4)
+            for d in range(4, 11) for k in (0, 1, 7 * 10**9 // 10 ** (d - 3))]
+    carries = [10 ** (d + 9) - 5 * 10 ** (d - 4) for d in range(4, 10)]
+    near = [9264622284805001, 9746990441644999, 61067335750250002, 40510193714449996,
+            700779915718499946, 164878984298499995, 6644859967544999806,
+            6792523486985000279]
+    n = np.array(sorted(ties + carries + near + [2**63 - 1]), dtype=np.int64)
+    rng = np.random.default_rng(63)
+    wide = rng.integers(10**13, 2**63 - 1, 2000, endpoint=True)
+    for chunk in (n, wide, np.concatenate([n, wide, n[::-1]])):
+        assert fast_soc_lines(monkeypatch, 0, chunk) == soc_lines_reference(0, chunk)
+    # the near-ties are where the double, not the exact charge, decides
+    exact = [(v + 5 * 10 ** (d - 4)) // 10 ** (d - 3)
+             for v in near for d in [len(str(v // 10**9))]]
+    spelled = [int(f"{v / 1e9:.{12 - len(str(v // 10**9))}f}".replace(".", "")) for v in near]
+    assert exact != spelled
+
+
+@pytest.mark.parametrize("start", [10**8 - 10, 2**32 - 10, 10**12 - 10])
+def test_soc_lines_spell_indices_of_any_length(monkeypatch, start):
+    rng = np.random.default_rng(start % 1000)
+    n = rng.integers(0, 2 * 10**12, 65536)
+    work = cli._SocWork(n.size)
+    work.nj[:] = n
+    got = fast_soc_lines(monkeypatch, start, work.nj, work)
+    assert got == soc_lines_reference(start, n)
+    assert got.startswith(f"{start},".encode()) and f"\n{start + 10}," in got.decode()
+
+
+def test_soc_lines_match_the_f_string_on_random_chunks(monkeypatch):
+    # charges of 0 to 19 digits in nJ with planted ties and near-ties, below
+    # 1e-4 J and at 2^63 - 1, numbered from both sides of each group
+    # boundary, through a fresh and a reused work buffer
+    rng = np.random.default_rng(2024)
+    work = cli._SocWork(300)
+    starts = [0, 9990, 10**8 - 20, 2**32 - 100, 10**11, 10**12 - 10]
+    for _ in range(300):
+        m = int(rng.integers(1, 300))
+        top = np.minimum(10.0 ** rng.integers(1, 20, m), 2.0**63 - 1024)
+        n = (rng.random(m) * top).astype(np.int64)
+        for j in rng.integers(0, m, m // 4):
+            d = int(rng.integers(4, 11))
+            unit = 10 ** (d - 3)
+            whole = int(rng.integers(10 ** (d + 8) // unit, min(10 ** (d + 9), 2**63) // unit))
+            n[j] = whole * unit + unit // 2 + (int(rng.integers(-3000, 3001)) if d > 6 else 0)
+        n[rng.integers(0, m, 2)] = rng.choice([1, 99999, 2**63 - 1], 2)
+        start = int(rng.choice(starts)) + int(rng.integers(0, 30))
+        want = soc_lines_reference(start, n)
+        assert fast_soc_lines(monkeypatch, start, n) == want
+        work.nj[:m] = n
+        assert fast_soc_lines(monkeypatch, start, work.nj[:m], work) == want
 
 
 def traced_peak(call):

@@ -5,8 +5,8 @@
 cycle that once forced imports inside function bodies. The fixed-point
 kernel works in int64 alone, so no module may build an array of Python
 objects, which is how unbounded-integer arithmetic would come back. Every
-exported name and every module constant is read by the package, the bench
-or the tools, or is kept for a reason written down here.
+exported name and every module or class constant is read by the package,
+the bench or the tools, or is kept for a reason written down here.
 """
 
 import ast
@@ -119,9 +119,13 @@ def test_object_dtype_rule_sees_both_spellings():
 
 
 def module_constants(tree):
-    """Names bound by module-level assignments that are spelled UPPER_CASE."""
+    """Names spelled UPPER_CASE that assignments bind at module level or in
+    a class body, such as a ``ClassVar``."""
     names = set()
-    for node in tree.body:
+    body = list(tree.body)
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            body.extend(node.body)
         targets = node.targets if isinstance(node, ast.Assign) else (
             [node.target] if isinstance(node, ast.AnnAssign) else [])
         for target in targets:
@@ -151,6 +155,8 @@ def test_every_public_name_has_a_caller():
 
 
 def test_caller_scan_ignores_definitions_and_strings():
-    tree = ast.parse("LIMIT = 3\ndef predict(): pass\nx = 'FLOOR'\ny = m.SPAN + DEPTH\n")
-    assert module_constants(tree) == {"LIMIT"}
-    assert names_read(tree) == {"m", "SPAN", "DEPTH"}
+    tree = ast.parse("LIMIT = 3\ndef predict(): pass\nx = 'FLOOR'\ny = m.SPAN + DEPTH\n"
+                     "class Q:\n    WIDTH: int = 32\n    bits = 16\n"
+                     "    def f(self):\n        LOCAL = 1\n")
+    assert module_constants(tree) == {"LIMIT", "WIDTH"}
+    assert names_read(tree) == {"m", "SPAN", "DEPTH", "int"}
