@@ -62,7 +62,7 @@ LABELS_HEADER = ("label",)
 # per file, at a fraction of its peak memory
 CLASSIFY_BLOCK_ROWS = 256
 # budget --soc-out formats and writes this many per-second lines at a time
-SOC_OUT_CHUNK_LINES = 65536
+SOC_OUT_CHUNK_LINES = 16384
 
 
 def _fmt(x: float) -> str:

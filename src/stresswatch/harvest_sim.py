@@ -21,7 +21,8 @@ A scenario is a 24 h schedule of segments, each with a set of active
 The state-of-charge simulator quantizes power to whole nanowatts and
 advances one segment at a time in integer nanojoules, so its energy
 bookkeeping is exact: intake - served - spilled always equals the charge
-delta, to the last nanojoule.
+delta, to the last nanojoule. Days that repeat an earlier one, exactly or
+shifted by a whole number of nanojoules, are copied instead of re-run.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import chain, count, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -229,6 +231,13 @@ def simulate_soc(
     bookkeeping is integer nanojoules, so the conservation identity
     final - initial == intake - served - spilled holds exactly, and
     ``charge_series_nj`` derives the charge of every second from ``segments``.
+
+    Repeated days are derived, not re-simulated. A day that ends at the
+    charge it started with repeats until the end of the run; a day that
+    pins nothing at 0 or capacity repeats raised by its net change, for as
+    many days as every segment end stays in [0, capacity]. Those days copy
+    the simulated day's records and totals exactly, so the cost follows the
+    number of distinct days, not ``days``.
     """
     if days < 1:
         raise ConfigError("days must be >= 1")
@@ -254,8 +263,9 @@ def simulate_soc(
     brownout_step = -1
     records = []
 
-    step = 0
-    for _ in range(days):
+    step = day = 0
+    while day < days:
+        day_start, first, before = c, len(records), (intake, served, spilled, unmet)
         for seconds, p in plan:
             # Within a segment the net rate is constant, so charge moves
             # linearly and then pins at a bound: the unclamped endpoint gives
@@ -275,6 +285,33 @@ def simulate_soc(
             records.append((step, seconds, start, gain, c))
             lo, hi = min(lo, c), max(hi, c)
             step += seconds
+        day += 1
+        # The next day starts where this one ended. If that is where this one
+        # started, every remaining day repeats it. If no segment was pinned
+        # (nothing spilled or unmet), the next days repeat it raised by
+        # ``shift`` each, for as long as every record end stays in
+        # [0, capacity]. Those days copy this day's records.
+        shift = c - day_start
+        day_records = records[first:]
+        ends = [r[4] for r in day_records]
+        if shift == 0:
+            k = days - day
+        elif (spilled, unmet) == before[2:]:
+            k = min(days - day, (cap - max(ends)) // shift if shift > 0 else min(ends) // -shift)
+        else:
+            continue
+        # one iterator per segment yields its copies in the k days, and zip
+        # interleaves them back into time order
+        copies = [zip(range(s + DAY_S, s + (k + 1) * DAY_S, DAY_S), repeat(n),
+                      count(c0 + shift, shift), repeat(g), count(c1 + shift, shift))
+                  for s, n, c0, g, c1 in day_records]
+        records.extend(chain.from_iterable(zip(*copies)))
+        intake, served, spilled, unmet = (
+            t + k * (t - t0) for t, t0 in zip((intake, served, spilled, unmet), before))
+        lo, hi = min(lo, min(ends) + k * shift), max(hi, max(ends) + k * shift)
+        c += k * shift
+        day += k
+        step += k * DAY_S
 
     assert c - c_init == intake - served - spilled
     return SocSimResult(

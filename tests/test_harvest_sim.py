@@ -5,7 +5,9 @@ Intake figures are recomputed in-test from the measured source powers
 builtin scenarios are pinned against hand arithmetic. The SoC simulator is
 checked on its integer bookkeeping: conservation to the nanojoule, charge
 bounds, closed-form brownout timing on constructed scenarios, and field-for-
-field agreement with a reference that steps the battery one second at a time.
+field agreement with a reference that steps the battery one second at a time
+and with one that simulates every day of a run instead of deriving repeated
+days.
 """
 
 import dataclasses
@@ -335,6 +337,195 @@ def test_soc_matches_per_second_reference_full_and_idle():
     )
     assert res.final_charge_j == res.min_charge_j == 3.0
     assert res.spilled_j == res.intake_j
+
+
+def per_day_soc(scenario, battery, rate_per_minute, detection_energy_j, days):
+    """Reference simulator: every day of the run stepped one segment at a
+    time, none of them copied from another. ``simulate_soc`` derives repeated
+    days instead and must agree with it on every field, ``segments`` included."""
+    plan = [
+        (int(round(seg.duration_s)), int(round(segment_power_w(seg) * 1e9)))
+        for seg in scenario.segments
+    ]
+    load = int(round(rate_per_minute * detection_energy_j * 1e9 / 60.0))
+    cap = nj(battery.capacity_j)
+    c = c_init = nj(battery.charge_j)
+    lo = hi = c
+    intake = served = spilled = unmet = 0
+    brownout_step = -1
+    records = []
+    step = 0
+    for _ in range(days):
+        for seconds, p in plan:
+            gain = p - load
+            end = c + gain * seconds
+            if end < 0 and brownout_step < 0 and load > 0:
+                brownout_step = step + c // -gain
+            deficit = max(-end, 0)
+            unmet += deficit
+            served += load * seconds - deficit
+            spilled += max(end - cap, 0)
+            intake += p * seconds
+            start = c
+            c = min(max(end, 0), cap)
+            records.append((step, seconds, start, gain, c))
+            lo, hi = min(lo, c), max(hi, c)
+            step += seconds
+    assert c - c_init == intake - served - spilled
+    return SocSimResult(
+        days=days,
+        final_charge_j=c / 1e9,
+        min_charge_j=lo / 1e9,
+        max_charge_j=hi / 1e9,
+        brownout=brownout_step >= 0,
+        first_brownout_s=float(brownout_step) if brownout_step >= 0 else None,
+        intake_j=intake / 1e9,
+        served_j=served / 1e9,
+        spilled_j=spilled / 1e9,
+        unmet_j=unmet / 1e9,
+        segments=tuple(records),
+    )
+
+
+def assert_matches_per_day(scenario, battery, rate, energy, days):
+    got = simulate_soc(scenario, battery, rate, energy, days=days)
+    assert vars(got) == vars(per_day_soc(scenario, battery, rate, energy, days))
+    return got
+
+
+def day_end_charges(sim):
+    """The charge in nJ at the end of each day, from the segment records."""
+    per_day = len(sim.segments) // sim.days
+    return [rec[4] for rec in sim.segments[per_day - 1::per_day]]
+
+
+def first_fixed_day(sim, start_nj):
+    """1-based index of the first day that ends at the charge it started
+    with, or None."""
+    starts = [start_nj, *day_end_charges(sim)]
+    return next((d for d in range(1, sim.days + 1) if starts[d] == starts[d - 1]), None)
+
+
+def few_segment_day(rng):
+    """A day of 1-9 segments cut at random whole seconds, each with up to
+    two random harvesters."""
+    pairs = [(kind, cond) for kind, conds in SOURCE_POWER_W.items() for cond in conds]
+    cuts = sorted(set(rng.integers(1, DAY_S, int(rng.integers(0, 9))).tolist()))
+    edges = [0, *cuts, DAY_S]
+    return HarvestScenario("few-segment-day", tuple(
+        Segment(float(b - a), tuple(pairs[i] for i in rng.choice(
+            len(pairs), int(rng.integers(0, 3)), replace=False)))
+        for a, b in zip(edges, edges[1:])
+    ))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_soc_matches_per_day_reference_randomized(seed):
+    # rates from idle to 50x what the day can pay for (and near it, where the
+    # charge drifts slowly either way), capacities from 1e-6 to 100x stock,
+    # empty, full and part-charged starts, 1 to 400 days
+    rng = np.random.default_rng(500 + seed)
+    builtins = list(builtin_scenarios().values())
+    stock = BatteryState().capacity_j
+    energy = 602.2e-6
+    for _ in range(80):
+        scenario = (builtins[int(rng.integers(len(builtins)))] if rng.random() < 0.3
+                    else few_segment_day(rng))
+        report = sustainable_rate(scenario, energy)
+        rate = [0.0, report.max_detections_per_minute,
+                report.detections_per_day_exact / 1440 * float(rng.uniform(0.9, 1.1)),
+                report.detections_per_day_exact / 1440 * float(rng.uniform(0.0, 50.0)),
+                ][int(rng.integers(4))]
+        cap = stock * 10 ** float(rng.uniform(-6, 2))
+        charge = [0.0, cap, float(rng.uniform(0.0, cap))][int(rng.integers(3))]
+        assert_matches_per_day(scenario, BatteryState(capacity_j=cap, charge_j=charge),
+                               rate, energy, int(rng.integers(1, 401)))
+
+
+def test_soc_drift_lands_exactly_on_capacity():
+    # 10/min on the indoor day nets about +12.8 J a day, peaking at the end
+    # of the sunny stretch: size the battery so that day 5's peak is exactly
+    # full, and day 6 spills
+    scenario = indoor_day_scenario()
+    probe = simulate_soc(scenario, BatteryState(capacity_j=1e3, charge_j=0.0), 10.0, 602.2e-6)
+    peak, shift = max(rec[4] for rec in probe.segments), probe.segments[-1][4]
+    assert 0 < shift < peak
+    cap = peak + 4 * shift
+    battery = BatteryState(capacity_j=cap / 1e9, charge_j=0.0)
+    assert nj(battery.capacity_j) == cap
+    five = assert_matches_per_day(scenario, battery, 10.0, 602.2e-6, days=5)
+    assert five.segments[-2][4] == cap
+    assert five.spilled_j == 0.0
+    seven = assert_matches_per_day(scenario, battery, 10.0, 602.2e-6, days=7)
+    assert seven.spilled_j > 0.0
+    assert seven.segments[:10] == five.segments
+
+
+@pytest.mark.parametrize("rest", [0, 12345], ids=["lands-on-0", "ends-above-0"])
+def test_soc_drift_toward_empty_browns_out_on_the_exact_second(rest):
+    # 40/min outruns the indoor day by about 13.2 J a day. From 5 days' worth
+    # plus ``rest`` nJ the charge drifts down unpinned for five days, ending
+    # at ``rest``; day 6 climbs through the sunny stretch and then runs dry
+    scenario = indoor_day_scenario()
+    probe = simulate_soc(scenario, BatteryState(capacity_j=1e3, charge_j=100.0), 40.0, 602.2e-6)
+    (_, sunny, _, up, _), (_, _, _, down, _) = probe.segments
+    shift = probe.segments[-1][4] - nj(100.0)
+    assert up > 0 > down and shift < 0
+    start = 5 * -shift + rest
+    battery = BatteryState(charge_j=start / 1e9)
+    assert nj(battery.charge_j) == start
+    res = assert_matches_per_day(scenario, battery, 40.0, 602.2e-6, days=8)
+    assert day_end_charges(res)[:6] == [start + d * shift for d in range(1, 6)] + [0]
+    assert res.first_brownout_s == 5 * DAY_S + sunny + (rest + up * sunny) // -down
+
+
+@pytest.mark.parametrize("start_j, fixed_day", [(0.0, 1), (5.0, 2), (20.0, 3)])
+def test_soc_fixed_point_first_reached_on_day(start_j, fixed_day):
+    # 40/min on the indoor day: from empty every day climbs and drains back to
+    # 0; from 5 J day 1 already runs dry; from 20 J day 1 drifts down unpinned
+    # and day 2 runs dry
+    res = assert_matches_per_day(indoor_day_scenario(), BatteryState(charge_j=start_j),
+                                 40.0, 602.2e-6, days=30)
+    assert first_fixed_day(res, nj(start_j)) == fixed_day
+    assert res.brownout
+
+
+@pytest.mark.parametrize("days", [1, 2, 30, 400])
+@pytest.mark.parametrize("scenario", [indoor_day_scenario(), outdoor_hour_scenario(),
+                                      dark_scenario()], ids=lambda s: s.name)
+@pytest.mark.parametrize("start", [0.0, 0.3, None], ids=["empty", "part", "full"])
+def test_soc_matches_per_day_reference_without_load(scenario, start, days):
+    battery = BatteryState(capacity_j=50.0, charge_j=None if start is None else 50.0 * start)
+    res = assert_matches_per_day(scenario, battery, 0.0, 602.2e-6, days)
+    assert res.served_j == res.unmet_j == 0.0
+
+
+@pytest.mark.parametrize("days", [1, 3, 10])
+def test_soc_matches_per_day_reference_with_zero_gain_segments(days):
+    # 1440/min at 1 uJ is a 24 uW load, exactly the warm-room TEG: the 18 h
+    # TEG-only stretch has zero net gain, and the day drifts up +19.44 J until
+    # a 100 J battery fills on day 6
+    battery = BatteryState(capacity_j=100.0, charge_j=0.0)
+    res = assert_matches_per_day(indoor_day_scenario(), battery, 1440.0, 1e-6, days)
+    assert [gain for _, _, _, gain, _ in res.segments[:2]] == [900000, 0]
+    # and a dark day without load holds any charge still
+    idle = assert_matches_per_day(dark_scenario(), battery, 0.0, 1e-6, days)
+    assert {gain for _, _, _, gain, _ in idle.segments} == {0}
+
+
+@pytest.mark.parametrize("regime", ["spill", "in-range", "brownout"])
+def test_soc_matches_per_day_reference_over_a_century(regime):
+    indoor, outdoor = indoor_day_scenario(), outdoor_hour_scenario()
+    scenario, battery, rate = {
+        "spill": (indoor, BatteryState(), sustainable_rate(indoor, 602.2e-6)
+                  .max_detections_per_minute),
+        "in-range": (outdoor, BatteryState(charge_j=0.25 * 1598.4),
+                     sustainable_rate(outdoor, 602.2e-6).max_detections_per_minute),
+        "brownout": (indoor, BatteryState(charge_j=0.01 * 1598.4), 500.0),
+    }[regime]
+    res = assert_matches_per_day(scenario, battery, rate, 602.2e-6, days=36500)
+    assert (res.spilled_j > 0, res.unmet_j > 0) == {
+        "spill": (True, False), "in-range": (False, False), "brownout": (False, True)}[regime]
 
 
 def test_charge_series_refuses_a_charge_beyond_int64_nanojoules():
