@@ -539,24 +539,27 @@ def cmd_report(args) -> int:
 
 
 def _resolve_scenario(args) -> hs.HarvestScenario:
+    hours = args.teg_hours is not None or args.solar_hours is not None
     if args.scenario_file:
-        if args.teg_hours is not None or args.solar_hours is not None:
+        if args.scenario is not None:
+            raise ConfigError("--scenario cannot be combined with --scenario-file")
+        if hours:
             raise ConfigError("--teg-hours/--solar-hours apply to built-in scenarios only")
         return hs.scenario_from_config(args.scenario_file)
-    name = args.scenario
+    name = "indoor-day" if args.scenario is None else args.scenario
     builtins = hs.builtin_scenarios()
     if name not in builtins:
         raise ConfigError(
             f"unknown scenario {name!r}; available: {', '.join(sorted(builtins))}"
         )
-    if name == "indoor-day":
-        return hs.indoor_day_scenario(
-            solar_hours=args.solar_hours if args.solar_hours is not None else 6.0,
-            teg_hours=args.teg_hours if args.teg_hours is not None else 24.0,
-        )
-    if args.teg_hours is not None or args.solar_hours is not None:
+    if not hours:
+        return builtins[name]
+    if name != "indoor-day":
         raise ConfigError("--teg-hours/--solar-hours apply to the indoor-day scenario only")
-    return builtins[name]
+    return hs.indoor_day_scenario(
+        solar_hours=args.solar_hours if args.solar_hours is not None else 6.0,
+        teg_hours=args.teg_hours if args.teg_hours is not None else 24.0,
+    )
 
 
 @functools.lru_cache(maxsize=None)
@@ -856,8 +859,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("budget", help="daily energy budget and sustainability")
-    p.add_argument("--scenario", default="indoor-day",
-                   help="built-in scenario name (see --help for files)")
+    p.add_argument("--scenario",
+                   help="built-in scenario name (default indoor-day; see --help for files)")
     p.add_argument("--scenario-file", help="YAML schedule instead of a built-in")
     p.add_argument("--platform", default="ri5cy_multi8")
     p.add_argument("--days", type=int, help="also run a state-of-charge simulation")

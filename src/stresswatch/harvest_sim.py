@@ -28,6 +28,7 @@ shifted by a whole number of nanojoules, are copied instead of re-run.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from itertools import chain, count, repeat
@@ -145,11 +146,18 @@ def outdoor_hour_scenario(hours: float = 1.0) -> HarvestScenario:
     return HarvestScenario("outdoor-1h", tuple(segs))
 
 
+@functools.lru_cache(maxsize=None)
+def _stock_scenarios() -> tuple[HarvestScenario, ...]:
+    return indoor_day_scenario(), outdoor_hour_scenario()
+
+
 def builtin_scenarios() -> dict[str, HarvestScenario]:
-    return {
-        "indoor-day": indoor_day_scenario(),
-        "outdoor-1h": outdoor_hour_scenario(),
-    }
+    """The built-in scenarios by name.
+
+    The two frozen scenarios are built once per process; each call returns
+    a new dict of them, so a caller's change to it reaches no other call.
+    """
+    return {s.name: s for s in _stock_scenarios()}
 
 
 def segment_power_w(seg: Segment) -> float:

@@ -19,8 +19,11 @@ Calibration constants can be replaced from a YAML document; see
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 import yaml
@@ -69,15 +72,22 @@ class CalibrationTable:
     reference networks named "A" and "B"; ``network_weights`` records their
     weight counts, which the cycle fit interpolates between. Every rule a
     table must meet is checked here, once, however the table was built, so
-    the functions that read a table only derive from it.
+    the functions that read a table only derive from it. The table keeps
+    read-only copies of the mappings it is given, so neither a later change
+    to them nor a write through the table can undo that check.
     """
 
-    clock_hz: dict[str, float]
-    cycles: dict[str, dict[str, int]]
-    energy_uj: dict[str, dict[str, float]]
-    network_weights: dict[str, int]
+    clock_hz: Mapping[str, float]
+    cycles: Mapping[str, Mapping[str, int]]
+    energy_uj: Mapping[str, Mapping[str, float]]
+    network_weights: Mapping[str, int]
 
     def __post_init__(self) -> None:
+        for name in ("clock_hz", "network_weights"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        for name in ("cycles", "energy_uj"):
+            nested = {p: MappingProxyType(dict(v)) for p, v in getattr(self, name).items()}
+            object.__setattr__(self, name, MappingProxyType(nested))
         weights = self.network_weights
         if set(weights) != set(NETWORK_NAMES):
             raise ConfigError(f"network_weights must define exactly A and B, got {sorted(weights)}")
@@ -159,14 +169,14 @@ class Prediction:
     energy_j: float
 
 
+@functools.lru_cache(maxsize=None)
 def builtin_calibration() -> CalibrationTable:
-    """The stock table for the four modeled targets."""
-    return CalibrationTable(
-        clock_hz=dict(_CLOCK_HZ),
-        cycles={p: dict(v) for p, v in _CYCLES.items()},
-        energy_uj={p: dict(v) for p, v in _ENERGY_UJ.items()},
-        network_weights=dict(_NETWORK_WEIGHTS),
-    )
+    """The stock table for the four modeled targets.
+
+    Built and checked on the first call; every later call in the process
+    returns that same read-only table.
+    """
+    return CalibrationTable(_CLOCK_HZ, _CYCLES, _ENERGY_UJ, _NETWORK_WEIGHTS)
 
 
 def fit_cycle_model(table: CalibrationTable) -> dict[str, CycleModel]:

@@ -1699,6 +1699,55 @@ def test_budget_scenario_file(capsys, tmp_path):
     assert out["daily_intake_j"] == pytest.approx(86400 * 155.4e-6, rel=1e-12)
 
 
+@pytest.mark.parametrize("name", ["outdoor-1h", "indoor-day"])
+def test_budget_scenario_with_a_scenario_file(capsys, tmp_path, name):
+    path = tmp_path / "teg.yaml"
+    path.write_text("segments:\n  - duration_h: 24\n")
+    code, stdout, stderr = run_cli(
+        capsys, "budget", "--scenario", name, "--scenario-file", str(path), "--json"
+    )
+    assert code == 5
+    assert stdout == ""
+    assert stderr == "error: --scenario cannot be combined with --scenario-file\n"
+
+
+def test_budget_builds_the_calibration_table_once(capsys, monkeypatch):
+    assert run_cli(capsys, "budget", "--days", "2", "--json")[0] == 0
+    built = []
+    check = perf_model.CalibrationTable.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(perf_model.CalibrationTable, "__post_init__", counted)
+    for _ in range(2):
+        assert run_cli(capsys, "budget", "--days", "2", "--json")[0] == 0
+    assert built == []
+    # the wrapper does see a table being built
+    perf_model.CalibrationTable(**vars(builtin_calibration()))
+    assert len(built) == 1
+
+
+def test_budget_hours_do_not_outlive_their_call(capsys):
+    code, short, _ = run_cli(
+        capsys, "budget", "--solar-hours", "3", "--teg-hours", "12", "--json"
+    )
+    assert code == 0
+    code, stock, _ = run_cli(capsys, "budget", "--json")
+    assert code == 0
+    assert json.loads(short)["daily_intake_j"] != json.loads(stock)["daily_intake_j"]
+    assert json.loads(stock)["daily_intake_j"] == pytest.approx(21.5136, abs=1e-9)
+
+
+@pytest.mark.parametrize("days", [[], ["--days", "3"]])
+def test_budget_default_hours_are_the_stock_indoor_day(capsys, days):
+    _, stock, _ = run_cli(capsys, "budget", *days, "--json")
+    _, spelled, _ = run_cli(
+        capsys, "budget", "--solar-hours", "6", "--teg-hours", "24", *days, "--json"
+    )
+    assert spelled == stock
+
 def test_budget_text_mode(capsys):
     code, stdout, _ = run_cli(capsys, "budget")
     assert code == 0

@@ -132,6 +132,19 @@ def test_scenario_construction_guards():
     assert builtin_scenarios()["indoor-day"].total_duration_s == DAY_S
 
 
+def test_builtin_scenarios_are_built_once_and_not_shared():
+    first = builtin_scenarios()
+    assert first == {"indoor-day": indoor_day_scenario(), "outdoor-1h": outdoor_hour_scenario()}
+    stock = dict(first)
+    first["indoor-day"] = outdoor_hour_scenario(hours=5.0)
+    del first["outdoor-1h"]
+    first["commute"] = indoor_day_scenario(solar_hours=1.0)
+    again = builtin_scenarios()
+    assert again == stock and again is not first
+    # the frozen scenarios themselves are shared
+    assert all(again[name] is stock[name] for name in stock)
+
+
 # ---------------------------------------------------------------------------
 # sustainability
 

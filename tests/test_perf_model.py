@@ -7,6 +7,7 @@ against in-test recomputation from those same literals.
 
 import functools
 import re
+from operator import delitem, setitem
 from types import SimpleNamespace
 
 import pytest
@@ -170,6 +171,54 @@ def test_validation_errors():
     energy = {**ENERGY_UJ, "ibex": {"A": 4.0e18, "B": 1.6e20}}
     with pytest.raises(ConfigError, match="finite time and active power"):
         doctored_table(clock_hz={**CLOCK_HZ, "ibex": 1.0e300}, energy_uj=energy)
+
+
+def test_builtin_table_is_built_once():
+    assert builtin_calibration() is builtin_calibration()
+
+
+def stock_doc_table(tmp_path):
+    path = tmp_path / "calib.yaml"
+    path.write_text(yaml.safe_dump(table_to_doc(builtin_calibration())))
+    return load_calibration(path)
+
+
+@pytest.mark.parametrize("source", ["builtin", "yaml"])
+def test_tables_are_read_only(tmp_path, source):
+    t = builtin_calibration() if source == "builtin" else stock_doc_table(tmp_path)
+    writes = [
+        (setitem, t.clock_hz, "ibex", 1.0),
+        (setitem, t.cycles, "esp32", {"A": 1, "B": 2}),
+        (setitem, t.cycles["ibex"], "A", 1),
+        (setitem, t.energy_uj, "ibex", {}),
+        (setitem, t.energy_uj["ri5cy_multi8"], "A", -1e9),
+        (setitem, t.network_weights, "A", 1),
+        (delitem, t.cycles["ibex"], "B"),
+    ]
+    for write, *args in writes:
+        with pytest.raises(TypeError, match="mappingproxy"):
+            write(*args)
+    assert detection_energy("ri5cy_multi8", t) == pytest.approx(602.2e-6, rel=1e-12)
+    assert t == builtin_calibration()
+
+
+def test_table_keeps_its_own_copy_of_the_inputs():
+    clock = dict(CLOCK_HZ)
+    cycles = {p: dict(v) for p, v in CYCLES.items()}
+    energy = {p: dict(v) for p, v in ENERGY_UJ.items()}
+    weights = dict(WEIGHTS)
+    t = CalibrationTable(clock, cycles, energy, weights)
+    clock["ibex"] = 0.0
+    cycles["ibex"]["A"] = -1
+    cycles["esp32"] = {"A": 1, "B": 2}
+    energy["ri5cy_multi8"]["A"] = -1e9
+    del weights["B"]
+    assert t.clock_hz == CLOCK_HZ
+    assert t.cycles == CYCLES
+    assert t.energy_uj == ENERGY_UJ
+    assert t.network_weights == WEIGHTS
+    assert t == builtin_calibration()
+    assert detection_energy("ri5cy_multi8", t) == pytest.approx(602.2e-6, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
