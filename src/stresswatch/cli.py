@@ -69,12 +69,35 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+@contextlib.contextmanager
+def _open_output(path: str):
+    """A binary handle that writes ``path`` over its old bytes, cut to length.
+
+    An existing file is not truncated on open: the new bytes go over its
+    pages, because truncating a 47 MB ``--soc-out`` file on open made each
+    rerun about 50 ms slower on ext4 (``BENCH_25.json``). On exit, after an
+    error too, the handle is flushed and a regular file is cut at the offset
+    actually written, so it holds exactly the bytes written and nothing of
+    the old file. A pipe or a device such as ``/dev/null`` is not cut.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        try:
+            yield fh
+        finally:
+            try:
+                fh.flush()
+            finally:
+                fd = fh.fileno()
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+
+
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(text)
+        with _open_output(path) as fh:
+            fh.write(text.encode("ascii"))
 
 
 def _emit_json(obj, path: str | None) -> None:
@@ -436,14 +459,8 @@ def cmd_train(args) -> int:
     if norm is None:
         _remove_stale(sidecar)
     else:
-        with open(sidecar, "w", encoding="ascii") as fh:
-            json.dump(
-                {"mean": [float(v) for v in norm[0]], "std": [float(v) for v in norm[1]]},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
+        _emit_json({"mean": [float(v) for v in norm[0]], "std": [float(v) for v in norm[1]]},
+                   sidecar)
 
     if args.json:
         _emit_json(
@@ -743,7 +760,7 @@ def cmd_budget(args) -> int:
                 ) from None
             total = sim.days * hs.DAY_S
             work = _SocWork(min(SOC_OUT_CHUNK_LINES, total))
-            with open(args.soc_out, "wb") as fh:
+            with _open_output(args.soc_out) as fh:
                 fh.write(b"t_s,charge_j\n")
                 for s in range(0, total, SOC_OUT_CHUNK_LINES):
                     n = hs.charge_series_nj(sim, s, min(s + SOC_OUT_CHUNK_LINES, total), work.nj)

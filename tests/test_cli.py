@@ -14,6 +14,7 @@ import math
 import os
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1606,6 +1607,10 @@ def test_budget_soc_out_rejects_a_capacity_beyond_int64_nanojoules(capsys, tmp_p
     assert "--battery-mah" in stderr and "--battery-volts" in stderr
     assert "Traceback" not in stderr
     assert not soc.exists()
+    # checked before the file is opened, so an existing file keeps its bytes
+    soc.write_bytes(b"t_s,charge_j\n0,1\n" * 1000)
+    assert run_cli(capsys, *args, "--soc-out", str(soc)) == (5, "", stderr)
+    assert soc.read_bytes() == b"t_s,charge_j\n0,1\n" * 1000
     code, stdout, _ = run_cli(capsys, *args, "--json")
     assert code == 0
     assert json.loads(stdout)["simulation"]["spilled_j"] > 0
@@ -1623,6 +1628,86 @@ def test_budget_soc_out_with_a_load_beyond_int64_nanojoules(capsys, tmp_path):
     assert lines[0] == "t_s,charge_j"
     assert len(lines) == 1 + 86400
     assert {line.split(",")[1] for line in lines[1:]} == {"0"}
+
+
+# every kind of output written through cli._open_output: the arguments that
+# write it to a path, and the file written there
+REWRITTEN = {
+    "budget --soc-out": lambda d, out: (
+        ("budget", "--days", "1", "--start-charge", "0.5", "--soc-out", out), out),
+    "features -o": lambda d, out: (
+        ("features", str(d / "ecg_60s.csv"), str(d / "gsr_60s.csv"), "-o", out), out),
+    "features --json -o": lambda d, out: (
+        ("features", str(d / "ecg_60s.csv"), str(d / "gsr_60s.csv"), "--json", "-o", out),
+        out),
+    "train sidecar": lambda d, out: (
+        ("train", *map(str, write_training_set(Path(out).parent)[:2]), "-o", out,
+         "--epochs", "5"), out + ".norm.json"),
+}
+
+
+def rewritten(capsys, data_dir, case, out):
+    """Run ``case`` with output path ``out``; the written file's bytes."""
+    args, written = REWRITTEN[case](data_dir, str(out))
+    assert run_cli(capsys, *args)[0] == 0
+    with open(written, "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("case", REWRITTEN)
+def test_a_rerun_leaves_exactly_the_new_bytes(capsys, data_dir, tmp_path, case):
+    # an existing file is written over in place, then cut at the last byte
+    # written: longer, shorter, equally long or empty, it ends as a fresh file
+    want = rewritten(capsys, data_dir, case, tmp_path / "fresh")
+    out = tmp_path / "out"
+    _, written = REWRITTEN[case](data_dir, str(out))
+    for old in (want + b"9,0.5\n" * 5000, want[: len(want) // 2], want[::-1], b""):
+        with open(written, "wb") as fh:
+            fh.write(old)
+        assert rewritten(capsys, data_dir, case, out) == want
+
+
+@pytest.mark.parametrize("case", REWRITTEN)
+def test_a_write_only_file_is_rewritten(capsys, data_dir, tmp_path, case):
+    # the file is opened write-only, as "wb" opened it, and keeps its mode
+    want = rewritten(capsys, data_dir, case, tmp_path / "fresh")
+    out = tmp_path / "out"
+    _, written = REWRITTEN[case](data_dir, str(out))
+    with open(written, "wb") as fh:
+        fh.write(want * 2)
+    os.chmod(written, 0o200)
+    assert rewritten(capsys, data_dir, case, out) == want
+    assert os.stat(written).st_mode & 0o777 == 0o200
+
+
+def test_dev_null_takes_soc_out_and_o(capsys, data_dir):
+    # a device is written but not cut: ftruncate on it fails
+    code, stdout, stderr = run_cli(capsys, "budget", "--days", "1", "--soc-out", os.devnull,
+                                   "--json")
+    assert (code, stderr) == (0, "")
+    assert json.loads(stdout)["simulation"]["days"] == 1
+    assert run_cli(capsys, "features", str(data_dir / "ecg_60s.csv"),
+                   str(data_dir / "gsr_60s.csv"), "-o", os.devnull) == (0, "", "")
+
+
+def test_a_failed_soc_out_leaves_only_the_bytes_written_before_it(capsys, tmp_path, monkeypatch):
+    soc = tmp_path / "soc.csv"
+    args = ("budget", "--days", "1", "--start-charge", "0.5", "--soc-out", str(soc))
+    assert run_cli(capsys, *args)[0] == 0
+    chunks = []
+    real = cli._soc_lines
+
+    def fail_third(*a):
+        if len(chunks) == 2:
+            raise OSError(28, "No space left on device")
+        chunks.append(real(*a))
+        return chunks[-1]
+
+    monkeypatch.setattr(cli, "_soc_lines", fail_third)
+    # the error maps to exit 2 as an open file's write error always did; the
+    # file is cut after the second chunk, not left with the old run's tail
+    assert run_cli(capsys, *args) == (2, "", "error: [Errno 28] No space left on device\n")
+    assert soc.read_bytes() == b"t_s,charge_j\n" + b"".join(chunks)
 
 
 def test_budget_start_charge_validation(capsys):

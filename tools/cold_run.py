@@ -9,9 +9,16 @@ package's ``src/`` directory first on ``PYTHONPATH`` and its output discarded.
 The child's resource usage comes from ``os.wait4``, so it is that child's
 alone: the peak resident set (``ru_maxrss``) and the minor page faults
 (``ru_minflt``), import and set-up included. One line gives the median of
-each over the runs, with the wall time. An in-process benchmark hides these
-costs: the first call in a process pays the page faults of its buffers, and
-later calls reuse the memory.
+each over the runs, with the wall time, and the first run's wall time
+beside the median wall time. An in-process benchmark hides these costs:
+the first call in a process pays the page faults of its buffers, and later
+calls reuse the memory.
+
+The runs share their arguments, so an output path is written afresh by run 1
+only when it did not exist before, and rewritten by runs 2..n: in the example
+above, with no ``/tmp/soc.csv`` at the start, the first wall time is a fresh
+write and the median a rewrite. Run 1 also pays any cold start of the
+interpreter's files.
 """
 
 from __future__ import annotations
@@ -58,7 +65,8 @@ def main(argv=None) -> int:
         return 1
     wall, maxrss, minflt = (statistics.median(r[k] for r in runs)
                             for k in ("wall_s", "maxrss_mb", "minflt"))
-    print(f"runs {len(runs)}  wall {wall:.3f} s  maxrss {maxrss:.1f} MB  minflt {minflt:.0f}")
+    print(f"runs {len(runs)}  wall {wall:.3f} s (first {runs[0]['wall_s']:.3f} s)  "
+          f"maxrss {maxrss:.1f} MB  minflt {minflt:.0f}")
     return 0
 
 
