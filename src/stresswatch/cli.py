@@ -53,6 +53,11 @@ EXIT_PARSE = 2
 EXIT_DATA = 3
 EXIT_SHAPE = 4
 EXIT_CONFIG = 5
+# main's exit code for each error it reports; the first matching type wins,
+# so StressWatchError takes the other data problems (insufficient data,
+# divergence, fixed-point range)
+_ERROR_EXITS = ((ParseError, EXIT_PARSE), (ShapeError, EXIT_SHAPE), (ConfigError, EXIT_CONFIG),
+                (StressWatchError, EXIT_DATA), (OSError, EXIT_PARSE))
 
 ECG_HEADER = ("time_s", "ecg")
 GSR_HEADER = ("time_s", "gsr_uS")
@@ -916,22 +921,9 @@ def main(argv=None) -> int:
     command = globals()["cmd_" + args.command]
     try:
         return command(args)
-    except ParseError as exc:
+    except tuple(kind for kind, _ in _ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ShapeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SHAPE
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except StressWatchError as exc:
-        # insufficient data, divergence, fixed-point range: data problems
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return next(code for kind, code in _ERROR_EXITS if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -30,7 +30,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, count, repeat
 from operator import itemgetter
 
@@ -69,8 +69,30 @@ class Segment:
 
 @dataclass(frozen=True)
 class HarvestScenario:
+    """A 24 h schedule, checked when built: the segments must cover exactly
+    24 h in whole seconds of known (kind, condition) pairs. ``plan`` holds
+    one (whole seconds, intake nW) pair per segment."""
+
     name: str
     segments: tuple[Segment, ...]
+    plan: tuple[tuple[int, int], ...] = field(init=False, compare=False)
+
+    def __post_init__(self):
+        # a non-finite duration fails here, before int(round(...)) below
+        if abs(self.total_duration_s - DAY_S) > 1e-6:
+            raise ConfigError(
+                f"scenario {self.name!r} covers {self.total_duration_s} s, "
+                f"daily budgets need exactly {DAY_S} s"
+            )
+        seconds = [int(round(seg.duration_s)) for seg in self.segments]
+        for seg, whole in zip(self.segments, seconds):
+            if abs(whole - seg.duration_s) > 1e-6:
+                raise ConfigError(f"segment duration {seg.duration_s} s is not a whole second")
+        if sum(seconds) != DAY_S:
+            raise ConfigError("scenario segments must tile exactly 24 h of whole seconds")
+        object.__setattr__(self, "plan", tuple(
+            (whole, int(round(segment_power_w(seg) * 1e9)))
+            for seg, whole in zip(self.segments, seconds)))
 
     @property
     def total_duration_s(self) -> float:
@@ -175,18 +197,10 @@ def segment_power_w(seg: Segment) -> float:
     return total
 
 
-def _require_full_day(scenario: HarvestScenario) -> None:
-    if abs(scenario.total_duration_s - DAY_S) > 1e-6:
-        raise ConfigError(
-            f"scenario {scenario.name!r} covers {scenario.total_duration_s} s, "
-            f"daily budgets need exactly {DAY_S} s"
-        )
-
-
 def daily_intake(scenario: HarvestScenario) -> float:
-    """Joules harvested over one 24 h pass of the schedule."""
-    _require_full_day(scenario)
-    return float(sum(seg.duration_s * segment_power_w(seg) for seg in scenario.segments))
+    """Joules harvested over one 24 h pass of the schedule, summed exactly
+    in nanojoules."""
+    return sum(s * p for s, p in scenario.plan) / 1e9
 
 
 def sustainable_rate(
@@ -206,21 +220,6 @@ def sustainable_rate(
         max_detections_per_minute=per_day / MINUTES_PER_DAY,
         detections_per_day_exact=exact,
     )
-
-
-def _day_plan_nw(scenario: HarvestScenario) -> list[tuple[int, int]]:
-    """(whole seconds, intake in nW) per segment; must tile exactly 24 h."""
-    plan = []
-    for seg in scenario.segments:
-        seconds = int(round(seg.duration_s))
-        if abs(seconds - seg.duration_s) > 1e-6:
-            raise ConfigError(
-                f"segment duration {seg.duration_s} s is not a whole second"
-            )
-        plan.append((seconds, int(round(segment_power_w(seg) * 1e9))))
-    if sum(s for s, _ in plan) != DAY_S:
-        raise ConfigError("scenario segments must tile exactly 24 h of whole seconds")
-    return plan
 
 
 def simulate_soc(
@@ -253,8 +252,6 @@ def simulate_soc(
         raise ConfigError("rate must be finite and >= 0")
     if not math.isfinite(detection_energy_j):
         raise ConfigError("detection energy must be finite")
-    _require_full_day(scenario)
-    plan = _day_plan_nw(scenario)
 
     load, cap, c = (rate_per_minute * detection_energy_j * 1e9 / SECONDS_PER_MINUTE,
                     battery.capacity_j * 1e9, battery.charge_j * 1e9)
@@ -274,7 +271,7 @@ def simulate_soc(
     step = day = 0
     while day < days:
         day_start, first, before = c, len(records), (intake, served, spilled, unmet)
-        for seconds, p in plan:
+        for seconds, p in scenario.plan:
             # Within a segment the net rate is constant, so charge moves
             # linearly and then pins at a bound: the unclamped endpoint gives
             # the unmet demand below 0 and the spill above capacity, and the
@@ -403,7 +400,7 @@ def scenario_from_config(path) -> HarvestScenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: invalid YAML: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("segments"), list):
         raise ConfigError(f"{path}: expected a mapping with a 'segments' list")
@@ -423,8 +420,11 @@ def scenario_from_config(path) -> HarvestScenario:
             duration = float(entry[key]) * (3600.0 if key == "duration_h" else 1.0)
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{path}: segment {i} {key} must be a number") from None
+        sources = entry.get("sources") or []
+        if not isinstance(sources, list):
+            raise ConfigError(f"{path}: segment {i} sources must be a list")
         pairs = []
-        for j, src in enumerate(entry.get("sources") or []):
+        for j, src in enumerate(sources):
             if not isinstance(src, dict) or "kind" not in src or "condition" not in src:
                 raise ConfigError(
                     f"{path}: segment {i} source {j} needs 'kind' and 'condition'"

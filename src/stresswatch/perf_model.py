@@ -250,7 +250,9 @@ def detection_energy(platform: str, table: CalibrationTable | None = None) -> fl
         raise ConfigError(
             f"unknown platform {platform!r}; choose from {sorted(table.cycles)}"
         )
-    return ACQUISITION_ENERGY_J + FEATURE_ENERGY_J + table.energy_uj[platform]["A"] * 1e-6
+    # summed in uJ, where the stock tables' terms add up without float noise
+    return (ACQUISITION_ENERGY_J * 1e6 + FEATURE_ENERGY_J * 1e6
+            + table.energy_uj[platform]["A"]) / 1e6
 
 
 def calibration_report(table: CalibrationTable | None = None) -> list[dict]:
@@ -305,7 +307,7 @@ def load_calibration(path) -> CalibrationTable:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
             raise ConfigError(f"{path}: invalid YAML: {exc}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("platforms"), dict):
         raise ConfigError(f"{path}: expected a mapping with a 'platforms' section")

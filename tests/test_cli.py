@@ -1253,6 +1253,16 @@ def test_budget_teg_hours_flag(capsys):
     assert code == 0
     doc = json.loads(stdout)
     assert doc["daily_intake_j"] == pytest.approx(21.4272, abs=1e-9)
+    # summed in nanojoules, the intake is spelled exactly
+    assert '"daily_intake_j": 21.4272,' in stdout
+
+
+def test_budget_refuses_a_day_of_fractional_seconds_with_and_without_days(capsys):
+    # 6.0001 h is 21600.36 s: the 24 h total holds, the whole seconds do not
+    refused = [run_cli(capsys, "budget", "--solar-hours", "6.0001", *days)
+               for days in ([], ["--days", "1"])]
+    assert refused[0] == refused[1] == (
+        5, "", "error: segment duration 21600.36 s is not a whole second\n")
 
 
 def test_budget_outdoor_scenario(capsys):
@@ -1263,6 +1273,8 @@ def test_budget_outdoor_scenario(capsys):
     doc = json.loads(stdout)
     assert doc["daily_intake_j"] == pytest.approx(88.9596, abs=1e-9)
     assert doc["detection_energy_j"] == pytest.approx(606.1e-6, rel=1e-9)
+    # summed in uJ, the detection energy is spelled exactly
+    assert '"detection_energy_j": 0.0006061,' in stdout
 
 
 def test_budget_unknown_scenario_lists_builtins(capsys):
@@ -1763,6 +1775,28 @@ def test_budget_scenario_file_with_a_non_numeric_duration(capsys, tmp_path, valu
     assert code == 5
     assert stdout == ""
     assert f"{path}: segment 0 duration_s must be a number" in stderr
+
+
+def test_budget_scenario_file_with_non_list_sources(capsys, tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text("segments:\n  - duration_h: 24\n    sources: 5\n")
+    code, stdout, stderr = run_cli(capsys, "budget", "--scenario-file", str(path))
+    assert code == 5
+    assert stdout == ""
+    assert stderr == f"error: {path}: segment 0 sources must be a list\n"
+
+
+@pytest.mark.parametrize("flag", ["--scenario-file", "--calibration"])
+def test_budget_input_file_that_is_not_utf8(capsys, tmp_path, flag):
+    path = tmp_path / "bad.yaml"
+    if flag == "--scenario-file":
+        path.write_bytes(b"# caf\xff\nsegments:\n  - duration_h: 24\n")
+    else:
+        path.write_bytes(b"# caf\xff\n" + yaml.safe_dump(calibration_doc()).encode())
+    code, stdout, stderr = run_cli(capsys, "budget", flag, str(path))
+    assert code == 5
+    assert stdout == ""
+    assert stderr.startswith(f"error: {path}: ") and "utf-8" in stderr
 
 
 def test_budget_scenario_file(capsys, tmp_path):

@@ -95,9 +95,23 @@ def test_dark_day_has_zero_intake():
 
 
 def test_intake_requires_full_day():
-    short = HarvestScenario("short", (Segment(23 * 3600.0),))
     with pytest.raises(ConfigError, match="86400"):
-        daily_intake(short)
+        daily_intake(HarvestScenario("short", (Segment(23 * 3600.0),)))
+
+
+def test_scenario_rules_are_checked_when_built():
+    # an infinite duration fails the 24 h total, before any rounding
+    with pytest.raises(ConfigError, match="86400"):
+        HarvestScenario("endless", (Segment(math.inf),))
+    with pytest.raises(ConfigError, match="unknown teg condition 'sauna'"):
+        HarvestScenario("sauna", (Segment(float(DAY_S), (("teg", "sauna"),)),))
+    day = indoor_day_scenario()
+    assert day.plan == ((21600, 924000), (64800, 24000))
+    assert daily_intake(day) == 21.5136
+    # the plan is derived from the segments: not an argument, not compared
+    assert day == HarvestScenario("indoor-day", day.segments)
+    with pytest.raises(TypeError):
+        HarvestScenario("indoor-day", day.segments, day.plan)
 
 
 def test_segment_power_combines_sources():
@@ -728,10 +742,8 @@ def test_soc_bad_arguments():
                          (1.0, math.nan)):
         with pytest.raises(ConfigError, match="finite"):
             simulate_soc(indoor_day_scenario(), battery, rate, energy)
-    ragged = HarvestScenario(
-        "ragged", (Segment(0.5), Segment(DAY_S - 0.5))
-    )
     with pytest.raises(ConfigError, match="whole second"):
+        ragged = HarvestScenario("ragged", (Segment(0.5), Segment(DAY_S - 0.5)))
         simulate_soc(ragged, battery, 1.0, 602.2e-6)
 
 
@@ -821,6 +833,11 @@ def test_scenario_yaml_error_cases(tmp_path):
     doc = {"segments": [{"duration_h": 24, "sources": [{"kind": "teg"}]}]}
     path.write_text(yaml.safe_dump(doc))
     with pytest.raises(ConfigError, match="'kind' and 'condition'"):
+        scenario_from_config(path)
+
+    doc = {"segments": [{"duration_h": 24, "sources": [{"kind": "teg", "condition": "sauna"}]}]}
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ConfigError, match="unknown teg condition 'sauna'"):
         scenario_from_config(path)
 
     path.write_text("segments: [:\n")
