@@ -536,8 +536,6 @@ def cmd_report(args) -> int:
     table = perf_model.load_calibration(args.calibration) if args.calibration \
         else perf_model.builtin_calibration()
     rows = perf_model.calibration_report(table)
-    if args.all and (args.platform or args.network):
-        raise ConfigError("--all cannot be combined with --platform/--network")
     if args.platform:
         if args.platform not in table.cycles:
             raise ConfigError(
@@ -875,7 +873,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="cycle/time/energy table for the platforms")
     p.add_argument("--network", choices=["A", "B"])
     p.add_argument("--platform")
-    p.add_argument("--all", action="store_true", help="show every platform and network")
     p.add_argument("--calibration", help="YAML calibration table (default built in)")
     p.add_argument("--csv", action="store_true")
     p.add_argument("--json", action="store_true")

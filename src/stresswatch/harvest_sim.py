@@ -142,30 +142,23 @@ class SocSimResult:
     segments: tuple[tuple[int, int, int, int, int], ...]
 
 
-def indoor_day_scenario(
-    solar_hours: float = 6.0,
-    teg_hours: float = 24.0,
-    teg_condition: str = "warm-room",
-) -> HarvestScenario:
-    """Indoor lighting for a few hours plus TEG wear; the rest of the day
-    idle. TEG wear time must cover the solar window."""
+def indoor_day_scenario(solar_hours: float = 6.0, teg_hours: float = 24.0) -> HarvestScenario:
+    """Indoor lighting for a few hours plus worst-case (warm-room) TEG wear;
+    the rest of the day idle. TEG wear time must cover the solar window."""
     if not 0 < solar_hours <= teg_hours <= 24.0:
         raise ConfigError("need 0 < solar_hours <= teg_hours <= 24")
-    segs = [Segment(solar_hours * 3600.0, (("solar", "indoor"), ("teg", teg_condition)))]
+    segs = [Segment(solar_hours * 3600.0, (("solar", "indoor"), ("teg", "warm-room")))]
     if teg_hours > solar_hours:
-        segs.append(Segment((teg_hours - solar_hours) * 3600.0, (("teg", teg_condition),)))
+        segs.append(Segment((teg_hours - solar_hours) * 3600.0, (("teg", "warm-room"),)))
     if teg_hours < 24.0:
         segs.append(Segment((24.0 - teg_hours) * 3600.0))
     return HarvestScenario("indoor-day", tuple(segs))
 
 
-def outdoor_hour_scenario(hours: float = 1.0) -> HarvestScenario:
-    if not 0 < hours <= 24.0:
-        raise ConfigError("need 0 < hours <= 24")
-    segs = [Segment(hours * 3600.0, (("solar", "outdoor"),))]
-    if hours < 24.0:
-        segs.append(Segment((24.0 - hours) * 3600.0))
-    return HarvestScenario("outdoor-1h", tuple(segs))
+def outdoor_hour_scenario() -> HarvestScenario:
+    """One hour of outdoor sun; the other 23 h idle."""
+    return HarvestScenario("outdoor-1h", (Segment(3600.0, (("solar", "outdoor"),)),
+                                          Segment(23 * 3600.0)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -384,7 +377,8 @@ def charge_series_nj(
 
 
 def scenario_from_config(path) -> HarvestScenario:
-    """Read a scenario from a YAML document.
+    """Read a scenario from a YAML document; every ``ConfigError`` it raises
+    starts with ``path``.
 
     Schema::
 
@@ -405,7 +399,7 @@ def scenario_from_config(path) -> HarvestScenario:
     if not isinstance(doc, dict) or not isinstance(doc.get("segments"), list):
         raise ConfigError(f"{path}: expected a mapping with a 'segments' list")
     name = str(doc.get("name", "custom"))
-    segments = []
+    specs = []
     for i, entry in enumerate(doc["segments"]):
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: segment {i} must be a mapping")
@@ -430,7 +424,10 @@ def scenario_from_config(path) -> HarvestScenario:
                     f"{path}: segment {i} source {j} needs 'kind' and 'condition'"
                 )
             pairs.append((str(src["kind"]), str(src["condition"])))
-        segments.append(Segment(duration, tuple(pairs)))
-    if not segments:
+        specs.append((duration, tuple(pairs)))
+    if not specs:
         raise ConfigError(f"{path}: scenario has no segments")
-    return HarvestScenario(name, tuple(segments))
+    try:
+        return HarvestScenario(name, tuple(Segment(d, pairs) for d, pairs in specs))
+    except ConfigError as exc:  # a rule of the day or a segment, checked when built
+        raise ConfigError(f"{path}: {exc}") from None

@@ -19,6 +19,7 @@ Calibration constants can be replaced from a YAML document; see
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 from collections.abc import Mapping
@@ -62,6 +63,9 @@ ACQUISITION_DURATION_S = 3.0
 ECG_FRONTEND_POWER_W = 171e-6
 GSR_FRONTEND_POWER_W = 30e-6
 FEATURE_ENERGY_J = 1e-6
+
+# no rounding: a sum of float spellings spans at most about 650 digits
+_EXACT = decimal.Context(prec=decimal.MAX_PREC)
 
 
 @dataclass(frozen=True)
@@ -227,13 +231,12 @@ def predict(net, profile: PlatformProfile) -> Prediction:
     return Prediction(cycles, time_s, time_s * profile.active_power_w)
 
 
-def speedup(table: CalibrationTable, platform: str, network: str,
-            baseline: str = "cortex_m4") -> float:
-    """Cycle-count ratio baseline/platform for one reference network."""
-    for p in (baseline, platform):
+def speedup(table: CalibrationTable, platform: str, network: str) -> float:
+    """Cycle-count ratio cortex_m4/platform for one reference network."""
+    for p in ("cortex_m4", platform):
         if p not in table.cycles:
             raise ConfigError(f"the calibration table has no platform {p!r}")
-    return table.cycles[baseline][network] / table.cycles[platform][network]
+    return table.cycles["cortex_m4"][network] / table.cycles[platform][network]
 
 
 def detection_energy(platform: str, table: CalibrationTable | None = None) -> float:
@@ -250,9 +253,10 @@ def detection_energy(platform: str, table: CalibrationTable | None = None) -> fl
         raise ConfigError(
             f"unknown platform {platform!r}; choose from {sorted(table.cycles)}"
         )
-    # summed in uJ, where the stock tables' terms add up without float noise
-    return (ACQUISITION_ENERGY_J * 1e6 + FEATURE_ENERGY_J * 1e6
-            + table.energy_uj[platform]["A"]) / 1e6
+    # the terms' shortest decimal spellings, summed exactly and rounded once
+    acq, feat, uj = (decimal.Decimal(repr(x)) for x in (
+        ACQUISITION_ENERGY_J, FEATURE_ENERGY_J, table.energy_uj[platform]["A"]))
+    return float(_EXACT.add(_EXACT.add(acq, feat), uj.scaleb(-6, _EXACT)))
 
 
 def calibration_report(table: CalibrationTable | None = None) -> list[dict]:

@@ -1002,6 +1002,15 @@ def test_quantize_carries_normalization_sidecar(capsys, tmp_path):
     assert outputs[0] == [str(v) for v in want]
 
 
+def test_quantize_text_names_the_copied_sidecar(capsys, data_dir, tmp_path):
+    fixed = tmp_path / "q.net"
+    code, stdout, stderr = run_cli(
+        capsys, "quantize", str(data_dir / "golden_train.net"), "-o", str(fixed))
+    assert (code, stderr) == (0, "")
+    assert stdout == (f"quantized to Q16.16 -> {fixed}\nsaturated weights: 0\n"
+                      f"normalization sidecar copied to {fixed}.norm.json\n")
+
+
 def test_quantize_without_a_sidecar_removes_a_stale_one(capsys, data_dir, tmp_path):
     fixed = tmp_path / "q.net"
     stale = tmp_path / "q.net.norm.json"
@@ -1083,6 +1092,42 @@ def test_classify_rejects_a_malformed_sidecar(capsys, data_dir, tmp_path, doc):
     assert stderr == f"error: {sidecar}: normalization sidecar is malformed\n"
 
 
+@pytest.mark.parametrize("text,code,message", [
+    ("{not json", 2, "{sidecar}: invalid normalization sidecar: Expecting property name "
+                     "enclosed in double quotes: line 1 column 2 (char 1)"),
+    ('{"mean": [0, 0, 0, 0], "std": [1, 1, 1, 1]}', 4,
+     "normalization sidecar length does not match features"),
+], ids=["invalid-json", "wrong-length"])
+def test_classify_rejects_a_sidecar_it_cannot_use(capsys, data_dir, tmp_path, text, code, message):
+    sidecar = tmp_path / "norm.json"
+    sidecar.write_text(text)
+    got = run_cli(
+        capsys, "classify", str(data_dir / "golden_features.csv"),
+        "--model", str(data_dir / "network_a_random.net"), "--norm-file", str(sidecar),
+    )
+    assert got == (code, "", f"error: {message.format(sidecar=sidecar)}\n")
+
+
+@pytest.mark.parametrize("sizes,code,message", [
+    ("5", 5, "--sizes needs at least 2 positive layer sizes"),
+    ("4,3", 4, "network takes 4 inputs, features have 5 columns"),
+])
+def test_train_rejects_sizes_that_do_not_fit(capsys, tmp_path, sizes, code, message):
+    feats, labels, _ = write_training_set(tmp_path)
+    out = tmp_path / "m.net"
+    got = run_cli(capsys, "train", str(feats), str(labels), "-o", str(out), "--sizes", sizes)
+    assert got == (code, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_train_rejects_a_header_only_feature_file(capsys, tmp_path):
+    feats, labels = tmp_path / "f.csv", tmp_path / "l.csv"
+    feats.write_text("rmssd_ms,sdsd_ms,nn50,gsrh_uS,gsrl_s\n")
+    labels.write_text("label\n")
+    got = run_cli(capsys, "train", str(feats), str(labels), "-o", str(tmp_path / "m.net"))
+    assert got == (3, "", "error: training set is empty\n")
+
+
 def test_train_zero_epochs_writes_the_initial_network(capsys, tmp_path):
     feats, labels, _ = write_training_set(tmp_path)
     code, _, _ = run_cli(
@@ -1098,7 +1143,7 @@ def test_train_zero_epochs_writes_the_initial_network(capsys, tmp_path):
 # report
 
 def test_report_csv_matches_library_rows(capsys):
-    code, stdout, _ = run_cli(capsys, "report", "--all", "--csv")
+    code, stdout, _ = run_cli(capsys, "report", "--csv")
     assert code == 0
     lines = stdout.splitlines()
     assert lines[0] == "platform,network,cycles,time_us,energy_uj,speedup_vs_cortex_m4"
@@ -1126,7 +1171,7 @@ def test_report_filters(capsys):
 
 
 def test_report_table_mode(capsys):
-    code, stdout, _ = run_cli(capsys, "report", "--all")
+    code, stdout, _ = run_cli(capsys, "report")
     assert code == 0
     lines = stdout.splitlines()
     assert lines[0].startswith("platform")
@@ -1148,9 +1193,6 @@ def test_report_errors(capsys):
     code, _, stderr = run_cli(capsys, "report", "--platform", "z80")
     assert code == 5
     assert "unknown platform" in stderr
-    code, _, stderr = run_cli(capsys, "report", "--all", "--network", "A")
-    assert code == 5
-    assert "--all" in stderr
 
 
 def calibration_doc():
@@ -1193,10 +1235,17 @@ def test_report_rejects_a_bad_calibration_table(capsys, tmp_path, fault):
     breaks(doc["platforms"])
     path = tmp_path / "calib.yaml"
     path.write_text(yaml.safe_dump(doc))
-    code, stdout, stderr = run_cli(capsys, "report", "--all", "--calibration", str(path))
+    code, stdout, stderr = run_cli(capsys, "report", "--calibration", str(path))
     assert code == 5
     assert stdout == ""
     assert named in stderr and "Traceback" not in stderr
+
+
+def test_report_rejects_a_calibration_platform_that_is_not_a_mapping(capsys, tmp_path):
+    path = tmp_path / "calib.yaml"
+    path.write_text("platforms:\n  ibex: 5\n")
+    got = run_cli(capsys, "report", "--calibration", str(path))
+    assert got == (5, "", f"error: {path}: platform 'ibex' must be a mapping\n")
 
 
 def test_budget_rejects_a_table_whose_powers_disagree(capsys, tmp_path):
@@ -1230,6 +1279,17 @@ def test_budget_takes_a_calibration_table_without_the_m4_baseline(capsys, tmp_pa
     code, stdout, _ = run_cli(capsys, "budget", "--calibration", str(path), "--json")
     assert code == 0
     assert json.loads(stdout)["max_detections_per_day"] == 35725
+
+
+def test_budget_spells_a_custom_tables_detection_energy_exactly(capsys, tmp_path):
+    doc = calibration_doc()
+    # 4.3 uJ summed in uJ gave 0.0006052999999999999 J; B keeps the power rule
+    doc["platforms"]["ri5cy_multi8"]["energy_uj"] = {"A": 4.3, "B": 77.4}
+    path = tmp_path / "calib.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    code, stdout, _ = run_cli(capsys, "budget", "--calibration", str(path), "--json")
+    assert code == 0
+    assert '"detection_energy_j": 0.0006053,' in stdout
 
 
 # ---------------------------------------------------------------------------
@@ -1784,6 +1844,27 @@ def test_budget_scenario_file_with_non_list_sources(capsys, tmp_path):
     assert code == 5
     assert stdout == ""
     assert stderr == f"error: {path}: segment 0 sources must be a list\n"
+
+
+def test_budget_scenario_file_names_itself_in_a_rule_it_breaks(capsys, tmp_path):
+    path = tmp_path / "bad.yaml"
+    path.write_text("segments:\n  - duration_h: 24\n"
+                    "    sources: [{kind: teg, condition: sauna}]\n")
+    code, stdout, stderr = run_cli(capsys, "budget", "--scenario-file", str(path))
+    assert code == 5
+    assert stdout == ""
+    assert stderr == (f"error: {path}: unknown teg condition 'sauna'; "
+                      "choose from ['cool-room', 'cool-room-wind', 'warm-room']\n")
+
+
+def test_budget_scenario_file_with_hours(capsys, tmp_path):
+    path = tmp_path / "teg.yaml"
+    path.write_text("segments:\n  - duration_h: 24\n")
+    code, stdout, stderr = run_cli(capsys, "budget", "--scenario-file", str(path),
+                                   "--teg-hours", "12")
+    assert code == 5
+    assert stdout == ""
+    assert stderr == "error: --teg-hours/--solar-hours apply to built-in scenarios only\n"
 
 
 @pytest.mark.parametrize("flag", ["--scenario-file", "--calibration"])

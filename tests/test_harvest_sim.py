@@ -129,8 +129,6 @@ def test_unknown_sources_rejected():
     assert str(condition.value) == (
         "unknown teg condition 'sauna'; choose from ['cool-room', 'cool-room-wind', 'warm-room']"
     )
-    with pytest.raises(ConfigError):
-        daily_intake(indoor_day_scenario(teg_condition="sauna"))
 
 
 def test_scenario_construction_guards():
@@ -138,8 +136,6 @@ def test_scenario_construction_guards():
         indoor_day_scenario(solar_hours=0.0)
     with pytest.raises(ConfigError):
         indoor_day_scenario(solar_hours=8.0, teg_hours=6.0)
-    with pytest.raises(ConfigError):
-        outdoor_hour_scenario(hours=25.0)
     with pytest.raises(ConfigError):
         Segment(0.0)
     assert set(builtin_scenarios()) == {"indoor-day", "outdoor-1h"}
@@ -150,7 +146,7 @@ def test_builtin_scenarios_are_built_once_and_not_shared():
     first = builtin_scenarios()
     assert first == {"indoor-day": indoor_day_scenario(), "outdoor-1h": outdoor_hour_scenario()}
     stock = dict(first)
-    first["indoor-day"] = outdoor_hour_scenario(hours=5.0)
+    first["indoor-day"] = indoor_day_scenario(solar_hours=3.0)
     del first["outdoor-1h"]
     first["commute"] = indoor_day_scenario(solar_hours=1.0)
     again = builtin_scenarios()
@@ -820,6 +816,11 @@ def test_scenario_yaml_error_cases(tmp_path):
     with pytest.raises(ConfigError, match="no segments"):
         scenario_from_config(path)
 
+    path.write_text("segments: [5]\n")
+    with pytest.raises(ConfigError) as exc:
+        scenario_from_config(path)
+    assert str(exc.value) == f"{path}: segment 0 must be a mapping"
+
     doc = {"segments": [{"duration_h": 1, "duration_s": 3600}]}
     path.write_text(yaml.safe_dump(doc))
     with pytest.raises(ConfigError, match="exactly one of"):
@@ -835,10 +836,23 @@ def test_scenario_yaml_error_cases(tmp_path):
     with pytest.raises(ConfigError, match="'kind' and 'condition'"):
         scenario_from_config(path)
 
-    doc = {"segments": [{"duration_h": 24, "sources": [{"kind": "teg", "condition": "sauna"}]}]}
-    path.write_text(yaml.safe_dump(doc))
-    with pytest.raises(ConfigError, match="unknown teg condition 'sauna'"):
-        scenario_from_config(path)
+    # the rules Segment and HarvestScenario check when built name the file too
+    for segments, message in [
+        ([{"duration_h": 24, "sources": [{"kind": "teg", "condition": "sauna"}]}],
+         "unknown teg condition 'sauna'; choose from "
+         "['cool-room', 'cool-room-wind', 'warm-room']"),
+        ([{"duration_h": 24, "sources": [{"kind": "wind", "condition": "gale"}]}],
+         "unknown source kind 'wind'; choose from ['solar', 'teg']"),
+        ([{"duration_h": 25}, {"duration_h": -1}], "segment duration must be positive"),
+        ([{"duration_h": 23}], "scenario 'custom' covers 82800.0 s, "
+                               "daily budgets need exactly 86400 s"),
+        ([{"duration_s": 0.5}, {"duration_s": 86399.5}],
+         "segment duration 0.5 s is not a whole second"),
+    ]:
+        path.write_text(yaml.safe_dump({"segments": segments}))
+        with pytest.raises(ConfigError) as exc:
+            scenario_from_config(path)
+        assert str(exc.value) == f"{path}: {message}"
 
     path.write_text("segments: [:\n")
     with pytest.raises(ConfigError, match="invalid YAML"):

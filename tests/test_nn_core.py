@@ -345,6 +345,9 @@ def test_train_rejects_bad_shapes():
     net = build_mlp([2, 4, 1], seed=0)
     with pytest.raises(ShapeError):
         train(net, [(np.zeros(3), np.zeros(1))], epochs=1, learning_rate=0.1)
+    with pytest.raises(ShapeError) as exc:
+        train(net, [(np.zeros(2), np.zeros(2))], epochs=1, learning_rate=0.1)
+    assert str(exc.value) == "expected 1 targets, got 2"
     with pytest.raises(ShapeError):
         train(net, [], epochs=1, learning_rate=0.1)
 
@@ -429,6 +432,34 @@ def test_parse_errors_carry_line_numbers(mutate, lineno):
     with pytest.raises(ParseError) as exc:
         load_fann("\n".join(mutate(lines)))
     assert exc.value.line == lineno
+
+
+@pytest.mark.parametrize("header,message", [
+    ("SWNET_FLO_1\nlayers=2\nlayer_sizes=1 1", "line 2: expected 'num_layers=...', got 'layers=2'"),
+    ("SWNET_FLO_1\nnum_layers=2", "line 2: truncated header"),
+    ("SWNET_FLO_1\nnum_layers=1\nlayer_sizes=1", "line 2: need at least 2 layers, got 1"),
+    ("SWNET_FLO_1\nnum_layers=2\nlayer_sizes=1 x",
+     "line 3: layer_sizes has a non-integer entry: '1 x'"),
+    ("SWNET_FLO_1\nnum_layers=2\nlayer_sizes=1 0", "line 3: layer sizes must be positive"),
+    ("SWNET_FIX_1\nnum_layers=2\nlayer_sizes=1 1", "line 3: missing decimal_point line"),
+    ("SWNET_FIX_1\nnum_layers=2\nlayer_sizes=1 1\ndecimal_point=x",
+     "line 4: decimal_point is not an integer: 'x'"),
+    ("SWNET_FIX_1\nnum_layers=2\nlayer_sizes=1 1\ndecimal_point=31",
+     "line 4: decimal_point must be in [1, 30], got 31"),
+], ids=["wrong-key", "truncated", "one-layer", "non-integer-size", "zero-size",
+        "no-decimal-point", "non-integer-decimal-point", "decimal-point-range"])
+def test_header_errors(header, message):
+    with pytest.raises(ParseError) as exc:
+        load_fann(header + "\n")
+    assert str(exc.value) == message
+
+
+def test_read_fann_refuses_a_file_that_is_not_ascii(tmp_path):
+    path = tmp_path / "m.net"
+    path.write_bytes(save_fann(build_mlp([2, 2, 1], seed=0)).encode() + "# caf\u00e9\n".encode())
+    with pytest.raises(ParseError) as exc:
+        nn_core.read_fann(path)
+    assert str(exc.value) == f"{path}: not an ASCII text file"
 
 
 def test_missing_weight_detected():

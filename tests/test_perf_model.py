@@ -7,6 +7,7 @@ against in-test recomputation from those same literals.
 
 import functools
 import re
+from fractions import Fraction
 from operator import delitem, setitem
 from types import SimpleNamespace
 
@@ -275,11 +276,6 @@ def test_speedups_vs_m4():
     assert speedup(t, "ri5cy_multi8", "B") == pytest.approx(8.3345, abs=5e-4)
 
 
-def test_speedup_custom_baseline():
-    t = builtin_calibration()
-    assert speedup(t, "cortex_m4", "A", baseline="ri5cy_multi8") == 6126 / 30210
-
-
 # ---------------------------------------------------------------------------
 # detection energy
 
@@ -295,6 +291,18 @@ def test_detection_energy_values():
         assert detection_energy(p) == pytest.approx(
             600e-6 + 1e-6 + ENERGY_UJ[p]["A"] * 1e-6, rel=1e-12
         )
+        assert detection_energy(p) == float(f"{uj}e-6")  # spelled as the decimal sum
+
+
+@pytest.mark.parametrize("energy_uj", [4.3, 0.1, 123.456789012345, 7e-250, 3e280])
+def test_detection_energy_is_the_exact_sum_rounded_once(energy_uj):
+    # the reference: the three decimal spellings summed as rationals
+    want = float(Fraction(repr(perf_model.ACQUISITION_ENERGY_J))
+                 + Fraction(repr(perf_model.FEATURE_ENERGY_J)) + Fraction(repr(energy_uj)) / 10**6)
+    a, b = CYCLES["ibex"]["A"], CYCLES["ibex"]["B"]
+    t = CalibrationTable({"ibex": CLOCK_HZ["ibex"]}, {"ibex": CYCLES["ibex"]},
+                         {"ibex": {"A": energy_uj, "B": energy_uj * b / a}}, WEIGHTS)
+    assert detection_energy("ibex", t) == want
 
 
 def test_detection_energy_parts():
