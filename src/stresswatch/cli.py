@@ -27,7 +27,6 @@ import json
 import lzma
 import math
 import os
-import shutil
 import stat
 import sys
 import warnings
@@ -74,34 +73,11 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-@contextlib.contextmanager
-def _open_output(path: str):
-    """A binary handle that writes ``path`` over its old bytes, cut to length.
-
-    An existing file is not truncated on open: the new bytes go over its
-    pages, because truncating a 47 MB ``--soc-out`` file on open made each
-    rerun about 50 ms slower on ext4 (``BENCH_25.json``). On exit, after an
-    error too, the handle is flushed and a regular file is cut at the offset
-    actually written, so it holds exactly the bytes written and nothing of
-    the old file. A pipe or a device such as ``/dev/null`` is not cut.
-    """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        try:
-            yield fh
-        finally:
-            try:
-                fh.flush()
-            finally:
-                fd = fh.fileno()
-                if stat.S_ISREG(os.fstat(fd).st_mode):
-                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
-
-
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with _open_output(path) as fh:
+        with nn_core._open_output(path) as fh:
             fh.write(text.encode("ascii"))
 
 
@@ -497,7 +473,10 @@ def cmd_quantize(args) -> int:
     sidecar = args.model + ".norm.json"
     copied = args.output + ".norm.json"
     if os.path.exists(sidecar):
-        shutil.copyfile(sidecar, copied)
+        with open(sidecar, "rb") as fh:
+            norm = fh.read()
+        with nn_core._open_output(copied) as fh:
+            fh.write(norm)
     else:
         _remove_stale(copied)
         copied = None
@@ -740,6 +719,9 @@ def cmd_budget(args) -> int:
     scenario = _resolve_scenario(args)
     e_det = perf_model.detection_energy(args.platform, table)
     report = hs.sustainable_rate(scenario, e_det)
+    # one disjoint acquisition per detection caps the rate, whatever the energy
+    acq_limit = hs.SECONDS_PER_MINUTE / perf_model.ACQUISITION_DURATION_S
+    bound = "acquisition" if report.max_detections_per_minute > acq_limit else "energy"
 
     sim = None
     if args.days is not None:
@@ -763,14 +745,15 @@ def cmd_budget(args) -> int:
                 ) from None
             total = sim.days * hs.DAY_S
             work = _SocWork(min(SOC_OUT_CHUNK_LINES, total))
-            with _open_output(args.soc_out) as fh:
+            with nn_core._open_output(args.soc_out) as fh:
                 fh.write(b"t_s,charge_j\n")
                 for s in range(0, total, SOC_OUT_CHUNK_LINES):
                     n = hs.charge_series_nj(sim, s, min(s + SOC_OUT_CHUNK_LINES, total), work.nj)
                     fh.write(_soc_lines(s, n, work))
 
     if args.json:
-        doc = {"scenario": scenario.name, "platform": args.platform, **vars(report)}
+        doc = {"scenario": scenario.name, "platform": args.platform, **vars(report),
+               "acquisition_limit_per_minute": acq_limit, "binding_bound": bound}
         if sim is not None:
             doc["simulation"] = {k: v for k, v in vars(sim).items() if k != "segments"}
         _emit_json(doc, None)
@@ -784,6 +767,9 @@ def cmd_budget(args) -> int:
             f"({_fmt(report.max_detections_per_minute)}/min, "
             f"exact {report.detections_per_day_exact:.9g}/day)"
         )
+        why = (f" ({_fmt(acq_limit)}/min: one {_fmt(perf_model.ACQUISITION_DURATION_S)} s "
+               "acquisition per detection)") if bound == "acquisition" else ""
+        print(f"binding bound:     {bound}{why}")
         if sim is not None:
             print(f"simulated days:    {sim.days}")
             print(f"final charge:      {_fmt(sim.final_charge_j)} J")

@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import chain, count, repeat
 from operator import itemgetter
+from types import MappingProxyType
 
 import numpy as np
 import yaml
@@ -43,13 +44,16 @@ DAY_S = 86400
 SECONDS_PER_MINUTE = 60.0
 MINUTES_PER_DAY = 1440.0
 
-SOLAR_CONDITIONS_W = {"outdoor": 24.711e-3, "indoor": 0.9e-3}
-TEG_CONDITIONS_W = {
-    "warm-room": 24.0e-6,
-    "cool-room": 55.5e-6,
-    "cool-room-wind": 155.4e-6,
-}
-SOURCE_POWER_W = {"solar": SOLAR_CONDITIONS_W, "teg": TEG_CONDITIONS_W}
+# read-only, so no caller can make a later scenario disagree with the
+# built-in ones, which are built from it once per process
+SOURCE_POWER_W = MappingProxyType({
+    "solar": MappingProxyType({"outdoor": 24.711e-3, "indoor": 0.9e-3}),
+    "teg": MappingProxyType({
+        "warm-room": 24.0e-6,
+        "cool-room": 55.5e-6,
+        "cool-room-wind": 155.4e-6,
+    }),
+})
 
 BATTERY_CAPACITY_MAH = 120.0
 BATTERY_NOMINAL_V = 3.7

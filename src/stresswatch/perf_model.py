@@ -55,9 +55,10 @@ _NETWORK_WEIGHTS = {"A": 3003, "B": 81032}
 
 POWER_CONSISTENCY_LIMIT = 0.03
 
-# One detection's acquisition and feature costs. Only the two energies enter
-# the model; the duration and front-end powers are the measured figures
-# behind the acquisition energy, kept for reference.
+# One detection's acquisition and feature costs. The two energies price a
+# detection, and the duration caps the rate of disjoint acquisitions; the
+# front-end powers are the measured figures behind the acquisition energy,
+# kept for reference.
 ACQUISITION_ENERGY_J = 600e-6
 ACQUISITION_DURATION_S = 3.0
 ECG_FRONTEND_POWER_W = 171e-6

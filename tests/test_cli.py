@@ -1702,8 +1702,8 @@ def test_budget_soc_out_with_a_load_beyond_int64_nanojoules(capsys, tmp_path):
     assert {line.split(",")[1] for line in lines[1:]} == {"0"}
 
 
-# every kind of output written through cli._open_output: the arguments that
-# write it to a path, and the file written there
+# every kind of output written through nn_core._open_output: the arguments
+# that write it to a path, and the file written there
 REWRITTEN = {
     "budget --soc-out": lambda d, out: (
         ("budget", "--days", "1", "--start-charge", "0.5", "--soc-out", out), out),
@@ -1712,9 +1712,15 @@ REWRITTEN = {
     "features --json -o": lambda d, out: (
         ("features", str(d / "ecg_60s.csv"), str(d / "gsr_60s.csv"), "--json", "-o", out),
         out),
+    "train -o": lambda d, out: (
+        ("train", *map(str, write_training_set(Path(out).parent)[:2]), "-o", out,
+         "--epochs", "5"), out),
     "train sidecar": lambda d, out: (
         ("train", *map(str, write_training_set(Path(out).parent)[:2]), "-o", out,
          "--epochs", "5"), out + ".norm.json"),
+    "quantize -o": lambda d, out: (("quantize", str(d / "golden_train.net"), "-o", out), out),
+    "quantize sidecar": lambda d, out: (
+        ("quantize", str(d / "golden_train.net"), "-o", out), out + ".norm.json"),
 }
 
 
@@ -1953,6 +1959,23 @@ def test_budget_text_mode(capsys):
     assert code == 0
     assert "daily intake:      21.5136 J" in stdout
     assert "35725 detections/day" in stdout
+
+
+@pytest.mark.parametrize("hours, line, bound", [
+    ((), "binding bound:     acquisition (20/min: one 3 s acquisition per detection)",
+     "acquisition"),
+    (("--solar-hours", "1", "--teg-hours", "1"), "binding bound:     energy", "energy"),
+], ids=["stock-acquisition", "short-day-energy"])
+def test_budget_names_the_binding_bound(capsys, hours, line, bound):
+    # one disjoint 3 s acquisition per detection allows at most 20/min
+    code, stdout, _ = run_cli(capsys, "budget", *hours)
+    assert code == 0
+    lines = stdout.splitlines()
+    assert lines[lines.index(line) - 1].startswith("sustainable rate:  ")
+    code, stdout, _ = run_cli(capsys, "budget", *hours, "--json")
+    doc = json.loads(stdout)
+    assert (doc["acquisition_limit_per_minute"], doc["binding_bound"]) == (20.0, bound)
+    assert (doc["max_detections_per_minute"] > 20) == (bound == "acquisition")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ days.
 
 import dataclasses
 import math
+from operator import delitem, setitem
 
 import numpy as np
 import pytest
@@ -129,6 +130,21 @@ def test_unknown_sources_rejected():
     assert str(condition.value) == (
         "unknown teg condition 'sauna'; choose from ['cool-room', 'cool-room-wind', 'warm-room']"
     )
+
+
+def test_source_power_table_is_read_only():
+    # a write would make later scenarios disagree with the cached built-ins
+    writes = [
+        (setitem, SOURCE_POWER_W, "wind", {"gale": 1.0}),
+        (setitem, SOURCE_POWER_W["teg"], "warm-room", 1.0),
+        (setitem, SOURCE_POWER_W["solar"], "lamp", 1e-3),
+        (delitem, SOURCE_POWER_W["solar"], "indoor"),
+    ]
+    for write, *args in writes:
+        with pytest.raises(TypeError, match="mappingproxy"):
+            write(*args)
+    assert SOURCE_POWER_W["teg"]["warm-room"] == 24.0e-6
+    assert indoor_day_scenario().plan == builtin_scenarios()["indoor-day"].plan
 
 
 def test_scenario_construction_guards():

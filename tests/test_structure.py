@@ -5,6 +5,8 @@
 cycle that once forced imports inside function bodies. The fixed-point
 kernel works in int64 alone, so no module may build an array of Python
 objects, which is how unbounded-integer arithmetic would come back. Every
+file the package writes goes through ``nn_core._open_output``, so one policy
+(written over in place, then cut to length) holds for all of them. Every
 exported name and every module or class constant is read by the package,
 the bench or the tools, or is kept for a reason written down here.
 """
@@ -29,11 +31,12 @@ CALLER_FILES = sorted(
 )
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
+# the one function that may open a file for writing: (module file, name)
+OPENER = ("nn_core.py", "_open_output")
+
 # Public names that none of CALLER_FILES reads, each with why it stays.
 UNREAD_KEPT = {
     "predict": "prices a network of any size; the per-stage energy report will call it",
-    "ACQUISITION_DURATION_S": "measured figure behind ACQUISITION_ENERGY_J; "
-                              "the acquisition-time rate cap will read it",
     "ECG_FRONTEND_POWER_W": "measured figure behind ACQUISITION_ENERGY_J; "
                             "a continuous-sensing load will read it",
     "GSR_FRONTEND_POWER_W": "measured figure behind ACQUISITION_ENERGY_J; "
@@ -116,6 +119,118 @@ def test_object_dtype_rule_sees_both_spellings():
     tree = ast.parse("a.astype(object) @ b.astype(np.object_)\n"
                      "np.array(x, dtype=object)\nnp.zeros(3, dtype=np.int64)\n")
     assert sorted(object_dtype_lines(tree)) == [1, 1, 2]
+
+
+# calls that write a file under any owner: numpy's savers and the Path and
+# ndarray methods that open the file themselves
+WRITER_NAMES = {"save", "savez", "savez_compressed", "savetxt", "tofile",
+                "write_text", "write_bytes"}
+READ_MODE = re.compile(r"[rbt]+")
+
+
+def opens_for_writing(call, shutil_names):
+    """Whether a call can open a file for writing: a writer in
+    ``WRITER_NAMES``, ``os.open``, anything from ``shutil`` (``shutil_names``
+    holds the module's aliases and the names imported from it), the bare
+    ``open`` with a w, a, x or + mode or a mode that is not a literal, and a
+    ``<x>.open`` (``io``, ``lzma``, ``Path``, ...) without a literal read mode."""
+    func = call.func
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"]
+    if isinstance(func, ast.Name):
+        if func.id in WRITER_NAMES or func.id in shutil_names:
+            return True
+        if func.id != "open":
+            return False
+        modes = modes or call.args[1:2] or [ast.Constant("r")]
+    elif isinstance(func, ast.Attribute):
+        owner = func.value.id if isinstance(func.value, ast.Name) else None
+        if func.attr in WRITER_NAMES or owner in shutil_names:
+            return True
+        if func.attr != "open":
+            return False
+        if owner == "os":
+            return True
+        # the mode's position differs by owner: take any literal as it
+        modes = modes or [arg for arg in call.args if isinstance(arg, ast.Constant)]
+    else:
+        return False
+    return not modes or not all(isinstance(m, ast.Constant) and isinstance(m.value, str)
+                                and READ_MODE.fullmatch(m.value) for m in modes)
+
+
+def shutil_aliases(tree):
+    """Names that ``shutil`` or something imported from it is bound to."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            for alias in getattr(node, "names", ())
+            if isinstance(node, ast.Import) and alias.name == "shutil"
+            or isinstance(node, ast.ImportFrom) and node.module == "shutil"} | {"shutil"}
+
+
+def write_open_lines(tree, opener=None):
+    """Lines of calls that open a file for writing outside the function
+    named ``opener``."""
+    allowed = {id(node) for func in ast.walk(tree)
+               if isinstance(func, ast.FunctionDef) and func.name == opener
+               for node in ast.walk(func)}
+    names = shutil_aliases(tree)
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in allowed
+            and opens_for_writing(node, names)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_one_file_opener(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert write_open_lines(tree, OPENER[1] if path.name == OPENER[0] else None) == []
+
+
+WRITES = """open(p, 'w')
+open(p, mode='ab')
+open(p, 'r+b')
+open(p, 'x')
+open(p, m)
+os.open(p, f)
+shutil.copyfile(a, b)
+Path(p).write_text(s)
+q.write_bytes(b)
+io.open(p, 'w')
+io.open(p, m)
+io.open(p)
+Path(p).open('w')
+Path(p).open(mode=m)
+lzma.open(p, 'wb')
+gzip.open(p, mode='at')
+np.save(p, a)
+np.savetxt(p, a)
+numpy.savez_compressed(p, a=a)
+a.tofile(p)
+copyfile(a, b)
+sh.move(a, b)
+savetxt(p, a)
+"""
+READS = """import shutil as sh
+from shutil import copyfile
+open(p)
+open(p, 'rb')
+open(p, mode='r')
+io.open(p, 'r', encoding='ascii')
+Path(p).open('rb')
+lzma.open(p, mode='rt')
+fh.write(b)
+np.load(p)
+nn_core.write_fann(n, p)
+os.remove(p)
+def _open_output(p):
+    return open(os.open(p, f), 'wb')
+"""
+
+
+def test_file_opener_rule_sees_each_listed_spelling():
+    # every line of WRITES is caught; outside the opener, so is its own line
+    writes, last = WRITES.count("\n"), (WRITES + READS).count("\n")
+    tree = ast.parse(WRITES + READS)
+    assert sorted(write_open_lines(tree, "_open_output")) == list(range(1, writes + 1))
+    assert sorted(write_open_lines(tree)) == [*range(1, writes + 1), last, last]
 
 
 def module_constants(tree):
