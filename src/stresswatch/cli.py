@@ -88,10 +88,15 @@ def _emit_json(obj, path: str | None) -> None:
 def _read_csv(path: str, header: tuple[str, ...], kind: type = float) -> np.ndarray:
     """Rows under a checked header as a ``(rows, len(header))`` array of ``kind``.
 
-    The body is parsed in bulk by ``np.loadtxt``. Any file it does not take
-    cleanly (an error, a warning, a column count other than the header's)
-    goes through ``_scan_csv``, which defines what is accepted and reports
-    the offending line, so both paths give the same array or the same error.
+    The header is the first ``csv`` row, so it may be quoted; its cells,
+    stripped, must be ``header``. Any other first row, that of an empty file
+    or a blank first line included, is a ``ParseError`` at line 1.
+
+    The body is parsed in bulk by ``np.loadtxt``, which skips the lines the
+    header took. Any body it does not take cleanly (an error, a warning, a
+    column count other than the header's) goes through ``_scan_csv``, which
+    defines what is accepted and reports the offending line, so both paths
+    give the same array or the same error.
 
     ``np.loadtxt`` gets the absolute path, not the open handle: it parses a
     path in large chunks but a handle one line per ``next()``, which took
@@ -101,60 +106,54 @@ def _read_csv(path: str, header: tuple[str, ...], kind: type = float) -> np.ndar
     file named ``a.csv.gz`` raises ``OSError`` (``.xz``: ``LZMAError``) and
     goes through ``_scan_csv`` like any other file numpy does not take.
     A pipe or other non-regular file can be read only once, so its bytes
-    are read into memory first; ``np.loadtxt`` reads on from the in-memory
-    handle after the header, and ``_scan_csv`` reads that handle again.
+    are read into memory first, and ``np.loadtxt`` reads them through a
+    second in-memory handle.
     """
-    with contextlib.ExitStack() as stack:
-        fh = stack.enter_context(open(path, "r", encoding="utf-8-sig", newline=""))
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-            source, skip = os.path.abspath(path), 1
+            source = os.path.abspath(path)
         else:
-            data = io.BytesIO(fh.buffer.read())
-            fh = stack.enter_context(io.TextIOWrapper(data, encoding="utf-8-sig", newline=""))
-            source, skip = fh, 0
+            data = fh.buffer.read()
+            fh, source = (io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
+                          for _ in range(2))
+        rows = csv.reader(fh)
         try:
-            first = fh.readline()
+            cells = [c.strip() for c in next(rows, [])]
         except UnicodeDecodeError:
-            first = ""  # _scan_csv reports it
-        if '"' not in first and [c.strip() for c in first.split(",")] == list(header):
-            try:
-                with warnings.catch_warnings():
-                    # a header-only file warns "input contained no data"
-                    warnings.simplefilter("error")
-                    rows = np.loadtxt(
-                        source, skiprows=skip, encoding="utf-8-sig",
-                        delimiter=",", comments=None, ndmin=2, dtype=kind,
-                    )
-            except (ValueError, OSError, lzma.LZMAError, Warning):
-                pass
-            else:
-                if rows.shape[1] == len(header):
-                    return rows
-        fh.seek(0)
-        return _scan_csv(fh, path, header, kind)
+            raise ParseError(f"{path}: not a UTF-8 text file") from None
+        if cells != list(header):
+            raise ParseError(
+                f"expected header {','.join(header)!r}, got {','.join(cells)!r}", line=1
+            )
+        try:
+            with warnings.catch_warnings():
+                # a header-only file warns "input contained no data"
+                warnings.simplefilter("error")
+                body = np.loadtxt(
+                    source, skiprows=rows.line_num, encoding="utf-8-sig",
+                    delimiter=",", comments=None, ndmin=2, dtype=kind,
+                )
+        except (ValueError, OSError, lzma.LZMAError, Warning):
+            pass
+        else:
+            if body.shape[1] == len(header):
+                return body
+        return _scan_csv(rows, path, header, kind)
 
 
-def _scan_csv(fh, path: str, header: tuple[str, ...], kind: type) -> np.ndarray:
-    """The reference reader behind ``_read_csv``: the text handle ``fh``,
-    one ``csv`` row at a time.
+def _scan_csv(rows, path: str, header: tuple[str, ...], kind: type) -> np.ndarray:
+    """The reference reader of a body behind ``_read_csv``: ``rows``, the
+    ``csv`` reader of a text handle past its header, one row at a time.
 
     It alone takes quoted cells, Python number syntax such as ``1_0``, and
-    whitespace-only lines, and it raises ``ParseError`` with the line number,
-    or naming the file ``path`` when it is not UTF-8 text.
+    whitespace-only lines, and it raises ``ParseError`` with the line number
+    (the header's is 1), or naming the file ``path`` when it is not UTF-8 text.
     """
     values = []
     linenos = []  # the line of each data row
     try:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        for lineno, row in enumerate(rows, start=2):
             if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if lineno == 1:
-                cells = [c.strip() for c in row]
-                if cells != list(header):
-                    raise ParseError(
-                        f"expected header {','.join(header)!r}, got {','.join(cells)!r}",
-                        line=1,
-                    )
                 continue
             if len(row) != len(header):
                 raise ParseError(
@@ -195,10 +194,8 @@ def _check_finite(rows: np.ndarray, what: str) -> None:
         raise InsufficientDataError(f"{what} {row} contains a non-finite value")
 
 
-def _load_norm(model_path: str, norm_file: str | None, disabled: bool):
+def _load_norm(model_path: str, norm_file: str | None):
     """(mean, std) from the sidecar written by train, or None."""
-    if disabled:
-        return None
     path = norm_file if norm_file is not None else model_path + ".norm.json"
     if norm_file is None and not os.path.exists(path):
         return None
@@ -271,10 +268,12 @@ def _qformat(frac_bits: int) -> QFormat:
 
 
 def cmd_classify(args) -> int:
+    if args.norm_file is not None and args.no_norm:
+        raise ConfigError("--norm-file cannot be combined with --no-norm")
     qformat = _qformat(16 if args.frac_bits is None else args.frac_bits)
     features = _read_csv(args.features, bf.FEATURE_NAMES)
     model = nn_core.read_fann(args.model)
-    norm = _load_norm(args.model, args.norm_file, args.no_norm)
+    norm = None if args.no_norm else _load_norm(args.model, args.norm_file)
 
     fixed_in_file = isinstance(model, FixedPointNet)
     if args.frac_bits is not None and not (args.fixed or fixed_in_file):
@@ -512,6 +511,8 @@ def _print_table(rows: list[dict], columns: list[str]) -> None:
 
 
 def cmd_report(args) -> int:
+    if args.csv and args.json:
+        raise ConfigError("--csv cannot be combined with --json")
     table = perf_model.load_calibration(args.calibration) if args.calibration \
         else perf_model.builtin_calibration()
     rows = perf_model.calibration_report(table)

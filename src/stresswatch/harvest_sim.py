@@ -368,14 +368,9 @@ def charge_series_nj(
         mid = min(max(inside, lo), hi)
         ramp = series[step + lo - start:step + mid - start]
         if ramp.size:  # else the charge pins at once, and gain may pass int64
-            # second k of the segment (from 1) holds c0 + gain * k; each pass
-            # copies the filled head onto the next stretch, shifted by its length
-            ramp[0] = c0 + gain * (lo + 1)
-            done = 1
-            while done < ramp.size:
-                n = min(done, ramp.size - done)
-                np.add(ramp[:n], gain * done, out=ramp[done:done + n])
-                done += n
+            # second k of the segment (from 1) holds c0 + gain * k
+            np.multiply(np.arange(lo + 1, mid + 1), gain, out=ramp)
+            ramp += c0
         series[step + mid - start:step + hi - start] = c1
     return series
 

@@ -8,6 +8,7 @@ JSON mode, and the exit-code contract (0 ok, 2 parse, 3 data, 4 shape,
 """
 
 import contextlib
+import csv
 import gzip
 import json
 import math
@@ -269,13 +270,17 @@ CSV_CASES = {
     "no final newline": (b"time_s,ecg\n0,1\n2,3", ECG_H, float, [[0, 1], [2, 3]]),
     "quoted cells": (b'time_s,ecg\n"0",1\n2,"3"\n', ECG_H, float, [[0, 1], [2, 3]]),
     "quoted header": (b'"time_s",ecg\n0,1\n', ECG_H, float, [[0, 1]]),
+    # the header is one csv row over two lines; the bulk read skips both
+    "quoted header over two lines": (b'time_s,"ecg\n"\n0,1\n', ECG_H, float, [[0, 1]]),
     "underscore digits": (b"time_s,ecg\n0,1_0\n", ECG_H, float, [[0, 10]]),
     "trailing comma": (b"time_s,ecg\n0,1\n2,3,\n", ECG_H, float, 3),
     "empty cell": (b"time_s,ecg\n0,1\n,3\n", ECG_H, float, 3),
     "three columns throughout": (b"time_s,ecg\n0,1,2\n3,4,5\n", ECG_H, float, 2),
     "non-numeric cell": (b"time_s,ecg\n0,1\n2,3\noops,4\n", ECG_H, float, 4),
     "bad header": (b"time,ecg\n0,1\n", ECG_H, float, 1),
-    "blank first line": (b"\ntime_s,ecg\n0,1\n", ECG_H, float, 2),
+    "blank first line": (b"\ntime_s,ecg\n0,1\n", ECG_H, float, 1),
+    "empty file": (b"", ECG_H, float, 1),
+    "blank lines only": (b"\n\n", ECG_H, float, 1),
     "header only": (b"time_s,ecg\n", ECG_H, float, []),
     "header only, no newline": (b"time_s,ecg", ECG_H, float, []),
     "int labels": (b"label\n0\n2\n\n1\n", ("label",), int, [[0], [2], [1]]),
@@ -293,14 +298,27 @@ CSV_CASES = {
     "name holding http:": (b"time_s,ecg\n0,1\n2,3\n", ECG_H, float, [[0, 1], [2, 3]],
                            "http:/x/in.csv"),
     "not utf-8": (b"time_s,ecg\n0,1\n2,\xff\n", ECG_H, float, None),
+    # decoded in chunks: the header reads cleanly, and the body scanner finds it
+    "not utf-8 after 64 kB": (b"time_s,ecg\n" + b"0,1\n" * 16384 + b"2,\xff\n", ECG_H, float,
+                              None),
     "gzip data": (gzip.compress(b"time_s,ecg\n0,1\n"), ECG_H, float, None, "in.csv.gz"),
 }
 
 
 def scan_csv(path, header, kind):
-    """The row scanner alone on a freshly opened file: the reference reader."""
+    """The reference reader: the header row checked here, then the body by
+    the row scanner alone, one csv row at a time."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        return cli._scan_csv(fh, path, header, kind)
+        rows = csv.reader(fh)
+        try:
+            cells = [c.strip() for c in next(rows, [])]
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not a UTF-8 text file") from None
+        if cells != list(header):
+            raise ParseError(
+                f"expected header {','.join(header)!r}, got {','.join(cells)!r}", line=1
+            )
+        return cli._scan_csv(rows, path, header, kind)
 
 
 def read_outcome(reader, path, header, kind):
@@ -337,9 +355,11 @@ def test_read_csv_matches_row_scanner(tmp_path, case):
 # well-formed files that numpy does not take, so only the row scanner reads them
 SCANNER_ONLY = {
     "header only", "header only, no newline", "int label with underscore digits",
-    "plain text named .csv.gz", "plain text named .csv.xz", "quoted cells", "quoted header",
+    "plain text named .csv.gz", "plain text named .csv.xz", "quoted cells",
     "underscore digits", "whitespace-only line",
 }
+# the physical lines a header takes, where that is not 1
+HEADER_LINES = {"quoted header over two lines": 2}
 
 
 @pytest.mark.parametrize("case", sorted(
@@ -347,25 +367,28 @@ SCANNER_ONLY = {
     if isinstance(want, list) and c not in SCANNER_ONLY
 ))
 def test_read_csv_parses_a_clean_file_in_one_bulk_call(tmp_path, monkeypatch, case):
-    """A file numpy takes never reaches the row scanner, and numpy gets an
-    absolute path: handed an open file, it parses one line per ``next()``."""
+    """A file numpy takes never reaches the body scanner, and numpy gets an
+    absolute path (handed an open file, it parses one line per ``next()``)
+    and skips exactly the lines of the header."""
     path, header, kind, expected = write_case(tmp_path, case)
     calls = []
     loadtxt = np.loadtxt
 
-    def spy(fname, *args, **kwargs):
-        calls.append(fname)
-        return loadtxt(fname, *args, **kwargs)
+    def spy(fname, *args, skiprows, **kwargs):
+        calls.append((fname, skiprows))
+        return loadtxt(fname, *args, skiprows=skiprows, **kwargs)
 
-    def no_scan(*args):
-        raise AssertionError("a well-formed file went to the row scanner")
+    def no_scan(rows, *args):
+        raise AssertionError(f"the body after line {rows.line_num} went to the row scanner")
 
     monkeypatch.setattr(cli.np, "loadtxt", spy)
     monkeypatch.setattr(cli, "_scan_csv", no_scan)
     rows = cli._read_csv(str(path), header, kind)
     assert rows.tobytes() == np.array(expected, dtype=kind).tobytes()
     assert len(calls) == 1
-    assert type(calls[0]) is str and os.path.isabs(calls[0])
+    fname, skiprows = calls[0]
+    assert type(fname) is str and os.path.isabs(fname)
+    assert skiprows == HEADER_LINES.get(case, 1)
 
 
 @contextlib.contextmanager
@@ -397,21 +420,12 @@ def test_read_csv_takes_a_pipe(data_dir):
     assert rows.tobytes() == cli._read_csv(str(data_dir / "ecg_60s.csv"), ECG_H).tobytes()
 
 
-# bodies that numpy does not take from a handle, so that the row scanner must
-# read the pipe again (a header-only body reads as no rows either way, and on
-# a pipe the file name's suffix picks no decompressor)
-PIPE_SCANNED = sorted(
-    c for c, (_, _, _, want, *_) in CSV_CASES.items()
-    if (not isinstance(want, list) or c in SCANNER_ONLY)
-    and not c.startswith(("header only", "plain text named"))
-)
-
-
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-@pytest.mark.parametrize("case", PIPE_SCANNED)
+@pytest.mark.parametrize("case", sorted(CSV_CASES))
 def test_read_csv_reads_a_pipe_like_a_file(tmp_path, case):
-    """A pipe the bulk parser does not take goes to the row scanner, which
-    reads the same bytes again: the outcome is the file's, not an empty read."""
+    """A pipe's header is checked as a file's, and a body the bulk parser
+    does not take goes to the row scanner, which reads the same bytes again:
+    the outcome is the file's, not an empty read."""
     path, header, kind, expected = write_case(tmp_path, case)
     with pipe_of(path.read_bytes()) as fd_path:
         got = read_outcome(cli._read_csv, fd_path, header, kind)
@@ -1108,6 +1122,16 @@ def test_classify_rejects_a_sidecar_it_cannot_use(capsys, data_dir, tmp_path, te
     assert got == (code, "", f"error: {message.format(sidecar=sidecar)}\n")
 
 
+def test_classify_norm_file_with_no_norm_is_a_config_error(capsys, data_dir, tmp_path):
+    # the missing sidecar is never opened: the flags are checked first
+    got = run_cli(
+        capsys, "classify", str(data_dir / "golden_features.csv"),
+        "--model", str(data_dir / "network_a_random.net"),
+        "--norm-file", str(tmp_path / "missing.json"), "--no-norm",
+    )
+    assert got == (5, "", "error: --norm-file cannot be combined with --no-norm\n")
+
+
 @pytest.mark.parametrize("sizes,code,message", [
     ("5", 5, "--sizes needs at least 2 positive layer sizes"),
     ("4,3", 4, "network takes 4 inputs, features have 5 columns"),
@@ -1126,6 +1150,25 @@ def test_train_rejects_a_header_only_feature_file(capsys, tmp_path):
     labels.write_text("label\n")
     got = run_cli(capsys, "train", str(feats), str(labels), "-o", str(tmp_path / "m.net"))
     assert got == (3, "", "error: training set is empty\n")
+
+
+@pytest.mark.parametrize("command,header", [
+    ("classify", "rmssd_ms,sdsd_ms,nn50,gsrh_uS,gsrl_s"),
+    ("train", "label"),
+    ("features", "time_s,ecg"),
+])
+def test_an_empty_csv_is_a_header_error_at_line_1(capsys, data_dir, tmp_path, command, header):
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(b"")
+    feats = str(data_dir / "golden_features.csv")
+    args = {
+        "classify": ("classify", str(empty), "--model", str(data_dir / "network_a_random.net")),
+        "train": ("train", feats, str(empty), "-o", str(tmp_path / "m.net")),
+        "features": ("features", str(empty), str(empty)),
+    }[command]
+    got = run_cli(capsys, *args)
+    assert got == (2, "", f"error: line 1: expected header {header!r}, got ''\n")
+    assert not (tmp_path / "m.net").exists()
 
 
 def test_train_zero_epochs_writes_the_initial_network(capsys, tmp_path):
@@ -1157,6 +1200,11 @@ def test_report_csv_matches_library_rows(capsys):
         assert float(cells[3]) == pytest.approx(r["time_us"], rel=1e-5)
         assert float(cells[4]) == r["energy_uj"]
         assert float(cells[5]) == pytest.approx(r["speedup_vs_cortex_m4"], rel=1e-5)
+
+
+def test_report_csv_with_json_is_a_config_error(capsys):
+    got = run_cli(capsys, "report", "--csv", "--json")
+    assert got == (5, "", "error: --csv cannot be combined with --json\n")
 
 
 def test_report_filters(capsys):
