@@ -90,7 +90,9 @@ def _read_csv(path: str, header: tuple[str, ...], kind: type = float) -> np.ndar
 
     The header is the first ``csv`` row, so it may be quoted; its cells,
     stripped, must be ``header``. Any other first row, that of an empty file
-    or a blank first line included, is a ``ParseError`` at line 1.
+    or a blank first line included, is a ``ParseError`` at line 1. A row the
+    ``csv`` reader refuses (a cell past its field size limit, say), header
+    or body, is a ``ParseError`` at the line the reader stopped on.
 
     The body is parsed in bulk by ``np.loadtxt``, which skips the lines the
     header took. Any body it does not take cleanly (an error, a warning, a
@@ -121,6 +123,8 @@ def _read_csv(path: str, header: tuple[str, ...], kind: type = float) -> np.ndar
             cells = [c.strip() for c in next(rows, [])]
         except UnicodeDecodeError:
             raise ParseError(f"{path}: not a UTF-8 text file") from None
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=rows.line_num) from None
         if cells != list(header):
             raise ParseError(
                 f"expected header {','.join(header)!r}, got {','.join(cells)!r}", line=1
@@ -169,6 +173,8 @@ def _scan_csv(rows, path: str, header: tuple[str, ...], kind: type) -> np.ndarra
             linenos.append(lineno)
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not a UTF-8 text file") from None
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=rows.line_num) from None
     try:
         return np.array(values, dtype=kind).reshape(-1, len(header))
     except OverflowError:
@@ -517,11 +523,7 @@ def cmd_report(args) -> int:
         else perf_model.builtin_calibration()
     rows = perf_model.calibration_report(table)
     if args.platform:
-        if args.platform not in table.cycles:
-            raise ConfigError(
-                f"unknown platform {args.platform!r}; "
-                f"choose from {sorted(table.cycles)}"
-            )
+        table.profile(args.platform)  # refuses a platform the table lacks
         rows = [r for r in rows if r["platform"] == args.platform]
     if args.network:
         rows = [r for r in rows if r["network"] == args.network]
@@ -588,7 +590,6 @@ class _SocWork:
     the rows of each width live in a ``bytearray`` that ``translate`` compacts."""
 
     def __init__(self, size: int):
-        self.nj = np.empty(size, dtype=np.int64)
         self.wide = np.empty((3, size), dtype=np.int64)
         self.split = np.empty((8, size), dtype=np.uint32)
         self.count = np.arange(size, dtype=np.uint32)
@@ -641,7 +642,7 @@ def _soc_lines(start: int, n: np.ndarray, out: _SocWork | None = None) -> bytes 
     width = 4 * (gi + gw) + 12
     point = width - 11
     if width not in work.texts:
-        work.texts[width] = bytearray(width * work.nj.size)
+        work.texts[width] = bytearray(width * work.count.size)
     text = work.texts[width]
     rows = np.frombuffer(text, dtype=np.uint8).reshape(-1, width)
     # rows past this chunk's are 0 throughout, so they drop out with the
@@ -749,7 +750,7 @@ def cmd_budget(args) -> int:
             with nn_core._open_output(args.soc_out) as fh:
                 fh.write(b"t_s,charge_j\n")
                 for s in range(0, total, SOC_OUT_CHUNK_LINES):
-                    n = hs.charge_series_nj(sim, s, min(s + SOC_OUT_CHUNK_LINES, total), work.nj)
+                    n = hs.charge_series_nj(sim, s, min(s + SOC_OUT_CHUNK_LINES, total))
                     fh.write(_soc_lines(s, n, work))
 
     if args.json:

@@ -23,10 +23,9 @@ import decimal
 import functools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
-import numpy as np
 import yaml
 
 from .errors import CalibrationError, ConfigError
@@ -80,12 +79,17 @@ class CalibrationTable:
     the functions that read a table only derive from it. The table keeps
     read-only copies of the mappings it is given, so neither a later change
     to them nor a write through the table can undo that check.
+
+    Each platform's profile (its cycle fit and mean active power) is
+    derived once, by the check that computes its parts, and kept read-only
+    in ``profiles``, which takes no part in ``==``; ``profile`` looks one up.
     """
 
     clock_hz: Mapping[str, float]
     cycles: Mapping[str, Mapping[str, int]]
     energy_uj: Mapping[str, Mapping[str, float]]
     network_weights: Mapping[str, int]
+    profiles: Mapping[str, PlatformProfile] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("clock_hz", "network_weights"):
@@ -114,10 +118,14 @@ class CalibrationTable:
                     raise ConfigError(
                         f"platform {p!r} needs positive, finite energy_uj for network {n}"
                     )
+        profiles = {}
         # energy / time for both networks must back out one active power
-        for p, model in fit_cycle_model(self).items():
+        for p in self.cycles:
+            c_a, c_b = self.cycles[p]["A"], self.cycles[p]["B"]
+            alpha = (c_b - c_a) / (weights["B"] - weights["A"])
+            model = CycleModel(alpha=alpha, delta=c_a - alpha * weights["A"])
             times = [self.cycles[p][n] / self.clock_hz[p] for n in NETWORK_NAMES]
-            a, b = _network_powers(self, p)
+            a, b = (self.energy_uj[p][n] * 1e-6 / t for n, t in zip(NETWORK_NAMES, times))
             # a subnormal clock makes a time inf, and a huge energy over a
             # short time a power or the sum of both; the rule below and the
             # mean active power cannot work with inf
@@ -138,10 +146,21 @@ class CalibrationTable:
                         f"platform {p!r}: fit predicts {got} cycles for network {n}, "
                         f"table says {self.cycles[p][n]}"
                     )
+            profiles[p] = PlatformProfile(p, self.clock_hz[p], (a + b) / 2, model)
+        object.__setattr__(self, "profiles", MappingProxyType(profiles))
 
     @property
     def platforms(self) -> tuple[str, ...]:
         return tuple(self.cycles)
+
+    def profile(self, platform: str) -> PlatformProfile:
+        """The checked profile of ``platform``; a name the table lacks is a
+        ``ConfigError``."""
+        if platform not in self.profiles:
+            raise ConfigError(
+                f"unknown platform {platform!r}; choose from {sorted(self.profiles)}"
+            )
+        return self.profiles[platform]
 
 
 @dataclass(frozen=True)
@@ -186,37 +205,20 @@ def builtin_calibration() -> CalibrationTable:
 
 def fit_cycle_model(table: CalibrationTable) -> dict[str, CycleModel]:
     """Per-platform two-point linear fit of cycles against weight count."""
-    w_a = table.network_weights["A"]
-    w_b = table.network_weights["B"]
-    models = {}
-    for p in table.cycles:
-        c_a, c_b = table.cycles[p]["A"], table.cycles[p]["B"]
-        alpha = (c_b - c_a) / (w_b - w_a)
-        models[p] = CycleModel(alpha=alpha, delta=c_a - alpha * w_a)
-    return models
-
-
-def _network_powers(table: CalibrationTable, platform: str) -> list[float]:
-    """Active power energy/time of each reference network on one platform."""
-    return [
-        table.energy_uj[platform][n] * 1e-6 / (table.cycles[platform][n] / table.clock_hz[platform])
-        for n in NETWORK_NAMES
-    ]
+    return {p: profile.cycle_model for p, profile in table.profiles.items()}
 
 
 def derive_power(table: CalibrationTable) -> dict[str, float]:
     """Active power per platform from energy/time, averaged over A and B,
     which the table holds to within 3% of each other."""
-    return {p: float(np.mean(_network_powers(table, p))) for p in table.cycles}
+    return {p: profile.active_power_w for p, profile in table.profiles.items()}
 
 
 def build_profiles(table: CalibrationTable | None = None) -> dict[str, PlatformProfile]:
     """Fitted profiles for every platform in the table."""
     if table is None:
         table = builtin_calibration()
-    models = fit_cycle_model(table)
-    powers = derive_power(table)
-    return {p: PlatformProfile(p, table.clock_hz[p], powers[p], models[p]) for p in table.cycles}
+    return dict(table.profiles)
 
 
 def predict(net, profile: PlatformProfile) -> Prediction:
@@ -235,7 +237,7 @@ def predict(net, profile: PlatformProfile) -> Prediction:
 def speedup(table: CalibrationTable, platform: str, network: str) -> float:
     """Cycle-count ratio cortex_m4/platform for one reference network."""
     for p in ("cortex_m4", platform):
-        if p not in table.cycles:
+        if p not in table.profiles:
             raise ConfigError(f"the calibration table has no platform {p!r}")
     return table.cycles["cortex_m4"][network] / table.cycles[platform][network]
 
@@ -250,10 +252,7 @@ def detection_energy(platform: str, table: CalibrationTable | None = None) -> fl
     """
     if table is None:
         table = builtin_calibration()
-    if platform not in table.cycles:
-        raise ConfigError(
-            f"unknown platform {platform!r}; choose from {sorted(table.cycles)}"
-        )
+    table.profile(platform)  # refuses a platform the table lacks
     # the terms' shortest decimal spellings, summed exactly and rounded once
     acq, feat, uj = (decimal.Decimal(repr(x)) for x in (
         ACQUISITION_ENERGY_J, FEATURE_ENERGY_J, table.energy_uj[platform]["A"]))

@@ -9,6 +9,7 @@ JSON mode, and the exit-code contract (0 ok, 2 parse, 3 data, 4 shape,
 
 import contextlib
 import csv
+import dataclasses
 import gzip
 import json
 import math
@@ -302,6 +303,10 @@ CSV_CASES = {
     "not utf-8 after 64 kB": (b"time_s,ecg\n" + b"0,1\n" * 16384 + b"2,\xff\n", ECG_H, float,
                               None),
     "gzip data": (gzip.compress(b"time_s,ecg\n0,1\n"), ECG_H, float, None, "in.csv.gz"),
+    # a quoted cell past the csv module's field size limit (131 072 characters)
+    "huge quoted header cell": (b'time_s,"' + b"e" * 200000 + b'"\n0,1\n', ECG_H, float, 1),
+    "huge quoted body cell": (b'time_s,ecg\n0,1\n2,"' + b"3" * 200000 + b'"\n', ECG_H, float,
+                              3),
 }
 
 
@@ -314,6 +319,8 @@ def scan_csv(path, header, kind):
             cells = [c.strip() for c in next(rows, [])]
         except UnicodeDecodeError:
             raise ParseError(f"{path}: not a UTF-8 text file") from None
+        except csv.Error as exc:
+            raise ParseError(str(exc), line=rows.line_num) from None
         if cells != list(header):
             raise ParseError(
                 f"expected header {','.join(header)!r}, got {','.join(cells)!r}", line=1
@@ -483,6 +490,18 @@ def test_non_utf8_csv_is_a_parse_error_naming_the_file(capsys, data_dir, tmp_pat
     assert code == 2
     assert stdout == ""
     assert stderr == f"error: {path}: not a UTF-8 text file\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("case, line", [("huge quoted header cell", 1),
+                                        ("huge quoted body cell", 3)])
+def test_csv_cell_past_the_field_limit_is_a_parse_error(capsys, data_dir, tmp_path, case, line):
+    path, _, _, _ = write_case(tmp_path, case)
+    gsr = str(data_dir / "gsr_60s.csv")
+    want = (2, "", f"error: line {line}: field larger than field limit (131072)\n")
+    assert run_cli(capsys, "features", str(path), gsr) == want
+    with pipe_of(path.read_bytes()) as fd_path:
+        assert run_cli(capsys, "features", fd_path, gsr) == want
 
 
 def test_read_csv_matches_row_scanner_on_random_files(tmp_path):
@@ -1240,7 +1259,22 @@ def test_report_json(capsys):
 def test_report_errors(capsys):
     code, _, stderr = run_cli(capsys, "report", "--platform", "z80")
     assert code == 5
-    assert "unknown platform" in stderr
+    assert stderr == ("error: unknown platform 'z80'; choose from "
+                      "['cortex_m4', 'ibex', 'ri5cy_multi8', 'ri5cy_single']\n")
+
+
+@pytest.mark.parametrize("command", ["report", "budget"])
+def test_unknown_platform_lists_the_tables_platforms(capsys, tmp_path, command):
+    assert run_cli(capsys, command, "--platform", "nope") == (
+        5, "", "error: unknown platform 'nope'; choose from "
+               "['cortex_m4', 'ibex', 'ri5cy_multi8', 'ri5cy_single']\n")
+    doc = calibration_doc()
+    del doc["platforms"]["ibex"]
+    path = tmp_path / "cal.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert run_cli(capsys, command, "--platform", "ibex", "--calibration", str(path)) == (
+        5, "", "error: unknown platform 'ibex'; choose from "
+               "['cortex_m4', 'ri5cy_multi8', 'ri5cy_single']\n")
 
 
 def calibration_doc():
@@ -1371,6 +1405,11 @@ def test_budget_refuses_a_day_of_fractional_seconds_with_and_without_days(capsys
                for days in ([], ["--days", "1"])]
     assert refused[0] == refused[1] == (
         5, "", "error: segment duration 21600.36 s is not a whole second\n")
+    # 1e-10 h is 3.6e-07 s: within 1e-6 of a whole second, but that second is 0
+    refused = [run_cli(capsys, "budget", "--solar-hours", "1e-10", *days)
+               for days in ([], ["--days", "1"])]
+    assert refused[0] == refused[1] == (
+        5, "", "error: segment duration 3.6e-07 s is not a whole second\n")
 
 
 def test_budget_outdoor_scenario(capsys):
@@ -1566,8 +1605,7 @@ def test_soc_lines_reuse_one_work_buffer_without_stale_bytes(monkeypatch):
     below = rng.integers(10**5, 10**12, 1000)
     whole = rng.integers(1, 1000, size) * 10**9
     for start, n in ((0, above), (9500, below), (10**8 - size, whole)):
-        work.nj[:n.size] = n
-        got = fast_soc_lines(monkeypatch, start, work.nj[:n.size], work)
+        got = fast_soc_lines(monkeypatch, start, n, work)
         assert got == soc_lines_reference(start, n)
     assert (above % 10 == 5).any() and (below < 10**12).all()
     assert b"." not in got
@@ -1611,8 +1649,7 @@ def test_soc_lines_spell_indices_of_any_length(monkeypatch, start):
     rng = np.random.default_rng(start % 1000)
     n = rng.integers(0, 2 * 10**12, 65536)
     work = cli._SocWork(n.size)
-    work.nj[:] = n
-    got = fast_soc_lines(monkeypatch, start, work.nj, work)
+    got = fast_soc_lines(monkeypatch, start, n, work)
     assert got == soc_lines_reference(start, n)
     assert got.startswith(f"{start},".encode()) and f"\n{start + 10}," in got.decode()
 
@@ -1637,8 +1674,7 @@ def test_soc_lines_match_the_f_string_on_random_chunks(monkeypatch):
         start = int(rng.choice(starts)) + int(rng.integers(0, 30))
         want = soc_lines_reference(start, n)
         assert fast_soc_lines(monkeypatch, start, n) == want
-        work.nj[:m] = n
-        assert fast_soc_lines(monkeypatch, start, work.nj[:m], work) == want
+        assert fast_soc_lines(monkeypatch, start, n, work) == want
 
 
 def traced_peak(call):
@@ -1979,7 +2015,7 @@ def test_budget_builds_the_calibration_table_once(capsys, monkeypatch):
         assert run_cli(capsys, "budget", "--days", "2", "--json")[0] == 0
     assert built == []
     # the wrapper does see a table being built
-    perf_model.CalibrationTable(**vars(builtin_calibration()))
+    dataclasses.replace(builtin_calibration())
     assert len(built) == 1
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 from operator import delitem, setitem
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import yaml
 
@@ -195,6 +196,8 @@ def test_tables_are_read_only(tmp_path, source):
         (setitem, t.energy_uj["ri5cy_multi8"], "A", -1e9),
         (setitem, t.network_weights, "A", 1),
         (delitem, t.cycles["ibex"], "B"),
+        (setitem, t.profiles, "esp32", t.profiles["ibex"]),
+        (delitem, t.profiles, "ibex"),
     ]
     for write, *args in writes:
         with pytest.raises(TypeError, match="mappingproxy"):
@@ -220,6 +223,76 @@ def test_table_keeps_its_own_copy_of_the_inputs():
     assert t.network_weights == WEIGHTS
     assert t == builtin_calibration()
     assert detection_energy("ri5cy_multi8", t) == pytest.approx(602.2e-6, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# profiles
+
+# a custom table with its own reference sizes: alpha 5 and 0.5, delta 5000
+# and 1500; network B's power is 1.7% above A's on "z" and 1% below on "y"
+CUSTOM_DOC = {
+    "platforms": {
+        "z": {"clock_hz": 48e6, "cycles": {"A": 10000, "B": 30000},
+              "energy_uj": {"A": 2.0, "B": 6.1}},
+        "y": {"clock_hz": 1e6, "cycles": {"A": 2000, "B": 4000},
+              "energy_uj": {"A": 0.3, "B": 0.594}},
+    },
+    "networks": {"A": {"weights": 1000}, "B": {"weights": 5000}},
+}
+
+
+def reference_profiles(t):
+    """Each platform's two-point cycle fit and its mean A/B active power,
+    recomputed from the table's constants."""
+    w_a, w_b = t.network_weights["A"], t.network_weights["B"]
+    out = {}
+    for p in t.platforms:
+        c_a, c_b = t.cycles[p]["A"], t.cycles[p]["B"]
+        alpha = (c_b - c_a) / (w_b - w_a)
+        powers = [t.energy_uj[p][n] * 1e-6 / (t.cycles[p][n] / t.clock_hz[p]) for n in "AB"]
+        out[p] = perf_model.PlatformProfile(p, t.clock_hz[p], float(np.mean(powers)),
+                                            perf_model.CycleModel(alpha, c_a - alpha * w_a))
+    return out
+
+
+def bits(profile):
+    return (profile.name, profile.clock_hz.hex(), profile.active_power_w.hex(),
+            profile.cycle_model.alpha.hex(), float(profile.cycle_model.delta).hex())
+
+
+@pytest.mark.parametrize("source", ["builtin", "yaml"])
+def test_profiles_are_the_fit_and_mean_power_bit_for_bit(tmp_path, source):
+    if source == "builtin":
+        t = builtin_calibration()
+    else:
+        path = tmp_path / "custom.yaml"
+        path.write_text(yaml.safe_dump(CUSTOM_DOC))
+        t = load_calibration(path)
+    want = reference_profiles(t)
+    assert list(t.profiles) == list(t.platforms)
+    assert {p: bits(v) for p, v in t.profiles.items()} == {p: bits(v) for p, v in want.items()}
+    assert build_profiles(t) == want
+    assert fit_cycle_model(t) == {p: v.cycle_model for p, v in want.items()}
+    assert {p: v.hex() for p, v in derive_power(t).items()} == {
+        p: v.active_power_w.hex() for p, v in want.items()}
+    for p in t.platforms:
+        assert t.profile(p) is t.profiles[p]
+
+
+def test_profile_refuses_a_platform_the_table_lacks():
+    with pytest.raises(ConfigError) as exc:
+        builtin_calibration().profile("nope")
+    assert str(exc.value) == ("unknown platform 'nope'; choose from "
+                              "['cortex_m4', 'ibex', 'ri5cy_multi8', 'ri5cy_single']")
+
+
+def test_profiles_take_no_part_in_equality_or_repr():
+    t = builtin_calibration()
+    again = CalibrationTable(t.clock_hz, t.cycles, t.energy_uj, t.network_weights)
+    assert again == t and again.profiles is not t.profiles
+    assert "profiles" not in repr(t)
+    with pytest.raises(TypeError):
+        CalibrationTable(t.clock_hz, t.cycles, t.energy_uj, t.network_weights, {})
 
 
 # ---------------------------------------------------------------------------

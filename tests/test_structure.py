@@ -49,6 +49,7 @@ UNREAD_KEPT = {
     "mse_gradients": "exposes the backward pass to the finite-difference test",
     "build_network_b": "the paper's second reference network, promised API",
     "footprint": "memory report of a loaded model, promised API",
+    "derive_power": "promised API, imported by test_acceptance",
 }
 
 
