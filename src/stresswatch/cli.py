@@ -150,27 +150,27 @@ def _scan_csv(rows, path: str, header: tuple[str, ...], kind: type) -> np.ndarra
     ``csv`` reader of a text handle past its header, one row at a time.
 
     It alone takes quoted cells, Python number syntax such as ``1_0``, and
-    whitespace-only lines, and it raises ``ParseError`` with the line number
-    (the header's is 1), or naming the file ``path`` when it is not UTF-8 text.
+    whitespace-only lines, and it raises ``ParseError`` at the physical line
+    a bad row ends on, or naming the file ``path`` when it is not UTF-8 text.
     """
     values = []
-    linenos = []  # the line of each data row
+    linenos = []  # the physical line each data row ends on, as csv counts it
     try:
-        for lineno, row in enumerate(rows, start=2):
+        for row in rows:
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
             if len(row) != len(header):
                 raise ParseError(
-                    f"expected {len(header)} column(s), got {len(row)}", line=lineno
+                    f"expected {len(header)} column(s), got {len(row)}", line=rows.line_num
                 )
             try:
                 # float() and int() skip surrounding whitespace themselves
                 values.extend(map(kind, row))
             except ValueError:
                 raise ParseError(
-                    f"expected {kind.__name__} values, got {row!r}", line=lineno
+                    f"expected {kind.__name__} values, got {row!r}", line=rows.line_num
                 ) from None
-            linenos.append(lineno)
+            linenos.append(rows.line_num)
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not a UTF-8 text file") from None
     except csv.Error as exc:
@@ -757,7 +757,7 @@ def cmd_budget(args) -> int:
         doc = {"scenario": scenario.name, "platform": args.platform, **vars(report),
                "acquisition_limit_per_minute": acq_limit, "binding_bound": bound}
         if sim is not None:
-            doc["simulation"] = {k: v for k, v in vars(sim).items() if k != "segments"}
+            doc["simulation"] = {k: v for k, v in vars(sim).items() if k != "runs"}
         _emit_json(doc, None)
     else:
         print(f"scenario:          {scenario.name}")

@@ -21,8 +21,10 @@ A scenario is a 24 h schedule of segments, each with a set of active
 The state-of-charge simulator quantizes power to whole nanowatts and
 advances one segment at a time in integer nanojoules, so its energy
 bookkeeping is exact: intake - served - spilled always equals the charge
-delta, to the last nanojoule. Days that repeat an earlier one, exactly or
-shifted by a whole number of nanojoules, are copied instead of re-run.
+delta, to the last nanojoule. A day that repeats the one before it, exactly
+or shifted by a whole number of nanojoules, is neither re-run nor stored
+again: the result keeps each simulated day's records once, with the count of
+days that repeat them, so its size follows the distinct days.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import chain, count, repeat
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -142,8 +143,17 @@ class SocSimResult:
     served_j: float
     spilled_j: float
     unmet_j: float
-    # one (start second, seconds, start nJ, gain nW, end nJ) per segment
-    segments: tuple[tuple[int, int, int, int, int], ...]
+    # one (first day, days, shift nJ, records) per simulated day: its
+    # (start second, seconds, start nJ, gain nW, end nJ) record per segment,
+    # repeated on each of ``days`` days, each repeat ``shift`` nJ higher
+    runs: tuple[tuple[int, int, int, tuple[tuple[int, int, int, int, int], ...]], ...]
+
+    @property
+    def segments(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """Every day's records in time order, expanded from ``runs``."""
+        return tuple((s + j * DAY_S, n, c0 + j * shift, g, c1 + j * shift)
+                     for _, days, shift, day in self.runs for j in range(days)
+                     for s, n, c0, g, c1 in day)
 
 
 def indoor_day_scenario(solar_hours: float = 6.0, teg_hours: float = 24.0) -> HarvestScenario:
@@ -234,14 +244,14 @@ def simulate_soc(
     empty one as unmet. A second with unmet demand is a brownout. All
     bookkeeping is integer nanojoules, so the conservation identity
     final - initial == intake - served - spilled holds exactly, and
-    ``charge_series_nj`` derives the charge of every second from ``segments``.
+    ``charge_series_nj`` derives the charge of every second from ``runs``.
 
     Repeated days are derived, not re-simulated. A day that ends at the
     charge it started with repeats until the end of the run; a day that
     pins nothing at 0 or capacity repeats raised by its net change, for as
-    many days as every segment end stays in [0, capacity]. Those days copy
-    the simulated day's records and totals exactly, so the cost follows the
-    number of distinct days, not ``days``.
+    many days as every segment end stays in [0, capacity]. The simulated
+    day's run counts those days, and its records are stored once, so the
+    time and size of the result follow the distinct days, not ``days``.
     """
     if days < 1:
         raise ConfigError("days must be >= 1")
@@ -263,11 +273,11 @@ def simulate_soc(
     lo = hi = c
     intake = served = spilled = unmet = 0
     brownout_step = -1
-    records = []
+    runs = []
 
     step = day = 0
     while day < days:
-        day_start, first, before = c, len(records), (intake, served, spilled, unmet)
+        day_start, before, records = c, (intake, served, spilled, unmet), []
         for seconds, p in scenario.plan:
             # Within a segment the net rate is constant, so charge moves
             # linearly and then pins at a bound: the unclamped endpoint gives
@@ -287,32 +297,26 @@ def simulate_soc(
             records.append((step, seconds, start, gain, c))
             lo, hi = min(lo, c), max(hi, c)
             step += seconds
-        day += 1
         # The next day starts where this one ended. If that is where this one
         # started, every remaining day repeats it. If no segment was pinned
-        # (nothing spilled or unmet), the next days repeat it raised by
+        # (nothing spilled or unmet), the next k days repeat it raised by
         # ``shift`` each, for as long as every record end stays in
-        # [0, capacity]. Those days copy this day's records.
+        # [0, capacity]. Otherwise the next day is simulated.
         shift = c - day_start
-        day_records = records[first:]
-        ends = [r[4] for r in day_records]
+        ends = [r[4] for r in records]
         if shift == 0:
-            k = days - day
+            k = days - day - 1
         elif (spilled, unmet) == before[2:]:
-            k = min(days - day, (cap - max(ends)) // shift if shift > 0 else min(ends) // -shift)
+            k = min(days - day - 1,
+                    (cap - max(ends)) // shift if shift > 0 else min(ends) // -shift)
         else:
-            continue
-        # one iterator per segment yields its copies in the k days, and zip
-        # interleaves them back into time order
-        copies = [zip(range(s + DAY_S, s + (k + 1) * DAY_S, DAY_S), repeat(n),
-                      count(c0 + shift, shift), repeat(g), count(c1 + shift, shift))
-                  for s, n, c0, g, c1 in day_records]
-        records.extend(chain.from_iterable(zip(*copies)))
+            k = 0
+        runs.append((day, k + 1, shift, tuple(records)))
         intake, served, spilled, unmet = (
             t + k * (t - t0) for t, t0 in zip((intake, served, spilled, unmet), before))
         lo, hi = min(lo, min(ends) + k * shift), max(hi, max(ends) + k * shift)
         c += k * shift
-        day += k
+        day += k + 1
         step += k * DAY_S
 
     assert c - c_init == intake - served - spilled
@@ -327,7 +331,7 @@ def simulate_soc(
         served_j=served / 1e9,
         spilled_j=spilled / 1e9,
         unmet_j=unmet / 1e9,
-        segments=tuple(records),
+        runs=tuple(runs),
     )
 
 
@@ -341,7 +345,8 @@ def require_int64_nj(records) -> None:
 
 def charge_series_nj(sim: SocSimResult, start: int = 0, stop: int | None = None) -> np.ndarray:
     """The charge (int64 nJ) at the end of each second ``start`` to ``stop``
-    (default: every second) of ``sim``, derived from its segment records.
+    (default: every second) of ``sim``, derived from the window's days alone:
+    day j of a run in ``sim.runs`` holds its records, j days and j shifts on.
 
     A charge held of 2^63 nJ or more in the window is a ``ConfigError``,
     raised before the series is filled.
@@ -350,8 +355,15 @@ def charge_series_nj(sim: SocSimResult, start: int = 0, stop: int | None = None)
     if not 0 <= start <= stop <= sim.days * DAY_S:
         raise ValueError(f"window [{start}, {stop}) outside the {sim.days * DAY_S} s run")
     series = np.empty(stop - start, dtype=np.int64)
-    first = bisect.bisect_right(sim.segments, start, key=itemgetter(0)) - 1
-    records = sim.segments[first:bisect.bisect_left(sim.segments, stop, key=itemgetter(0))]
+    first, last = start // DAY_S, -(-stop // DAY_S)  # the days [first, last) it touches
+    runs = sim.runs[bisect.bisect_right(sim.runs, first, key=itemgetter(0)) - 1:
+                    bisect.bisect_left(sim.runs, last, key=itemgetter(0))]
+    records = []
+    for day, days, shift, recs in runs:
+        for j in range(max(first - day, 0), min(days, last - day)):
+            at = j * DAY_S
+            records += [(s + at, n, c0 + j * shift, g, c1 + j * shift)
+                        for s, n, c0, g, c1 in recs if start < s + at + n and s + at < stop]
     require_int64_nj(records)
     for step, seconds, c0, gain, c1 in records:
         # seconds before the charge reaches a bound and stays there

@@ -307,6 +307,11 @@ CSV_CASES = {
     "huge quoted header cell": (b'time_s,"' + b"e" * 200000 + b'"\n0,1\n', ECG_H, float, 1),
     "huge quoted body cell": (b'time_s,ecg\n0,1\n2,"' + b"3" * 200000 + b'"\n', ECG_H, float,
                               3),
+    # a row that spans lines moves every later row's error by the lines it took
+    "bad row after a two-line cell": (b'time_s,ecg\n0,"1\n"\noops,2\n', ECG_H, float, 4),
+    "bad row after a two-line header": (b'time_s,"ecg\n"\n0,1\noops,2\n', ECG_H, float, 4),
+    "int label beyond int64 after a two-line cell": (
+        b'label\n"0\n"\n99999999999999999999\n', ("label",), int, 4),
 }
 
 

@@ -254,7 +254,7 @@ def test_soc_conservation_and_bounds_randomized():
 def per_second_soc(scenario, battery, rate_per_minute, detection_energy_j, days):
     """Reference simulator: the same integer-nanojoule battery stepped one
     second at a time. ``simulate_soc`` must agree with it on every field but
-    ``segments``, and ``charge_series_nj`` with its int64 nJ series."""
+    ``runs``, and ``charge_series_nj`` with its int64 nJ series."""
     plan = [
         (int(round(seg.duration_s)), int(round(segment_power_w(seg) * 1e9)))
         for seg in scenario.segments
@@ -300,7 +300,7 @@ def per_second_soc(scenario, battery, rate_per_minute, detection_energy_j, days)
         served_j=served / 1e9,
         spilled_j=spilled / 1e9,
         unmet_j=unmet / 1e9,
-        segments=(),
+        runs=(),
     )
     return result, np.array(series, dtype=np.int64)
 
@@ -309,7 +309,7 @@ def assert_matches_per_second(scenario, battery, rate, energy, days):
     got = simulate_soc(scenario, battery, rate, energy, days=days)
     want, want_series = per_second_soc(scenario, battery, rate, energy, days)
     for f in dataclasses.fields(SocSimResult):
-        if f.name != "segments":
+        if f.name != "runs":
             assert getattr(got, f.name) == getattr(want, f.name), f.name
     series = charge_series_nj(got)
     assert series.dtype == np.int64
@@ -380,8 +380,9 @@ def test_soc_matches_per_second_reference_full_and_idle():
 
 def per_day_soc(scenario, battery, rate_per_minute, detection_energy_j, days):
     """Reference simulator: every day of the run stepped one segment at a
-    time, none of them copied from another. ``simulate_soc`` derives repeated
-    days instead and must agree with it on every field, ``segments`` included."""
+    time, none of them derived from another, so each is a run of one day.
+    ``simulate_soc`` derives repeated days instead and must agree with it on
+    every record of ``segments`` and on every field but ``runs``."""
     plan = [
         (int(round(seg.duration_s)), int(round(segment_power_w(seg) * 1e9)))
         for seg in scenario.segments
@@ -422,13 +423,19 @@ def per_day_soc(scenario, battery, rate_per_minute, detection_energy_j, days):
         served_j=served / 1e9,
         spilled_j=spilled / 1e9,
         unmet_j=unmet / 1e9,
-        segments=tuple(records),
+        runs=tuple((d, 1, 0, tuple(records[d * len(plan):(d + 1) * len(plan)]))
+                   for d in range(days)),
     )
 
 
 def assert_matches_per_day(scenario, battery, rate, energy, days):
     got = simulate_soc(scenario, battery, rate, energy, days=days)
-    assert vars(got) == vars(per_day_soc(scenario, battery, rate, energy, days))
+    want = per_day_soc(scenario, battery, rate, energy, days)
+    assert got.segments == want.segments
+    assert dataclasses.replace(got, runs=()) == dataclasses.replace(want, runs=())
+    # each run holds one day's records, and starts on its first day
+    assert all(recs[0][0] == first * DAY_S and len(recs) == len(scenario.plan)
+               for first, _, _, recs in got.runs)
     return got
 
 
@@ -567,6 +574,20 @@ def test_soc_matches_per_day_reference_over_a_century(regime):
         "spill": (True, False), "in-range": (False, False), "brownout": (False, True)}[regime]
 
 
+def test_soc_result_holds_each_simulated_day_once():
+    # the stock spill regime: day 1 ends below full, day 2 ends where it
+    # started, and every later day repeats it, so a million days store the
+    # same few runs as thirty
+    scenario = indoor_day_scenario()
+    rate = sustainable_rate(scenario, 602.2e-6).max_detections_per_minute
+    month, million = (simulate_soc(scenario, BatteryState(), rate, 602.2e-6, days=days)
+                      for days in (30, 10**6))
+    assert len(million.runs) == len(month.runs) <= 3
+    assert [run[3] for run in million.runs] == [run[3] for run in month.runs]
+    assert million.runs[-1][:3] == (1, 10**6 - 1, 0)
+    assert million.spilled_j > 0
+
+
 def test_charge_series_refuses_a_charge_beyond_int64_nanojoules():
     # 1.4e10 J is 1.4e19 nJ, past int64: a full battery cannot be stored, an
     # empty one that stays far below the limit can
@@ -611,19 +632,24 @@ def test_charge_series_windows_inside_a_segment_longer_than_the_window():
     assert_windows_match(res, windows + window_edges(res))
 
 
-@pytest.mark.parametrize("regime", ["spill", "brownout", "pinned"])
+@pytest.mark.parametrize("regime", ["spill", "brownout", "pinned", "drift"])
 def test_charge_series_windows_over_spill_brownout_and_pinned_stretches(regime):
     if regime == "spill":        # fills within the sunny hour, then sits full
         args = (outdoor_hour_scenario(), BatteryState(capacity_j=3.0, charge_j=1.0), 0.0)
     elif regime == "brownout":   # empties partway into day 2, then sits empty
         args = (indoor_day_scenario(), BatteryState(capacity_j=20.0), 30.0)
-    else:                        # full with a net gain: pinned from the first second
+    elif regime == "pinned":     # full with a net gain: pinned from the first second
         args = (indoor_day_scenario(), BatteryState(capacity_j=5.0), 1.0)
+    else:                        # +12.8 J a day from empty: day 2 repeats day 1 raised,
+        # and day 3 fills the battery, so a run of its own starts at 2 * DAY_S
+        args = (indoor_day_scenario(), BatteryState(capacity_j=40.0, charge_j=0.0), 10.0)
     res = simulate_soc(*args, 602.2e-6, days=3)
     full = charge_series_nj(res)
     reached = {"spill": res.spilled_j > 0 and (full[:3600] == full[3599]).sum() > 1,
                "brownout": res.brownout and full[-1] == 0,
-               "pinned": full[0] == full[21599] == nj(5.0)}
+               "pinned": full[0] == full[21599] == nj(5.0),
+               "drift": [run[:2] for run in res.runs] == [(0, 2), (2, 1)]
+               and res.runs[0][2] > 0}
     assert reached[regime]
     # every window edge where a ramp ends at a bound, and its neighbours
     bounds = np.flatnonzero(np.diff(full) == 0)
