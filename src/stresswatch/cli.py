@@ -739,7 +739,7 @@ def cmd_budget(args) -> int:
         sim = hs.simulate_soc(scenario, battery, rate, e_det, days=args.days)
         if args.soc_out is not None:
             try:
-                hs.require_int64_nj(sim.segments)
+                hs.require_int64_nj(sim.highest_days)
             except ConfigError:
                 raise ConfigError(
                     f"--soc-out records the charge as int64 nJ, which cannot hold a "

@@ -143,17 +143,30 @@ class SocSimResult:
     served_j: float
     spilled_j: float
     unmet_j: float
-    # one (first day, days, shift nJ, records) per simulated day: its
-    # (start second, seconds, start nJ, gain nW, end nJ) record per segment,
-    # repeated on each of ``days`` days, each repeat ``shift`` nJ higher
+    # one (first day, days, shift nJ, records) per simulated day: its (start second,
+    # seconds, start nJ, gain nW, end nJ) record per segment, repeated as ``_walk`` says
     runs: tuple[tuple[int, int, int, tuple[tuple[int, int, int, int, int], ...]], ...]
 
     @property
     def segments(self) -> tuple[tuple[int, int, int, int, int], ...]:
         """Every day's records in time order, expanded from ``runs``."""
-        return tuple((s + j * DAY_S, n, c0 + j * shift, g, c1 + j * shift)
-                     for _, days, shift, day in self.runs for j in range(days)
-                     for s, n, c0, g, c1 in day)
+        return tuple(_walk(self.runs, 0, self.days))
+
+    @property
+    def highest_days(self) -> tuple[tuple[int, int, int, int, int], ...]:
+        """The records of each run's highest day: its last if it rises, else its first."""
+        tops = (day + (days - 1) * (shift > 0) for day, days, shift, _ in self.runs)
+        return tuple(rec for top in tops for rec in _walk(self.runs, top, top + 1))
+
+
+def _walk(runs, first, last):
+    """The records of days [first, last) of ``runs`` in time order: day j of
+    a run holds the run's records j days and j shifts on."""
+    for day, days, shift, recs in runs[bisect.bisect_right(runs, first, key=itemgetter(0)) - 1:
+                                       bisect.bisect_left(runs, last, key=itemgetter(0))]:
+        for j in range(max(first - day, 0), min(days, last - day)):
+            at, up = j * DAY_S, j * shift
+            yield from ((s + at, n, c0 + up, g, c1 + up) for s, n, c0, g, c1 in recs)
 
 
 def indoor_day_scenario(solar_hours: float = 6.0, teg_hours: float = 24.0) -> HarvestScenario:
@@ -345,8 +358,7 @@ def require_int64_nj(records) -> None:
 
 def charge_series_nj(sim: SocSimResult, start: int = 0, stop: int | None = None) -> np.ndarray:
     """The charge (int64 nJ) at the end of each second ``start`` to ``stop``
-    (default: every second) of ``sim``, derived from the window's days alone:
-    day j of a run in ``sim.runs`` holds its records, j days and j shifts on.
+    (default: every second) of ``sim``, derived from the window's days alone.
 
     A charge held of 2^63 nJ or more in the window is a ``ConfigError``,
     raised before the series is filled.
@@ -355,15 +367,8 @@ def charge_series_nj(sim: SocSimResult, start: int = 0, stop: int | None = None)
     if not 0 <= start <= stop <= sim.days * DAY_S:
         raise ValueError(f"window [{start}, {stop}) outside the {sim.days * DAY_S} s run")
     series = np.empty(stop - start, dtype=np.int64)
-    first, last = start // DAY_S, -(-stop // DAY_S)  # the days [first, last) it touches
-    runs = sim.runs[bisect.bisect_right(sim.runs, first, key=itemgetter(0)) - 1:
-                    bisect.bisect_left(sim.runs, last, key=itemgetter(0))]
-    records = []
-    for day, days, shift, recs in runs:
-        for j in range(max(first - day, 0), min(days, last - day)):
-            at = j * DAY_S
-            records += [(s + at, n, c0 + j * shift, g, c1 + j * shift)
-                        for s, n, c0, g, c1 in recs if start < s + at + n and s + at < stop]
+    records = [r for r in _walk(sim.runs, start // DAY_S, -(-stop // DAY_S))
+               if start < r[0] + r[1] and r[0] < stop]
     require_int64_nj(records)
     for step, seconds, c0, gain, c1 in records:
         # seconds before the charge reaches a bound and stays there

@@ -1791,6 +1791,57 @@ def test_budget_soc_out_with_a_load_beyond_int64_nanojoules(capsys, tmp_path):
     assert {line.split(",")[1] for line in lines[1:]} == {"0"}
 
 
+def test_budget_soc_out_never_expands_every_day(capsys, tmp_path, monkeypatch):
+    soc = tmp_path / "soc.csv"
+    args = ("budget", "--days", "3", "--start-charge", "0.6", "--soc-out", str(soc))
+    report = run_cli(capsys, *args)
+    assert report[0] == 0
+    want = soc.read_bytes()
+    soc.unlink()
+
+    def expand(sim):
+        raise AssertionError("SocSimResult.segments read")
+
+    monkeypatch.setattr(hs.SocSimResult, "segments", property(expand))
+    assert run_cli(capsys, *args) == report
+    assert soc.read_bytes() == want
+
+
+def test_budget_soc_out_checks_int64_in_memory_flat_in_days(capsys):
+    # /dev/full refuses the first write (exit 2), so the peak covers the
+    # simulation, the int64 check and one chunk, but no writing after it;
+    # expanding every day's records for the check took tens of MB
+    args = ("budget", "--days", "100000", "--soc-out", "/dev/full")
+    assert run_cli(capsys, "budget", "--days", "1", "--soc-out", os.devnull)[0] == 0
+    codes = []
+    peak = traced_peak(lambda: codes.append(run_cli(capsys, *args)[0]))
+    assert codes == [2]
+    assert peak < 4 * 2**20, peak
+
+
+def test_budget_soc_out_refuses_a_charge_past_int64_on_a_runs_last_day(
+        capsys, tmp_path, monkeypatch):
+    # a 1.35e10 J battery 46.85 J below 2^63 nJ, with no load: the indoor day
+    # rises about 21.5 J a day unpinned, so the three days are one run, and
+    # only its last day holds a charge past int64
+    sims = []
+    real = hs.simulate_soc
+    monkeypatch.setattr(hs, "simulate_soc", lambda *a, **k: sims.append(real(*a, **k)) or sims[-1])
+    soc = tmp_path / "soc.csv"
+    soc.write_bytes(b"t_s,charge_j\n0,1\n" * 1000)
+    code, stdout, stderr = run_cli(capsys, "budget", "--days", "3", "--rate", "0",
+                                   "--battery-mah", "1e9", "--battery-volts", "3.75",
+                                   "--start-charge", "0.68321274", "--soc-out", str(soc))
+    assert (code, stdout) == (5, "")
+    assert "--battery-mah" in stderr and "--battery-volts" in stderr
+    assert soc.read_bytes() == b"t_s,charge_j\n0,1\n" * 1000
+    (sim,) = sims
+    assert [run[:2] for run in sim.runs] == [(0, 3)]
+    # two records a day: the sunny and the dark stretch
+    peaks = [max(max(c0, c1) for _, _, c0, _, c1 in sim.segments[d:d + 2]) for d in (0, 2, 4)]
+    assert peaks[1] < 2**63 <= peaks[2]
+
+
 # every kind of output written through nn_core._open_output: the arguments
 # that write it to a path, and the file written there
 REWRITTEN = {

@@ -703,6 +703,57 @@ def test_charge_series_guard_refuses_a_window_past_int64():
     require_int64_nj(res.segments[:1])
 
 
+def peak_nj(records):
+    """The highest charge, start or end, that segment records hold."""
+    return max(max(c0, c1) for _, _, c0, _, c1 in records)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_highest_days_hold_the_highest_charge_randomized(seed):
+    # spill, brownout, in-range and drift runs up and down, of up to 10^4
+    # days: each run's highest day holds the highest charge of all its days
+    rng = np.random.default_rng(700 + seed)
+    stock = BatteryState().capacity_j
+    seen = set()
+    for _ in range(30):
+        scenario = few_segment_day(rng)
+        exact = sustainable_rate(scenario, 602.2e-6).detections_per_day_exact / 1440
+        rate = exact * [0.0, float(rng.uniform(0.9, 1.1)), float(rng.uniform(0.0, 20.0))][
+            int(rng.integers(3))]
+        cap = stock * 10 ** float(rng.uniform(-3, 3))
+        charge = [0.0, cap, float(rng.uniform(0.0, cap))][int(rng.integers(3))]
+        res = simulate_soc(scenario, BatteryState(capacity_j=cap, charge_j=charge), rate,
+                           602.2e-6, days=int(rng.integers(1, 10**4 + 1)))
+        assert len(res.highest_days) == len(res.runs) * len(scenario.plan)
+        assert peak_nj(res.highest_days) == peak_nj(res.segments)
+        seen |= {"spill"} if res.spilled_j > 0 else set()
+        seen |= {"brownout"} if res.unmet_j > 0 else set()
+        seen |= {"in-range"} if res.spilled_j == res.unmet_j == 0 else set()
+        seen |= {("up", "down")[shift < 0] for _, days, shift, _ in res.runs
+                 if days > 1 and shift}
+    assert seen == {"spill", "brownout", "in-range", "up", "down"}
+
+
+@pytest.mark.parametrize("direction", ["up", "down"])
+def test_highest_days_see_a_charge_past_int64_on_one_day_of_a_run(direction):
+    # no load on the indoor day from 46.85 J below 2^63 nJ: it rises about
+    # 21.5 J a day unpinned, and only the run's last day passes the limit.
+    # 40/min from 1 J above it: it falls about 13.2 J a day, and only the
+    # run's first day holds a charge past the limit.
+    start, rate = {"up": (2**63 - 46_854_775_808, 0.0), "down": (2**63 + 10**9, 40.0)}[
+        direction]
+    battery = BatteryState(capacity_j=1.4e10, charge_j=start / 1e9)
+    res = simulate_soc(indoor_day_scenario(), battery, rate, 602.2e-6, days=3)
+    (day, days, shift, _), = res.runs
+    assert (day, days, shift > 0) == (0, 3, direction == "up")
+    over, under = (res.segments[4:], res.segments[:4]) if direction == "up" else (
+        res.segments[:2], res.segments[2:])
+    assert peak_nj(under) < 2**63 <= peak_nj(over)
+    assert res.highest_days == over
+    with pytest.raises(ConfigError, match="int64"):
+        require_int64_nj(res.highest_days)
+
+
 def test_soc_results_compare_by_value():
     run = [simulate_soc(indoor_day_scenario(), BatteryState(capacity_j=20.0), 30.0, 602.2e-6,
                         days=2) for _ in range(2)]
