@@ -222,11 +222,18 @@ def _load_norm(model_path: str, norm_file: str | None):
     return mean, std
 
 
-def _remove_stale(sidecar: str) -> None:
-    """Delete a normalization sidecar left by an earlier model at the same
+def _write_norm(model_path: str, norm) -> str | None:
+    """Write ``norm`` = (mean, std) as the model's sidecar and return its path;
+    with ``norm`` None, delete a sidecar left by an earlier model at the same
     path, so that classify does not scale a new model's inputs by it."""
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(sidecar)
+    path = model_path + ".norm.json"
+    if norm is None:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
+        return None
+    _emit_json({"mean": [float(v) for v in norm[0]], "std": [float(v) for v in norm[1]]},
+               path)
+    return path
 
 
 def cmd_features(args) -> int:
@@ -441,12 +448,7 @@ def cmd_train(args) -> int:
     final_mse = nn_core.mse_loss(net, dataset)
 
     nn_core.write_fann(net, args.output)
-    sidecar = args.output + ".norm.json"
-    if norm is None:
-        _remove_stale(sidecar)
-    else:
-        _emit_json({"mean": [float(v) for v in norm[0]], "std": [float(v) for v in norm[1]]},
-                   sidecar)
+    _write_norm(args.output, norm)
 
     if args.json:
         _emit_json(
@@ -471,20 +473,12 @@ def cmd_quantize(args) -> int:
         raise ConfigError(f"{args.model} is already fixed point")
     if os.path.exists(args.output) and os.path.samefile(args.model, args.output):
         raise ConfigError(f"output {args.output} is the input model")
+    # carry the normalization sidecar along, checked as classify checks it,
+    # so classify keeps scaling inputs the way the float model was trained
+    norm = _load_norm(args.model, None)
     fp = quantize(model, qformat)
     nn_core.write_fann(fp, args.output)
-    # carry the normalization sidecar along so classify keeps scaling
-    # inputs the way the float model was trained
-    sidecar = args.model + ".norm.json"
-    copied = args.output + ".norm.json"
-    if os.path.exists(sidecar):
-        with open(sidecar, "rb") as fh:
-            norm = fh.read()
-        with nn_core._open_output(copied) as fh:
-            fh.write(norm)
-    else:
-        _remove_stale(copied)
-        copied = None
+    copied = _write_norm(args.output, norm)
     if args.json:
         _emit_json(
             {
@@ -558,10 +552,8 @@ def _resolve_scenario(args) -> hs.HarvestScenario:
         return builtins[name]
     if name != "indoor-day":
         raise ConfigError("--teg-hours/--solar-hours apply to the indoor-day scenario only")
-    return hs.indoor_day_scenario(
-        solar_hours=args.solar_hours if args.solar_hours is not None else 6.0,
-        teg_hours=args.teg_hours if args.teg_hours is not None else 24.0,
-    )
+    given = {"solar_hours": args.solar_hours, "teg_hours": args.teg_hours}
+    return hs.indoor_day_scenario(**{k: v for k, v in given.items() if v is not None})
 
 
 @functools.lru_cache(maxsize=None)

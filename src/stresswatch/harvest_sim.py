@@ -399,7 +399,7 @@ def scenario_from_config(path) -> HarvestScenario:
               - {kind: solar, condition: indoor}
               - {kind: teg,   condition: warm-room}
           - duration_h: 18
-            sources: []
+            sources: []            # or null, or absent: no harvesters
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -424,7 +424,7 @@ def scenario_from_config(path) -> HarvestScenario:
             duration = float(entry[key]) * (3600.0 if key == "duration_h" else 1.0)
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"{path}: segment {i} {key} must be a number") from None
-        sources = entry.get("sources") or []
+        sources = [] if entry.get("sources") is None else entry["sources"]
         if not isinstance(sources, list):
             raise ConfigError(f"{path}: segment {i} sources must be a list")
         pairs = []

@@ -1065,6 +1065,41 @@ def test_quantize_without_a_sidecar_removes_a_stale_one(capsys, data_dir, tmp_pa
     assert stdout == run_cli(capsys, *classify, "--no-norm")[1]
 
 
+@pytest.mark.parametrize("text,message", [
+    ("{not json", "invalid normalization sidecar: Expecting property name "
+                  "enclosed in double quotes: line 1 column 2 (char 1)"),
+    ('{"mean": [0, 0, 0, 0, 0]}', "invalid normalization sidecar: 'std'"),
+    ('{"mean": [0, NaN, 0, 0, 0], "std": [1, 1, 1, 1, 1]}', "normalization sidecar is malformed"),
+    ('{"mean": [0, 0, 0, 0, 0], "std": [1, 1, 0, 1, -1]}', "normalization sidecar is malformed"),
+], ids=["invalid-json", "no-std", "nan-mean", "non-positive-std"])
+def test_quantize_refuses_a_sidecar_classify_would_refuse(capsys, data_dir, tmp_path, text,
+                                                          message):
+    model = tmp_path / "m.net"
+    model.write_bytes((data_dir / "network_a_random.net").read_bytes())
+    sidecar = tmp_path / "m.net.norm.json"
+    sidecar.write_text(text)
+    fixed = tmp_path / "q.net"
+    got = run_cli(capsys, "quantize", str(model), "-o", str(fixed))
+    assert got == (2, "", f"error: {sidecar}: {message}\n")
+    assert not fixed.exists()
+    assert not (tmp_path / "q.net.norm.json").exists()
+
+
+def test_quantize_rewrites_a_hand_written_sidecar_the_way_train_writes_one(capsys, data_dir,
+                                                                          tmp_path):
+    model = tmp_path / "m.net"
+    model.write_bytes((data_dir / "network_a_random.net").read_bytes())
+    (tmp_path / "m.net.norm.json").write_text(
+        '{"std": [1, 2, 1, 1, 1e0], "mean": [0, 0, 0.5, -0, 3]}')
+    fixed = tmp_path / "q.net"
+    assert run_cli(capsys, "quantize", str(model), "-o", str(fixed))[0] == 0
+    # sorted keys, a 2-space indent and float spellings, as cmd_train writes
+    assert (tmp_path / "q.net.norm.json").read_text() == "\n".join([
+        "{", '  "mean": [', "    0.0,", "    0.0,", "    0.5,", "    0.0,", "    3.0",
+        "  ],", '  "std": [', "    1.0,", "    2.0,", "    1.0,", "    1.0,", "    1.0",
+        "  ]", "}", ""])
+
+
 @pytest.mark.parametrize("spelling", ["same", "dotted", "symlink"])
 def test_quantize_rejects_its_input_as_output_before_writing(capsys, data_dir, tmp_path, spelling):
     model = tmp_path / "m.net"
@@ -1983,9 +2018,10 @@ def test_budget_scenario_file_with_a_non_numeric_duration(capsys, tmp_path, valu
     assert f"{path}: segment 0 duration_s must be a number" in stderr
 
 
-def test_budget_scenario_file_with_non_list_sources(capsys, tmp_path):
+@pytest.mark.parametrize("value", ["5", "false", "0", "''", "{}"])
+def test_budget_scenario_file_with_non_list_sources(capsys, tmp_path, value):
     path = tmp_path / "bad.yaml"
-    path.write_text("segments:\n  - duration_h: 24\n    sources: 5\n")
+    path.write_text(f"segments:\n  - duration_h: 24\n    sources: {value}\n")
     code, stdout, stderr = run_cli(capsys, "budget", "--scenario-file", str(path))
     assert code == 5
     assert stdout == ""
@@ -2084,6 +2120,15 @@ def test_budget_hours_do_not_outlive_their_call(capsys):
     assert code == 0
     assert json.loads(short)["daily_intake_j"] != json.loads(stock)["daily_intake_j"]
     assert json.loads(stock)["daily_intake_j"] == pytest.approx(21.5136, abs=1e-9)
+
+
+@pytest.mark.parametrize("given,spelled", [
+    (("--solar-hours", "3"), ("--solar-hours", "3", "--teg-hours", "24")),
+    (("--teg-hours", "12"), ("--solar-hours", "6", "--teg-hours", "12")),
+])
+def test_budget_one_hour_flag_keeps_the_other_default(capsys, given, spelled):
+    assert run_cli(capsys, "budget", *given, "--json") == \
+        run_cli(capsys, "budget", *spelled, "--json")
 
 
 @pytest.mark.parametrize("days", [[], ["--days", "3"]])

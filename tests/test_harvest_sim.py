@@ -889,6 +889,14 @@ def test_scenario_yaml_defaults_and_empty_sources(tmp_path):
     assert daily_intake(scenario) == 0.0
 
 
+@pytest.mark.parametrize("segment", ["{duration_h: 24, sources: null}", "{duration_h: 24}"],
+                         ids=["null", "absent"])
+def test_scenario_yaml_null_or_absent_sources_mean_none(tmp_path, segment):
+    path = tmp_path / "idle.yaml"
+    path.write_text(f"segments: [{segment}]\n")
+    assert scenario_from_config(path).segments[0].sources == ()
+
+
 def test_scenario_yaml_error_cases(tmp_path):
     path = tmp_path / "bad.yaml"
 

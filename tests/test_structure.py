@@ -6,7 +6,10 @@ cycle that once forced imports inside function bodies. The fixed-point
 kernel works in int64 alone, so no module may build an array of Python
 objects, which is how unbounded-integer arithmetic would come back. Every
 file the package writes goes through ``nn_core._open_output``, so one policy
-(written over in place, then cut to length) holds for all of them. Every
+(written over in place, then cut to length) holds for all of them. A
+model's ``.norm.json`` sidecar is named only by ``cli._load_norm``, which
+reads and checks it, and ``cli._write_norm``, which writes or deletes it, so
+train, quantize and classify agree on its form. Every
 exported name and every module or class constant is read by the package,
 the bench or the tools, or is kept for a reason written down here.
 """
@@ -232,6 +235,17 @@ def test_file_opener_rule_sees_each_listed_spelling():
     tree = ast.parse(WRITES + READS)
     assert sorted(write_open_lines(tree, "_open_output")) == list(range(1, writes + 1))
     assert sorted(write_open_lines(tree)) == [*range(1, writes + 1), last, last]
+
+
+def test_one_reader_and_one_writer_of_the_norm_sidecar():
+    naming = set()
+    for path in MODULES:
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(func, ast.FunctionDef) and any(
+                    isinstance(node, ast.Constant) and node.value == ".norm.json"
+                    for node in ast.walk(func)):
+                naming.add((path.name, func.name))
+    assert naming == {("cli.py", "_load_norm"), ("cli.py", "_write_norm")}
 
 
 def module_constants(tree):
