@@ -730,13 +730,6 @@ def cmd_budget(args) -> int:
         rate = args.rate if args.rate is not None else report.max_detections_per_minute
         sim = hs.simulate_soc(scenario, battery, rate, e_det, days=args.days)
         if args.soc_out is not None:
-            try:
-                hs.require_int64_nj(sim.highest_days)
-            except ConfigError:
-                raise ConfigError(
-                    f"--soc-out records the charge as int64 nJ, which cannot hold a "
-                    f"{battery.capacity_j:g} J battery; lower --battery-mah or --battery-volts"
-                ) from None
             total = sim.days * hs.DAY_S
             work = _SocWork(min(SOC_OUT_CHUNK_LINES, total))
             with nn_core._open_output(args.soc_out) as fh:

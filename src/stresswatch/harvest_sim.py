@@ -112,8 +112,10 @@ class BatteryState:
     charge_j: float | None = None  # None: start full
 
     def __post_init__(self):
-        if not 0 < self.capacity_j < math.inf:
-            raise ConfigError("battery capacity must be positive and finite")
+        # every charge is clamped to [0, capacity], so each fits int64 nJ; NaN fails
+        if not 0 < self.capacity_j * 1e9 < 2**63:
+            raise ConfigError(
+                "battery capacity must be positive, finite and below 2^63 nJ (about 9.22e9 J)")
         if self.charge_j is None:
             object.__setattr__(self, "charge_j", self.capacity_j)
         if not 0 <= self.charge_j <= self.capacity_j:
@@ -151,12 +153,6 @@ class SocSimResult:
     def segments(self) -> tuple[tuple[int, int, int, int, int], ...]:
         """Every day's records in time order, expanded from ``runs``."""
         return tuple(_walk(self.runs, 0, self.days))
-
-    @property
-    def highest_days(self) -> tuple[tuple[int, int, int, int, int], ...]:
-        """The records of each run's highest day: its last if it rises, else its first."""
-        tops = (day + (days - 1) * (shift > 0) for day, days, shift, _ in self.runs)
-        return tuple(rec for top in tops for rec in _walk(self.runs, top, top + 1))
 
 
 def _walk(runs, first, last):
@@ -273,15 +269,14 @@ def simulate_soc(
     if not math.isfinite(detection_energy_j):
         raise ConfigError("detection energy must be finite")
 
-    load, cap, c = (rate_per_minute * detection_energy_j * 1e9 / SECONDS_PER_MINUTE,
-                    battery.capacity_j * 1e9, battery.charge_j * 1e9)
+    load = rate_per_minute * detection_energy_j * 1e9 / SECONDS_PER_MINUTE
     # served and unmet are at most the total demand and every charge at most
     # the capacity, so each total below converts back to joules
-    for quantity, value in (("detection load", load), ("battery capacity", cap),
-                            ("start charge", c), ("total demand", load * DAY_S * days)):
+    for quantity, value in (("detection load", load), ("total demand", load * DAY_S * days)):
         if not math.isfinite(value):
             raise ConfigError(f"{quantity} in nanojoules is not a finite float")
-    load, cap, c = int(round(load)), int(round(cap)), int(round(c))
+    load, cap, c = (int(round(load)), int(round(battery.capacity_j * 1e9)),
+                    int(round(battery.charge_j * 1e9)))
     c_init = c
     lo = hi = c
     intake = served = spilled = unmet = 0
@@ -348,28 +343,15 @@ def simulate_soc(
     )
 
 
-def require_int64_nj(records) -> None:
-    """Raise ``ConfigError`` if a charge the segment records hold reaches
-    2^63 nJ (about 9.2e9 J), past what int64 nJ can store."""
-    peak = max((max(start, end) for _, _, start, _, end in records), default=0)
-    if peak >= 2**63:
-        raise ConfigError(f"int64 nJ cannot hold a charge of {peak / 1e9:g} J")
-
-
 def charge_series_nj(sim: SocSimResult, start: int = 0, stop: int | None = None) -> np.ndarray:
     """The charge (int64 nJ) at the end of each second ``start`` to ``stop``
-    (default: every second) of ``sim``, derived from the window's days alone.
-
-    A charge held of 2^63 nJ or more in the window is a ``ConfigError``,
-    raised before the series is filled.
-    """
+    (default: every second) of ``sim``, derived from the window's days alone."""
     stop = sim.days * DAY_S if stop is None else stop
     if not 0 <= start <= stop <= sim.days * DAY_S:
         raise ValueError(f"window [{start}, {stop}) outside the {sim.days * DAY_S} s run")
     series = np.empty(stop - start, dtype=np.int64)
-    records = [r for r in _walk(sim.runs, start // DAY_S, -(-stop // DAY_S))
-               if start < r[0] + r[1] and r[0] < stop]
-    require_int64_nj(records)
+    records = (r for r in _walk(sim.runs, start // DAY_S, -(-stop // DAY_S))
+               if start < r[0] + r[1] and r[0] < stop)
     for step, seconds, c0, gain, c1 in records:
         # seconds before the charge reaches a bound and stays there
         inside = seconds if gain == 0 else (c1 - c0) // gain

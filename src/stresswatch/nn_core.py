@@ -113,7 +113,7 @@ class _Network:
     through and tanh follows every connection.
     weights[l] has shape ``(layer_sizes[l] + 1, layer_sizes[l + 1])`` with
     the bias row last. Arrays are copied to ``DTYPE`` and frozen at
-    construction; each subclass adds the rule its values must satisfy.
+    construction; each subclass adds, as ``_check_values``, the rule its values meet.
     """
 
     layer_sizes: tuple[int, ...]
@@ -139,9 +139,6 @@ class _Network:
             frozen.append(w)
         object.__setattr__(self, "layer_sizes", sizes)
         object.__setattr__(self, "weights", tuple(frozen))
-
-    def _check_values(self, l: int, w: np.ndarray) -> None:
-        raise NotImplementedError
 
     @property
     def layer_count(self) -> int:

@@ -106,6 +106,8 @@ class CalibrationTable:
             )
         if weights["A"] == weights["B"]:
             raise CalibrationError("the two reference networks need distinct weight counts")
+        if not self.cycles:
+            raise ConfigError("a calibration table needs at least one platform")
         for p in self.cycles:
             if p not in self.clock_hz or not 0 < self.clock_hz[p] < math.inf:
                 raise ConfigError(f"platform {p!r} needs a positive, finite clock_hz")
@@ -336,4 +338,7 @@ def load_calibration(path) -> CalibrationTable:
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{path}: invalid 'networks' section: {exc}") from None
 
-    return CalibrationTable(clock_hz, cycles, energy, weights)
+    try:
+        return CalibrationTable(clock_hz, cycles, energy, weights)
+    except ConfigError as exc:  # a rule of the table, checked when built
+        raise type(exc)(f"{path}: {exc}") from None

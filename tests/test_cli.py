@@ -1363,6 +1363,24 @@ def test_report_rejects_a_bad_calibration_table(capsys, tmp_path, fault):
     assert named in stderr and "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("command", ["report", "budget"])
+@pytest.mark.parametrize("breaks, message", [
+    (lambda doc: CALIBRATION_FAULTS["inconsistent-power"][0](doc["platforms"]),
+     "platform 'ibex': A/B power disagreement 6.29% exceeds 3%"),
+    (lambda doc: doc.update(networks={"A": {"weights": 3003}, "B": {"weights": 3003}}),
+     "the two reference networks need distinct weight counts"),
+    (lambda doc: doc["platforms"].clear(), "a calibration table needs at least one platform"),
+], ids=["inconsistent-power", "equal-weights", "no-platform"])
+def test_a_calibration_files_rule_errors_name_the_file(capsys, tmp_path, command, breaks,
+                                                         message):
+    doc = calibration_doc()
+    breaks(doc)
+    path = tmp_path / "calib.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert run_cli(capsys, command, "--calibration", str(path)) == (
+        5, "", f"error: {path}: {message}\n")
+
+
 def test_report_rejects_a_calibration_platform_that_is_not_a_mapping(capsys, tmp_path):
     path = tmp_path / "calib.yaml"
     path.write_text("platforms:\n  ibex: 5\n")
@@ -1762,54 +1780,44 @@ def test_budget_soc_csv_over_three_days_matches_the_f_string(capsys, tmp_path, m
         (("--rate", "24", "--start-charge", "0.9"), "above 1000 J"),
         (("--rate", "24", "--start-charge", "1.0"), "spill"),
         (("--rate", "100", "--battery-mah", "1"), "brownout"),
-        (("--start-charge", "0", "--battery-mah", "1e9"), "beyond int64 capacity"),
+        (("--start-charge", "1", "--battery-mah", "6.9e8"), "just below 2^63 nJ"),
     ],
-    ids=["above-1000J", "spill", "brownout", "beyond-int64-capacity"],
+    ids=["above-1000J", "spill", "brownout", "just-below-2^63-nJ"],
 )
 def test_budget_soc_csv_matches_the_f_string_in_every_regime(
     capsys, tmp_path, monkeypatch, chunk, flags, regime
 ):
     monkeypatch.setattr(cli, "SOC_OUT_CHUNK_LINES", chunk)
-    runs = []
+    sims = []
     real = hs.simulate_soc
-
-    def simulate(scenario, battery, *args, **kwargs):
-        runs.append((battery, real(scenario, battery, *args, **kwargs)))
-        return runs[-1][1]
-
-    monkeypatch.setattr(hs, "simulate_soc", simulate)
+    monkeypatch.setattr(hs, "simulate_soc", lambda *a, **k: sims.append(real(*a, **k)) or sims[-1])
     soc = tmp_path / "soc.csv"
     code, _, _ = run_cli(capsys, "budget", "--days", "1", *flags, "--soc-out", str(soc))
     assert code == 0
-    battery, sim = runs[0]
+    (sim,) = sims
     n = hs.charge_series_nj(sim)
     series = n / 1e9
-    # the capacity does not fit int64 nJ, but every charge held does
+    # 9.19e9 J: every line's whole joules pass 2^32, so they are spelled in int64
     reached = {"above 1000 J": series.min() > 1000, "spill": sim.spilled_j > 0,
                "brownout": series.min() == 0,
-               "beyond int64 capacity": round(battery.capacity_j * 1e9) >= 2**63}
+               "just below 2^63 nJ": 2**32 * 10**9 <= n.min() <= n.max() < 2**63}
     assert reached[regime]
     assert soc.read_bytes() == b"t_s,charge_j\n" + soc_lines_reference(0, n)
 
 
-def test_budget_soc_out_rejects_a_capacity_beyond_int64_nanojoules(capsys, tmp_path):
-    # 1e9 mAh at 3.7 V is 1.3e10 J, 1.3e19 nJ: past int64, so the per-second
-    # series cannot hold it; without --soc-out the same run is fine
+def test_budget_rejects_a_capacity_beyond_int64_nanojoules(capsys, tmp_path):
+    # 1e9 mAh at 3.7 V is 1.3e10 J, 1.3e19 nJ: past int64, so the battery is
+    # refused before the simulation, with --soc-out or --json or neither
     soc = tmp_path / "soc.csv"
     args = ("budget", "--days", "1", "--battery-mah", "1e9")
-    code, stdout, stderr = run_cli(capsys, *args, "--soc-out", str(soc))
-    assert code == 5
-    assert stdout == ""
-    assert "--battery-mah" in stderr and "--battery-volts" in stderr
-    assert "Traceback" not in stderr
+    error = "error: battery capacity must be positive, finite and below 2^63 nJ (about 9.22e9 J)\n"
+    for extra in ((), ("--json",), ("--soc-out", str(soc)), ("--soc-out", str(soc), "--json")):
+        assert run_cli(capsys, *args, *extra) == (5, "", error)
     assert not soc.exists()
-    # checked before the file is opened, so an existing file keeps its bytes
+    # an existing file keeps its bytes
     soc.write_bytes(b"t_s,charge_j\n0,1\n" * 1000)
-    assert run_cli(capsys, *args, "--soc-out", str(soc)) == (5, "", stderr)
+    assert run_cli(capsys, *args, "--soc-out", str(soc)) == (5, "", error)
     assert soc.read_bytes() == b"t_s,charge_j\n0,1\n" * 1000
-    code, stdout, _ = run_cli(capsys, *args, "--json")
-    assert code == 0
-    assert json.loads(stdout)["simulation"]["spilled_j"] > 0
 
 
 def test_budget_soc_out_with_a_load_beyond_int64_nanojoules(capsys, tmp_path):
@@ -1842,39 +1850,16 @@ def test_budget_soc_out_never_expands_every_day(capsys, tmp_path, monkeypatch):
     assert soc.read_bytes() == want
 
 
-def test_budget_soc_out_checks_int64_in_memory_flat_in_days(capsys):
+def test_budget_soc_out_in_memory_flat_in_days(capsys):
     # /dev/full refuses the first write (exit 2), so the peak covers the
-    # simulation, the int64 check and one chunk, but no writing after it;
-    # expanding every day's records for the check took tens of MB
+    # simulation and one chunk, but no writing after it; expanding every
+    # day's records took tens of MB
     args = ("budget", "--days", "100000", "--soc-out", "/dev/full")
     assert run_cli(capsys, "budget", "--days", "1", "--soc-out", os.devnull)[0] == 0
     codes = []
     peak = traced_peak(lambda: codes.append(run_cli(capsys, *args)[0]))
     assert codes == [2]
     assert peak < 4 * 2**20, peak
-
-
-def test_budget_soc_out_refuses_a_charge_past_int64_on_a_runs_last_day(
-        capsys, tmp_path, monkeypatch):
-    # a 1.35e10 J battery 46.85 J below 2^63 nJ, with no load: the indoor day
-    # rises about 21.5 J a day unpinned, so the three days are one run, and
-    # only its last day holds a charge past int64
-    sims = []
-    real = hs.simulate_soc
-    monkeypatch.setattr(hs, "simulate_soc", lambda *a, **k: sims.append(real(*a, **k)) or sims[-1])
-    soc = tmp_path / "soc.csv"
-    soc.write_bytes(b"t_s,charge_j\n0,1\n" * 1000)
-    code, stdout, stderr = run_cli(capsys, "budget", "--days", "3", "--rate", "0",
-                                   "--battery-mah", "1e9", "--battery-volts", "3.75",
-                                   "--start-charge", "0.68321274", "--soc-out", str(soc))
-    assert (code, stdout) == (5, "")
-    assert "--battery-mah" in stderr and "--battery-volts" in stderr
-    assert soc.read_bytes() == b"t_s,charge_j\n0,1\n" * 1000
-    (sim,) = sims
-    assert [run[:2] for run in sim.runs] == [(0, 3)]
-    # two records a day: the sunny and the dark stretch
-    peaks = [max(max(c0, c1) for _, _, c0, _, c1 in sim.segments[d:d + 2]) for d in (0, 2, 4)]
-    assert peaks[1] < 2**63 <= peaks[2]
 
 
 # every kind of output written through nn_core._open_output: the arguments

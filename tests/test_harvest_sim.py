@@ -35,7 +35,7 @@ from stresswatch import (
     simulate_soc,
     sustainable_rate,
 )
-from stresswatch.harvest_sim import SOURCE_POWER_W, require_int64_nj
+from stresswatch.harvest_sim import SOURCE_POWER_W
 
 DAY_S = 86400
 
@@ -588,19 +588,6 @@ def test_soc_result_holds_each_simulated_day_once():
     assert million.spilled_j > 0
 
 
-def test_charge_series_refuses_a_charge_beyond_int64_nanojoules():
-    # 1.4e10 J is 1.4e19 nJ, past int64: a full battery cannot be stored, an
-    # empty one that stays far below the limit can
-    full = simulate_soc(indoor_day_scenario(), BatteryState(capacity_j=1.4e10), 24.0, 602.2e-6)
-    with pytest.raises(ConfigError, match="int64"):
-        charge_series_nj(full)
-    empty = BatteryState(capacity_j=1.4e10, charge_j=0.0)
-    res = simulate_soc(indoor_day_scenario(), empty, 24.0, 602.2e-6)
-    series = charge_series_nj(res)
-    assert series[-1] == nj(res.final_charge_j)
-    assert series.max() == nj(res.max_charge_j)
-
-
 def assert_windows_match(sim, windows):
     """``charge_series_nj(sim, a, b)`` is the full series' ``[a:b]``."""
     full = charge_series_nj(sim)
@@ -685,75 +672,6 @@ def test_charge_series_rejects_a_window_outside_the_run():
             charge_series_nj(res, a, b)
 
 
-def test_charge_series_guard_refuses_a_window_past_int64():
-    # a dark hour holds the charge just below 2^63 nJ, then outdoor sun pushes
-    # it past: a window across both segments is refused, one inside the dark
-    # hour is not
-    day = HarvestScenario("edge", (Segment(3600.0), Segment(82800.0, (("solar", "outdoor"),))))
-    battery = BatteryState(capacity_j=1.4e10, charge_j=(2**63 - 10**10) / 1e9)
-    res = simulate_soc(day, battery, 0.0, 602.2e-6)
-    (_, _, c0, _, c1), (_, _, _, _, end) = res.segments
-    assert c0 == c1 < 2**63 <= end
-    with pytest.raises(ConfigError, match="int64"):
-        charge_series_nj(res, 3500, 3700)
-    with pytest.raises(ConfigError, match="int64"):
-        require_int64_nj(res.segments)
-    # the dark hour alone fits
-    assert (charge_series_nj(res, 3400, 3600) == c0).all()
-    require_int64_nj(res.segments[:1])
-
-
-def peak_nj(records):
-    """The highest charge, start or end, that segment records hold."""
-    return max(max(c0, c1) for _, _, c0, _, c1 in records)
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_highest_days_hold_the_highest_charge_randomized(seed):
-    # spill, brownout, in-range and drift runs up and down, of up to 10^4
-    # days: each run's highest day holds the highest charge of all its days
-    rng = np.random.default_rng(700 + seed)
-    stock = BatteryState().capacity_j
-    seen = set()
-    for _ in range(30):
-        scenario = few_segment_day(rng)
-        exact = sustainable_rate(scenario, 602.2e-6).detections_per_day_exact / 1440
-        rate = exact * [0.0, float(rng.uniform(0.9, 1.1)), float(rng.uniform(0.0, 20.0))][
-            int(rng.integers(3))]
-        cap = stock * 10 ** float(rng.uniform(-3, 3))
-        charge = [0.0, cap, float(rng.uniform(0.0, cap))][int(rng.integers(3))]
-        res = simulate_soc(scenario, BatteryState(capacity_j=cap, charge_j=charge), rate,
-                           602.2e-6, days=int(rng.integers(1, 10**4 + 1)))
-        assert len(res.highest_days) == len(res.runs) * len(scenario.plan)
-        assert peak_nj(res.highest_days) == peak_nj(res.segments)
-        seen |= {"spill"} if res.spilled_j > 0 else set()
-        seen |= {"brownout"} if res.unmet_j > 0 else set()
-        seen |= {"in-range"} if res.spilled_j == res.unmet_j == 0 else set()
-        seen |= {("up", "down")[shift < 0] for _, days, shift, _ in res.runs
-                 if days > 1 and shift}
-    assert seen == {"spill", "brownout", "in-range", "up", "down"}
-
-
-@pytest.mark.parametrize("direction", ["up", "down"])
-def test_highest_days_see_a_charge_past_int64_on_one_day_of_a_run(direction):
-    # no load on the indoor day from 46.85 J below 2^63 nJ: it rises about
-    # 21.5 J a day unpinned, and only the run's last day passes the limit.
-    # 40/min from 1 J above it: it falls about 13.2 J a day, and only the
-    # run's first day holds a charge past the limit.
-    start, rate = {"up": (2**63 - 46_854_775_808, 0.0), "down": (2**63 + 10**9, 40.0)}[
-        direction]
-    battery = BatteryState(capacity_j=1.4e10, charge_j=start / 1e9)
-    res = simulate_soc(indoor_day_scenario(), battery, rate, 602.2e-6, days=3)
-    (day, days, shift, _), = res.runs
-    assert (day, days, shift > 0) == (0, 3, direction == "up")
-    over, under = (res.segments[4:], res.segments[:4]) if direction == "up" else (
-        res.segments[:2], res.segments[2:])
-    assert peak_nj(under) < 2**63 <= peak_nj(over)
-    assert res.highest_days == over
-    with pytest.raises(ConfigError, match="int64"):
-        require_int64_nj(res.highest_days)
-
-
 def test_soc_results_compare_by_value():
     run = [simulate_soc(indoor_day_scenario(), BatteryState(capacity_j=20.0), 30.0, 602.2e-6,
                         days=2) for _ in range(2)]
@@ -828,8 +746,9 @@ def test_soc_bad_arguments():
 
 
 def test_battery_state_validation():
-    for capacity in (0.0, math.inf, math.nan):
-        with pytest.raises(ConfigError):
+    # 1e301 J is finite, but its nanojoules are not
+    for capacity in (0.0, math.inf, math.nan, 1e301):
+        with pytest.raises(ConfigError, match="^battery capacity must be positive, finite"):
             BatteryState(capacity_j=capacity)
     # a negative charge is an error too: only an omitted one starts full
     for charge in (11.0, -3.0, -1.0):
@@ -837,6 +756,31 @@ def test_battery_state_validation():
             BatteryState(capacity_j=10.0, charge_j=charge)
     assert BatteryState(capacity_j=10.0, charge_j=0.0).charge_j == 0.0
     assert BatteryState(capacity_j=10.0).charge_j == 10.0
+
+
+def test_battery_capacity_stops_below_2_63_nanojoules():
+    # the last float below 2^63 nJ, 1024 nJ under it, is a battery; the next
+    # float reaches the limit (1e301, 0, inf and NaN: test_battery_state_validation)
+    top = 9223372036.854774
+    assert 2**63 - top * 1e9 == 1024
+    assert math.nextafter(top, math.inf) * 1e9 == 2**63
+    BatteryState(capacity_j=top)
+    with pytest.raises(ConfigError, match=r"below 2\^63 nJ \(about 9.22e9 J\)$"):
+        BatteryState(capacity_j=math.nextafter(top, math.inf))
+
+
+def test_charge_series_at_the_largest_battery_stays_in_int64():
+    # the largest battery, 1024 nJ under 2^63: full, the series holds the
+    # capacity itself; empty, it stays far below
+    top = 9223372036.854774
+    full = simulate_soc(indoor_day_scenario(), BatteryState(capacity_j=top), 24.0, 602.2e-6)
+    assert full.spilled_j > 0
+    assert charge_series_nj(full).max() == nj(full.max_charge_j) == 2**63 - 1024
+    empty = BatteryState(capacity_j=top, charge_j=0.0)
+    res = simulate_soc(indoor_day_scenario(), empty, 24.0, 602.2e-6)
+    series = charge_series_nj(res)
+    assert series[-1] == nj(res.final_charge_j)
+    assert series.max() == nj(res.max_charge_j)
 
 
 def test_simulate_soc_rejects_nanojoules_that_overflow_a_float():
@@ -847,7 +791,6 @@ def test_simulate_soc_rejects_nanojoules_that_overflow_a_float():
         ("detection load", BatteryState(), 1e306, 1),
         ("total demand", BatteryState(), 1e300, 1),
         ("total demand", BatteryState(), 1e290, 10**10),
-        ("battery capacity", BatteryState(capacity_j=1e301), 1.0, 1),
     ]:
         with pytest.raises(ConfigError, match=f"^{quantity} in nanojoules is not a finite float$"):
             simulate_soc(day, battery, rate, e, days=days)
