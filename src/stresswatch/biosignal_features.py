@@ -287,6 +287,12 @@ def _rising_runs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edges[0::2], edges[1::2]
 
 
+def _check_gsr_threshold(threshold_us: float) -> None:
+    # NaN or inf would accept no run and zero the GSR columns without a word
+    if not np.isfinite(threshold_us):
+        raise ConfigError(f"GSR threshold must be finite, got {threshold_us}")
+
+
 def _run_means(g: GsrTrace, starts, stops, threshold_us: float) -> tuple[float, float]:
     """(GSRH, GSRL) of the runs ``starts[i]..stops[i]`` of ``g``."""
     x = g.conductance_us
@@ -305,8 +311,10 @@ def gsr_slope_features(
 
     A run is a maximal strictly-increasing stretch of samples; it is
     accepted when its total rise reaches threshold_us. Returns (0, 0) when
-    nothing qualifies, which is a value, not an error.
+    nothing qualifies, which is a value, not an error. A threshold that is
+    not finite raises ``ConfigError``.
     """
+    _check_gsr_threshold(threshold_us)
     if len(g) < 2:
         return 0.0, 0.0
     return _run_means(g, *_rising_runs(g.conductance_us), threshold_us)
@@ -334,7 +342,9 @@ def extract_window_features(
     the threshold crossings and their refinement, and the GSR rising runs.
     Per window remain its own threshold, the refractory pass, the RR
     statistics, and the GSR runs clipped to the window's samples.
+    A ``gsr_threshold_us`` that is not finite raises ``ConfigError``.
     """
+    _check_gsr_threshold(gsr_threshold_us)
     t = np.asarray(ecg_times_s, dtype=np.float64).reshape(-1)
     x = np.asarray(ecg_signal, dtype=np.float64).reshape(-1)
     if t.shape != x.shape:

@@ -25,7 +25,6 @@ import functools
 import io
 import json
 import lzma
-import math
 import os
 import stat
 import sys
@@ -241,8 +240,6 @@ def cmd_features(args) -> int:
         cfg = bf.WindowConfig(args.window_s, args.overlap)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if not math.isfinite(args.gsr_threshold):
-        raise ConfigError(f"--gsr-threshold must be finite, got {args.gsr_threshold}")
     ecg, gsr = _read_csv(args.ecg, ECG_HEADER), _read_csv(args.gsr, GSR_HEADER)
     for path, rows in ((args.ecg, ecg), (args.gsr, gsr)):
         _check_finite(rows, f"{path}: data row")
@@ -383,23 +380,18 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _parse_sizes(text: str) -> list[int]:
+def _parse_sizes(text: str) -> tuple[int, ...]:
     try:
         sizes = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise ConfigError(f"--sizes must be comma-separated integers, got {text!r}") from None
-    if len(sizes) < 2 or any(s < 1 for s in sizes):
-        raise ConfigError("--sizes needs at least 2 positive layer sizes")
-    return sizes
+    try:
+        return nn_core._layer_sizes(sizes)
+    except ShapeError as exc:
+        raise ConfigError(f"--sizes: {exc}") from None
 
 
 def cmd_train(args) -> int:
-    if args.epochs < 0:
-        raise ConfigError(f"--epochs must not be negative, got {args.epochs}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must not be negative, got {args.seed}")
-    if not math.isfinite(args.learning_rate):
-        raise ConfigError(f"--learning-rate must be finite, got {args.learning_rate}")
     features = _read_csv(args.features, bf.FEATURE_NAMES)
     labels = _read_csv(args.labels, LABELS_HEADER, int)[:, 0]
     if features.shape[0] == 0:

@@ -19,6 +19,7 @@ its last row holds the biases, as if fed by a constant input of 1.0.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import stat
 import warnings
@@ -29,6 +30,7 @@ import numpy as np
 
 from .errors import (
     ActivationOverflowError,
+    ConfigError,
     DivergenceError,
     FixedPointRangeError,
     ParseError,
@@ -213,8 +215,11 @@ def build_mlp(
     """Build an MLP of the given layer sizes, tanh after every connection.
 
     With ``weights=None`` the matrices are drawn uniformly from [-0.5, 0.5]
-    using ``seed``, so identical seeds give identical networks.
+    using ``seed``, so identical seeds give identical networks. A negative
+    ``seed`` raises ``ConfigError``.
     """
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must not be negative, got {seed}")
     sizes = [int(s) for s in sizes]
     if weights is None:
         weights = _init_weights(sizes, np.random.default_rng(seed))
@@ -377,8 +382,14 @@ def train(
 
     The step size is fixed, so the loss is not guaranteed monotone. A
     non-finite loss, or a non-finite weight after a step, aborts with a
-    DivergenceError naming the epoch; ``net`` itself is never changed.
+    DivergenceError naming the epoch; ``net`` itself is never changed. A
+    negative ``epochs`` or a non-finite ``learning_rate`` raises
+    ``ConfigError`` before any step.
     """
+    if epochs < 0:
+        raise ConfigError(f"epochs must not be negative, got {epochs}")
+    if not math.isfinite(learning_rate):
+        raise ConfigError(f"learning_rate must be finite, got {learning_rate}")
     batch = _Pass(net, dataset)
     for epoch in range(int(epochs)):
         loss = batch.loss()
@@ -494,36 +505,13 @@ def _read_rows(
     return np.concatenate(flat)
 
 
-def _read_weights(
-    lines: list[str], start: int, sizes: Sequence[int], fixed: bool
-) -> np.ndarray:
-    """The weights of a net with layer ``sizes`` in ``lines[start:]``, as
-    one flat int64 or float64 array.
-
-    ``_read_rows`` parses the layout ``save_fann`` writes. Any other layout,
-    a token numpy rejects, a non-finite float or a fixed-point weight
-    outside the 32-bit range sends the block to ``_scan_weights``, which
-    defines what is accepted and names the line of the first problem, so
-    both paths give the same array or the same error.
-    """
-    values = _read_rows(lines, start, sizes, np.int64 if fixed else np.float64)
-    if values is not None:
-        if fixed:
-            bad = (values < INT32_MIN) | (values > INT32_MAX)
-        else:
-            bad = ~np.isfinite(values)
-        if not bad.any():
-            return values
-    expected = sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
-    return _scan_weights(lines, start, expected, fixed)
-
-
 def _scan_weights(
     lines: list[str], start: int, expected: int, fixed: bool
 ) -> np.ndarray:
-    """The reference reader behind ``_read_weights``, one ``int()`` or
-    ``float()`` per token; raises ``ParseError``, or ``FixedPointRangeError``
-    for a fixed-point weight outside the 32-bit range, with a 1-based line."""
+    """The reference reader, one ``int()`` or ``float()`` per token, that
+    ``load_fann`` calls on a layout ``_read_rows`` does not parse and on a
+    value the network type refuses; raises ``ParseError``, or
+    ``FixedPointRangeError`` for a weight outside the 32-bit range, with a 1-based line."""
     tokens: list[str] = []
     token_lines: list[int] = []
     for off, line in enumerate(lines[start:], start=start + 1):
@@ -572,7 +560,9 @@ def load_fann(text: str) -> NetworkModel | FixedPointNet:
 
     Raises ParseError (with a 1-based line number) on any structural
     problem: unknown tag, malformed header, bad token, or a weight count
-    that does not match the declared topology.
+    that does not match the declared topology. ``_layer_sizes``, ``QFormat``
+    and the network types state the size, format and value rules; this
+    reader adds the line.
     """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -589,8 +579,6 @@ def load_fann(text: str) -> NetworkModel | FixedPointNet:
         num_layers = int(raw)
     except ValueError:
         raise ParseError(f"num_layers is not an integer: {raw!r}", line=2) from None
-    if num_layers < 2:
-        raise ParseError(f"need at least 2 layers, got {num_layers}", line=2)
 
     raw = _header_field(lines[2].strip(), "layer_sizes", 3)
     try:
@@ -604,11 +592,12 @@ def load_fann(text: str) -> NetworkModel | FixedPointNet:
             f"layer_sizes lists {len(sizes)} entries, num_layers says {num_layers}",
             line=3,
         )
-    if any(s < 1 for s in sizes):
-        raise ParseError("layer sizes must be positive", line=3)
+    try:
+        sizes = _layer_sizes(sizes)
+    except ShapeError as exc:
+        raise ParseError(str(exc), line=3) from None
 
     body_start = 3
-    frac_bits = None
     if fixed:
         if len(lines) < 4:
             raise ParseError("missing decimal_point line", line=len(lines))
@@ -619,24 +608,31 @@ def load_fann(text: str) -> NetworkModel | FixedPointNet:
             raise ParseError(
                 f"decimal_point is not an integer: {raw!r}", line=4
             ) from None
-        if not 1 <= frac_bits <= 30:
-            raise ParseError(
-                f"decimal_point must be in [1, 30], got {frac_bits}", line=4
-            )
+        try:
+            qformat = QFormat(frac_bits)
+        except ValueError as exc:
+            raise ParseError(str(exc), line=4) from None
         body_start = 4
 
-    values = _read_weights(lines, body_start, sizes, fixed)
-
-    weights = []
-    pos = 0
+    expected = sum((a + 1) * b for a, b in zip(sizes, sizes[1:]))
+    values = _read_rows(lines, body_start, sizes, np.int64 if fixed else np.float64)
+    if values is None:
+        values = _scan_weights(lines, body_start, expected, fixed)
+    weights, pos = [], 0
     for a, b in zip(sizes, sizes[1:]):
-        n = (a + 1) * b
-        weights.append(values[pos:pos + n].reshape(a + 1, b))
-        pos += n
+        weights.append(values[pos:pos + (a + 1) * b].reshape(a + 1, b))
+        pos += (a + 1) * b
 
-    if fixed:
-        return FixedPointNet(tuple(sizes), tuple(weights), QFormat(frac_bits))
-    return NetworkModel(tuple(sizes), tuple(weights))
+    try:
+        if fixed:
+            return FixedPointNet(sizes, tuple(weights), qformat)
+        return NetworkModel(sizes, tuple(weights))
+    except (ShapeError, FixedPointRangeError) as exc:
+        refused = exc
+    # the scan names the token at fault and its line; when no token is (a
+    # column reaching 2^52), the type's own error stands
+    _scan_weights(lines, body_start, expected, fixed)
+    raise refused
 
 
 @contextlib.contextmanager

@@ -15,6 +15,7 @@ import pytest
 
 from stresswatch import (
     FEATURE_NAMES,
+    ConfigError,
     EmptySeriesError,
     GsrTrace,
     InsufficientDataError,
@@ -639,6 +640,24 @@ def test_extract_validates_inputs():
         extract_window_features([0.0], [1.0], gsr)
     with pytest.raises(ValueError):
         extract_window_features([0.0, 0.0, 1.0], [1.0, 1.0, 1.0], gsr)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_gsr_threshold_is_refused(threshold):
+    # NaN or inf would accept no run and zero both GSR columns of every window
+    t, x, gsr = make_recording(60.0)
+    message = f"GSR threshold must be finite, got {threshold}"
+    with pytest.raises(ConfigError) as exc:
+        gsr_slope_features(gsr, threshold)
+    assert str(exc.value) == message
+    # before the ECG checks: this time base does not increase
+    for times in (t, t[::-1]):
+        with pytest.raises(ConfigError) as exc:
+            extract_window_features(times, x, gsr, gsr_threshold_us=threshold)
+        assert str(exc.value) == message
+    # a one-sample trace, which yields (0, 0) under any finite threshold
+    with pytest.raises(ConfigError):
+        gsr_slope_features(GsrTrace([0.0], [1.0]), threshold)
 
 
 def test_feature_names_are_the_column_order():

@@ -238,15 +238,15 @@ def test_features_non_finite_sample_is_a_data_error(capsys, data_dir, tmp_path, 
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-def test_features_non_finite_gsr_threshold_is_a_config_error(capsys, tmp_path, value):
-    # checked before any input is opened: the missing files would exit 2
+def test_features_non_finite_gsr_threshold_is_a_config_error(capsys, data_dir, tmp_path, value):
+    # the feature code refuses it, after the inputs are read
+    out = tmp_path / "f.csv"
     code, stdout, stderr = run_cli(
-        capsys, "features", str(tmp_path / "no_ecg.csv"), str(tmp_path / "no_gsr.csv"),
-        f"--gsr-threshold={value}",
+        capsys, "features", str(data_dir / "ecg_60s.csv"), str(data_dir / "gsr_60s.csv"),
+        f"--gsr-threshold={value}", "-o", str(out),
     )
-    assert code == 5
-    assert stdout == ""
-    assert "--gsr-threshold" in stderr
+    assert (code, stdout, stderr) == (5, "", f"error: GSR threshold must be finite, got {value}\n")
+    assert not out.exists()
 
 
 def test_missing_input_file_is_a_parse_error(capsys, tmp_path):
@@ -1124,11 +1124,12 @@ def test_quantize_rejects_its_input_as_output_before_writing(capsys, data_dir, t
     (("quantize", "{net}", "--frac-bits", "0"), "--frac-bits"),
     (("classify", "{feats}", "--model", "{net}", "--fixed", "--frac-bits", "0"), "--frac-bits"),
     (("classify", "{feats}", "--model", "{net}", "--fixed", "--frac-bits", "31"), "--frac-bits"),
-    (("train", "{feats}", "{labels}", "--epochs", "-3"), "--epochs"),
-    (("train", "{feats}", "{labels}", "--learning-rate", "nan"), "--learning-rate"),
-    (("train", "{feats}", "{labels}", "--learning-rate", "inf"), "--learning-rate"),
-    (("train", "{feats}", "{labels}", "--learning-rate=-inf"), "--learning-rate"),
-    (("train", "{feats}", "{labels}", "--seed", "-1"), "--seed"),
+    # nn_core.build_mlp and nn_core.train state these rules, in their own words
+    (("train", "{feats}", "{labels}", "--epochs", "-3"), "epochs must not be negative, got -3"),
+    (("train", "{feats}", "{labels}", "--learning-rate", "nan"), "learning_rate must be finite"),
+    (("train", "{feats}", "{labels}", "--learning-rate", "inf"), "learning_rate must be finite"),
+    (("train", "{feats}", "{labels}", "--learning-rate=-inf"), "learning_rate must be finite"),
+    (("train", "{feats}", "{labels}", "--seed", "-1"), "seed must not be negative, got -1"),
     (("classify", "{feats}", "--model", "{net}", "--frac-bits", "31"), "--frac-bits"),
     (("classify", "{feats}", "--model", "{net}", "--frac-bits", "8"), "--frac-bits needs --fixed"),
 ])
@@ -1192,7 +1193,7 @@ def test_classify_norm_file_with_no_norm_is_a_config_error(capsys, data_dir, tmp
 
 
 @pytest.mark.parametrize("sizes,code,message", [
-    ("5", 5, "--sizes needs at least 2 positive layer sizes"),
+    ("5", 5, "--sizes: a network needs at least an input and an output layer"),
     ("4,3", 4, "network takes 4 inputs, features have 5 columns"),
 ])
 def test_train_rejects_sizes_that_do_not_fit(capsys, tmp_path, sizes, code, message):

@@ -7,6 +7,7 @@ import pytest
 
 from stresswatch import (
     ActivationOverflowError,
+    ConfigError,
     DivergenceError,
     FixedPointNet,
     FixedPointRangeError,
@@ -341,6 +342,31 @@ def test_pass_matches_the_reference_loop_bit_for_bit(sizes):
     assert all(np.array_equal(g, w) for g, w in zip(train(net, ds, 60, 0.05).weights, want))
 
 
+def test_build_mlp_refuses_a_negative_seed():
+    with pytest.raises(ConfigError) as exc:
+        build_mlp([2, 3, 1], seed=-1)
+    assert str(exc.value) == "seed must not be negative, got -1"
+    # the rule holds with given weights too, where the seed draws nothing
+    with pytest.raises(ConfigError):
+        build_mlp([1, 1], seed=-1, weights=[np.zeros((2, 1))])
+    assert build_mlp([2, 3, 1], seed=None).layer_sizes == (2, 3, 1)
+
+
+@pytest.mark.parametrize("epochs, learning_rate, message", [
+    (-5, 0.1, "epochs must not be negative, got -5"),
+    (10, math.inf, "learning_rate must be finite, got inf"),
+    (10, -math.inf, "learning_rate must be finite, got -inf"),
+    (10, math.nan, "learning_rate must be finite, got nan"),
+], ids=["negative-epochs", "inf-rate", "-inf-rate", "nan-rate"])
+def test_train_refuses_bad_settings_before_any_step(epochs, learning_rate, message):
+    net = build_mlp([2, 4, 1], seed=0)
+    # an empty dataset would raise ShapeError: the settings are checked first
+    for ds in (xor_dataset(), []):
+        with pytest.raises(ConfigError) as exc:
+            train(net, ds, epochs=epochs, learning_rate=learning_rate)
+        assert str(exc.value) == message
+
+
 def test_train_rejects_bad_shapes():
     net = build_mlp([2, 4, 1], seed=0)
     with pytest.raises(ShapeError):
@@ -437,15 +463,16 @@ def test_parse_errors_carry_line_numbers(mutate, lineno):
 @pytest.mark.parametrize("header,message", [
     ("SWNET_FLO_1\nlayers=2\nlayer_sizes=1 1", "line 2: expected 'num_layers=...', got 'layers=2'"),
     ("SWNET_FLO_1\nnum_layers=2", "line 2: truncated header"),
-    ("SWNET_FLO_1\nnum_layers=1\nlayer_sizes=1", "line 2: need at least 2 layers, got 1"),
+    ("SWNET_FLO_1\nnum_layers=1\nlayer_sizes=1",
+     "line 3: a network needs at least an input and an output layer"),
     ("SWNET_FLO_1\nnum_layers=2\nlayer_sizes=1 x",
      "line 3: layer_sizes has a non-integer entry: '1 x'"),
-    ("SWNET_FLO_1\nnum_layers=2\nlayer_sizes=1 0", "line 3: layer sizes must be positive"),
+    ("SWNET_FLO_1\nnum_layers=2\nlayer_sizes=1 0", "line 3: layer sizes must be >= 1, got (1, 0)"),
     ("SWNET_FIX_1\nnum_layers=2\nlayer_sizes=1 1", "line 3: missing decimal_point line"),
     ("SWNET_FIX_1\nnum_layers=2\nlayer_sizes=1 1\ndecimal_point=x",
      "line 4: decimal_point is not an integer: 'x'"),
     ("SWNET_FIX_1\nnum_layers=2\nlayer_sizes=1 1\ndecimal_point=31",
-     "line 4: decimal_point must be in [1, 30], got 31"),
+     "line 4: frac_bits must be in [1, 30], got 31"),
 ], ids=["wrong-key", "truncated", "one-layer", "non-integer-size", "zero-size",
         "no-decimal-point", "non-integer-decimal-point", "decimal-point-range"])
 def test_header_errors(header, message):
@@ -481,9 +508,10 @@ def test_extra_and_bad_tokens_rejected():
         load_fann("")
 
 
-def weights_outcome(reader, lines, start, expected, fixed):
+def outcome(read):
+    """What ``read()`` makes of a file: its flat weights, or its error."""
     try:
-        values = reader(lines, start, expected, fixed)
+        values = read()
     except ParseError as exc:
         return exc.line, str(exc)
     except FixedPointRangeError as exc:
@@ -492,12 +520,11 @@ def weights_outcome(reader, lines, start, expected, fixed):
 
 
 def reader_outcomes(text, fixed, expected):
-    """What the per-matrix reader and the per-token scanner make of one file."""
+    """What ``load_fann`` and the per-token scanner make of one file."""
     lines = text.splitlines()
     start = 4 if fixed else 3
-    sizes = [int(tok) for tok in lines[2].split("=")[1].split()]
-    got = weights_outcome(nn_core._read_weights, lines, start, sizes, fixed)
-    want = weights_outcome(nn_core._scan_weights, lines, start, expected, fixed)
+    got = outcome(lambda: np.concatenate([w.ravel() for w in load_fann(text).weights]))
+    want = outcome(lambda: nn_core._scan_weights(lines, start, expected, fixed))
     return got, want
 
 
@@ -613,6 +640,16 @@ def test_fixed_weight_outside_int32_names_its_line(token):
     assert str(info.value) == f"line 6: weight token '{token}' is outside the 32-bit range"
     edge = load_fann(text.replace(token, "-2147483648"))
     assert edge.weights[0][1, 1] == -(2**31)
+
+
+def test_a_column_reaching_2_52_keeps_the_network_type_s_error():
+    # 2^21 full-scale weights in one column, each token valid: no line is at
+    # fault, so the reader's scan finds nothing and FixedPointNet's error stands
+    text = (f"SWNET_FIX_1\nnum_layers=2\nlayer_sizes={2**21 - 1} 1\ndecimal_point=16\n"
+            + "-2147483648\n" * 2**21)
+    with pytest.raises(FixedPointRangeError) as exc:
+        load_fann(text)
+    assert str(exc.value) == "weight matrix 0: a column's absolute sum reaches 2^52"
 
 
 def save_fann_per_value(model):
