@@ -92,9 +92,9 @@ class WindowConfig:
 
     def __post_init__(self):
         if not self.window_length_s > 0:
-            raise ValueError("window_length_s must be positive")
+            raise ConfigError("window_length_s must be positive")
         if not 0.0 <= self.overlap < 1.0:
-            raise ValueError("overlap must lie in [0, 1)")
+            raise ConfigError("overlap must lie in [0, 1)")
 
     @property
     def stride_s(self) -> float:

@@ -236,10 +236,7 @@ def _write_norm(model_path: str, norm) -> str | None:
 
 
 def cmd_features(args) -> int:
-    try:
-        cfg = bf.WindowConfig(args.window_s, args.overlap)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    cfg = bf.WindowConfig(args.window_s, args.overlap)
     ecg, gsr = _read_csv(args.ecg, ECG_HEADER), _read_csv(args.gsr, GSR_HEADER)
     for path, rows in ((args.ecg, ecg), (args.gsr, gsr)):
         _check_finite(rows, f"{path}: data row")

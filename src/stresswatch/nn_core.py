@@ -511,48 +511,43 @@ def _scan_weights(
     """The reference reader, one ``int()`` or ``float()`` per token, that
     ``load_fann`` calls on a layout ``_read_rows`` does not parse and on a
     value the network type refuses; raises ``ParseError``, or
-    ``FixedPointRangeError`` for a weight outside the 32-bit range, with a 1-based line."""
-    tokens: list[str] = []
-    token_lines: list[int] = []
-    for off, line in enumerate(lines[start:], start=start + 1):
-        for tok in line.split():
-            tokens.append(tok)
-            token_lines.append(off)
-    if len(tokens) < expected:
-        raise ParseError(
-            f"expected {expected} weights, found {len(tokens)}",
-            line=len(lines) or 1,
-        )
-    if len(tokens) > expected:
-        raise ParseError(
-            f"expected {expected} weights, found {len(tokens)}",
-            line=token_lines[expected],
-        )
+    ``FixedPointRangeError`` for a weight outside the 32-bit range, with a
+    1-based line. The count, the syntax and the values are checked in that
+    order, each over the whole body, one line at a time: no token is kept."""
+    body = range(start, len(lines))
+    count, over = 0, None
+    for i in body:
+        count += len(lines[i].split())
+        if over is None and count > expected:
+            over = i + 1
+    if count != expected:
+        raise ParseError(f"expected {expected} weights, found {count}",
+                         line=over or len(lines) or 1)
 
     values = np.empty(expected, dtype=np.int64 if fixed else np.float64)
-    for i, tok in enumerate(tokens):
-        try:
-            values[i] = int(tok) if fixed else float(tok)
-        except (ValueError, OverflowError):
-            kind = "integer" if fixed else "number"
-            raise ParseError(
-                f"weight token {tok!r} is not a valid {kind}",
-                line=token_lines[i],
-            ) from None
-    if not fixed and not np.isfinite(values).all():
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
-        raise ParseError(
-            f"weight token {tokens[bad]!r} is not finite", line=token_lines[bad]
-        )
+    parse, kind = (int, "integer") if fixed else (float, "number")
+    n = 0
+    for i in body:
+        for tok in lines[i].split():
+            try:
+                values[n] = parse(tok)
+            except (ValueError, OverflowError):
+                raise ParseError(f"weight token {tok!r} is not a valid {kind}",
+                                 line=i + 1) from None
+            n += 1
+    bad = ((values < INT32_MIN) | (values > INT32_MAX)) if fixed else ~np.isfinite(values)
+    if not bad.any():
+        return values
+    n = int(np.argmax(bad))
+    for i in body:  # the token and line of value n
+        toks = lines[i].split()
+        if n < len(toks):
+            break
+        n -= len(toks)
     if fixed:
-        outside = np.flatnonzero((values < INT32_MIN) | (values > INT32_MAX))
-        if outside.size:
-            bad = int(outside[0])
-            raise FixedPointRangeError(
-                f"line {token_lines[bad]}: weight token {tokens[bad]!r} "
-                "is outside the 32-bit range"
-            )
-    return values
+        raise FixedPointRangeError(
+            f"line {i + 1}: weight token {toks[n]!r} is outside the 32-bit range")
+    raise ParseError(f"weight token {toks[n]!r} is not finite", line=i + 1)
 
 
 def load_fann(text: str) -> NetworkModel | FixedPointNet:

@@ -238,9 +238,8 @@ def predict(net, profile: PlatformProfile) -> Prediction:
 
 def speedup(table: CalibrationTable, platform: str, network: str) -> float:
     """Cycle-count ratio cortex_m4/platform for one reference network."""
-    for p in ("cortex_m4", platform):
-        if p not in table.profiles:
-            raise ConfigError(f"the calibration table has no platform {p!r}")
+    table.profile("cortex_m4")  # refuses a platform the table lacks
+    table.profile(platform)
     return table.cycles["cortex_m4"][network] / table.cycles[platform][network]
 
 

@@ -7,8 +7,8 @@ mirrors that kernel bit-exactly:
   fraction; default Q16.16),
 * per-neuron products are accumulated wide, rescaled once with
   round-half-away-from-zero, and saturated into the 32-bit range,
-* tanh is a 257-knot piecewise-linear table over [-4, 4], odd-symmetric by
-  construction, clamped to +/-(1 - 2^-frac_bits) outside.
+* tanh is a piecewise-linear table over [-LUT_RANGE, LUT_RANGE], odd-
+  symmetric by construction, clamped to +/-(1 - 2^-frac_bits) outside.
 
 The products are summed by float64 matmuls on BLAS and combined in int64,
 the kernel's one integer width. The activations are split into limbs of
@@ -24,15 +24,15 @@ Each layer after the accumulate is one fused pass, as in PULP-NN's kernels,
 where requantization and activation share a loop. The sign is taken once,
 as a mask. The magnitude is rescaled by one rounding shift,
 ``(|acc| + half) >> f``, and capped first at the 32-bit bound of its sign
-(``INT32_MAX - s``; it binds before the 4.0 clamp only at 29 and 30
-fraction bits), then at 4.0. The table is read as one base and one slope
-gather, ``y0[i] + ((dd[i] * r + half) >> f)``, which equals the two-knot
-interpolation exactly; slot 128 holds the saturation value with slope 0,
-so the clamp needs no mask. The sign is put back once, and the result is
-copied into the next layer's input buffer. Every step is an integer
-shift, mask or gather, so results are reproducible across platforms and
-equal an unbounded-integer evaluation bit for bit. The net containers,
-``QFormat`` and ``FixedPointNet``, are imported from ``nn_core``.
+(``INT32_MAX - s``; it binds first only where ``LUT_RANGE * 2^f`` passes
+it), then at ``LUT_RANGE``. The table is read as one base and one slope
+gather, ``base[i] + ((slope[i] * r + half) >> f)``, which equals the
+two-knot interpolation exactly; the last slot holds the saturation value
+with slope 0, so the clamp needs no mask. The sign is put back once, and
+the result is copied into the next layer's input buffer. Every step is an
+integer shift, mask or gather, so results are reproducible across
+platforms and equal an unbounded-integer evaluation bit for bit. The net
+containers, ``QFormat`` and ``FixedPointNet``, are imported from ``nn_core``.
 """
 
 from __future__ import annotations
@@ -53,66 +53,55 @@ from .nn_core import (
     _input_rows,
 )
 
-LUT_KNOTS = 257          # over [-4, 4] -> knot spacing 1/32
-_KNOTS_PER_UNIT = 32
-_CENTER = (LUT_KNOTS - 1) // 2
+LUT_RANGE = 4            # the table spans [-LUT_RANGE, LUT_RANGE]
+_KNOTS_PER_UNIT = 32     # knot spacing 1/32
 
 
 @dataclass(frozen=True, eq=False)
 class TanhTable:
-    """Quantized tanh knots at spacing 1/32 over [-4, 4], mirrored about 0."""
+    """The non-negative half of the quantized tanh table, as the kernel reads
+    it: for ``i`` below ``LUT_RANGE * 32``, ``base[i]`` is the knot at i/32
+    and ``slope[i]`` the step to the next knot; the last slot holds the
+    saturation value ``scale - 1``, one ULP below 1.0, with step 0. Both are
+    read-only int64 arrays."""
 
     frac_bits: int
-    values: np.ndarray  # int64, LUT_KNOTS entries
-
-    @property
-    def saturation(self) -> int:
-        # One ULP below 1.0 so activations stay strictly inside (-1, 1).
-        return (1 << self.frac_bits) - 1
-
-    @functools.cached_property
-    def base_slope(self) -> tuple[np.ndarray, np.ndarray]:
-        """The non-negative half as ``(y0, dd)``: knot ``i`` and the step to
-        knot ``i + 1`` for ``i`` in 0..127, and slot 128 holding the
-        saturation value with step 0. Derived once per table."""
-        knots = self.values[_CENTER:]
-        y0 = np.append(knots[:-1], self.saturation)
-        dd = np.append(np.diff(knots), 0)
-        return y0, dd
+    base: np.ndarray
+    slope: np.ndarray
 
 
 @functools.lru_cache(maxsize=None)
 def build_tanh_lut(fmt: QFormat) -> TanhTable:
-    """Tabulate round-to-nearest tanh at the 257 knots.
+    """Tabulate round-to-nearest tanh at the knots k/32, k = 0..LUT_RANGE * 32.
 
-    Only the non-negative half is computed; the negative half is its mirror
-    image, which makes eval(-x) == -eval(x) exact by construction. The table
+    Only the non-negative half is stored; ``tanh_lut_eval`` puts the sign
+    back, which makes eval(-x) == -eval(x) exact by construction. The table
     depends on ``fmt.frac_bits`` alone, so it is built once per format and
     the read-only result is shared.
     """
     scale = fmt.scale
-    values = np.zeros(LUT_KNOTS, dtype=np.int64)
-    for k in range(_CENTER + 1):
-        q = int(math.floor(math.tanh(k / _KNOTS_PER_UNIT) * scale + 0.5))
-        values[_CENTER + k] = q
-        values[_CENTER - k] = -q
-    values.setflags(write=False)
-    return TanhTable(fmt.frac_bits, values)
+    knots = np.array([math.floor(math.tanh(k / _KNOTS_PER_UNIT) * scale + 0.5)
+                      for k in range(LUT_RANGE * _KNOTS_PER_UNIT + 1)], dtype=np.int64)
+    base = np.append(knots[:-1], scale - 1)
+    slope = np.append(np.diff(knots), 0)
+    base.setflags(write=False)
+    slope.setflags(write=False)
+    return TanhTable(fmt.frac_bits, base, slope)
 
 
 def tanh_lut_eval(x, lut: TanhTable, *, shift: int = 0):
     """Piecewise-linear tanh on fixed-point values.
 
-    Interpolates between adjacent knots for |x| < 4.0 and returns the
-    saturation value +/-(scale - 1) for |x| >= 4.0. All arithmetic is
+    Interpolates between adjacent knots for |x| < LUT_RANGE and returns the
+    saturation value +/-(scale - 1) for |x| >= LUT_RANGE. All arithmetic is
     integer and branch-free: the sign is taken once as a mask, the knot
     index and the remainder are a shift and a mask of |x| * 32, and the
     rounding shift floors a non-negative numerator. Accepts a scalar or an
     array and returns the same kind.
 
-    The magnitude is capped at 4.0, where slot 128 of ``lut.base_slope``
-    yields the saturation value, so the clamp needs no mask. Between knots
-    the interpolation ``(y * 2^f + d * r + half) >> f`` of the knot ``y``,
+    The magnitude is capped at ``LUT_RANGE``, where the last slot of the
+    table yields the saturation value, so the clamp needs no mask. Between
+    knots the interpolation ``(y * 2^f + d * r + half) >> f`` of the knot ``y``,
     the step ``d`` and the remainder ``r`` equals ``y + ((d * r + half) >> f)``
     exactly, as ``y * 2^f`` is a multiple of 2^f: one base and one slope
     gather.
@@ -126,21 +115,21 @@ def tanh_lut_eval(x, lut: TanhTable, *, shift: int = 0):
     xa = np.atleast_1d(np.asarray(x, dtype=np.int64))
     f = lut.frac_bits
     scale = 1 << f
+    cap = LUT_RANGE * scale
     s = xa >> 63
     mag = np.abs(xa)
     if shift:
         mag += (1 << shift) >> 1
         mag >>= shift
-        # the 32-bit cap binds before the 4.0 clamp only past 28 fraction bits
-        if 4 * scale > INT32_MAX:
+        # the 32-bit cap binds before the range cap only at the widest fractions
+        if cap > INT32_MAX:
             np.minimum(mag, INT32_MAX - s, out=mag)
-    y0, dd = lut.base_slope
-    np.minimum(mag, 4 * scale, out=mag)
+    np.minimum(mag, cap, out=mag)
     mag *= _KNOTS_PER_UNIT
-    idx = mag >> f                        # 0..128
+    idx = mag >> f                        # 0..LUT_RANGE * 32
     mag &= scale - 1                      # remainder r
-    y = y0.take(idx)
-    d = dd.take(idx)
+    y = lut.base.take(idx)
+    d = lut.slope.take(idx)
     # a knot step is about scale / 32 and r is below scale: far below 2^63
     d *= mag
     d += scale >> 1

@@ -68,6 +68,51 @@ def test_summary_of_canned_pairs():
     assert rate["within_bound"]
 
 
+def canned_tree(tree, results, seed, passes, setups):
+    """A tree whose bench/run.py prints a canned last line for workloads "a"
+    and "b", and whose result files under ``results`` hold the given host
+    seconds."""
+    (tree / "bench").mkdir(parents=True)
+    line = json.dumps(result(wall_s=1.0))
+    (tree / "bench" / "run.py").write_text(f"print('# header')\nprint({line!r})\n")
+    (tree / results).mkdir(parents=True)
+    for name in ("a", "b"):
+        record = {"pass_raw_s": passes[name], "setup_raw_s": setups[name]}
+        (tree / results / f"{name}-seed{seed}-trace0.json").write_text(
+            json.dumps(record), encoding="ascii")
+    return tree
+
+
+def test_host_seconds_come_from_each_run_s_result_file(tmp_path):
+    ab_bench = load_tool()
+    pairs = []
+    for seed, (p_pass, c_pass) in zip((101, 102, 103), ((0.5, 0.4), (0.7, 0.6), (0.6, 0.65))):
+        trees = [canned_tree(tmp_path / f"{side}{seed}", ab_bench.RESULTS, seed,
+                             {"a": [v, 9.0, v - 1.0], "b": [2.0, 2.0]},
+                             {"a": [0.1, 0.2, 0.3, 0.4], "b": [v]})
+                 for side, v in (("parent", p_pass), ("change", c_pass))]
+        pairs.append(tuple(ab_bench.run_bench(tree, seed) for tree in trees))
+    # the medians of each run's lists, beside the printed metrics
+    assert pairs[0][0]["a"]["metrics"] == {
+        "wall_s": {"value": 1.0, "unit": "s"},
+        "host_wall_s": {"value": 0.5, "unit": "s"},
+        "host_setup_s": {"value": 0.25, "unit": "s"}}
+    assert pairs[0][1]["b"]["metrics"]["host_setup_s"]["value"] == 0.4
+    host = [{"name": name} for name in ab_bench.HOST_FIGURES]
+    got = ab_bench.summarize(pairs, END_TO_END[:1] + host)["workloads"]
+    wall = got["a"]["host_wall_s"]
+    assert wall == {
+        "parent_median": 0.6, "parent_q1": statistics.quantiles([0.5, 0.7, 0.6], n=4)[0],
+        "parent_q3": statistics.quantiles([0.5, 0.7, 0.6], n=4)[2],
+        "change_median": 0.6, "change_q1": statistics.quantiles([0.4, 0.6, 0.65], n=4)[0],
+        "change_q3": statistics.quantiles([0.4, 0.6, 0.65], n=4)[2],
+        "change_lower_in_pairs": 2,
+        "rel_change": 0.0,
+    }
+    assert got["b"]["host_setup_s"]["change_median"] == 0.6
+    assert got["a"]["wall_s"]["within_bound"]
+
+
 def test_pairs_alternate_which_side_runs_first(tmp_path, monkeypatch):
     ab_bench = load_tool()
     calls = []
@@ -77,7 +122,7 @@ def test_pairs_alternate_which_side_runs_first(tmp_path, monkeypatch):
 
     def run_bench(tree, seed):
         calls.append((seed, tree.name))
-        return result(**{**dict.fromkeys(BENCHMARK_METRICS, 1.0),
+        return result(**{**dict.fromkeys(BENCHMARK_METRICS + list(ab_bench.HOST_FIGURES), 1.0),
                          "wall_s": 1.0 if tree.name == "parent" else 0.9})
 
     monkeypatch.setattr(ab_bench, "run_bench", run_bench)
@@ -91,9 +136,10 @@ def test_pairs_alternate_which_side_runs_first(tmp_path, monkeypatch):
     assert record["seeds"] == [101, 102, 103]
     assert record["environment"] == {"tree": "change"}
     assert record["failed_ops"] == {"parent": 0, "change": 0}
-    assert set(record["workloads"]["a"]) == set(BENCHMARK_METRICS)
+    assert set(record["workloads"]["a"]) == {*BENCHMARK_METRICS, "host_wall_s", "host_setup_s"}
     wall = record["workloads"]["a"]["wall_s"]
     assert (wall["change_lower_in_pairs"], wall["within_bound"]) == (3, True)
+    assert "within_bound" not in record["workloads"]["a"]["host_wall_s"]
 
 
 def test_a_failed_bench_run_stops_the_tool(tmp_path, monkeypatch, capsys):

@@ -427,11 +427,11 @@ def test_window_counts():
 
 
 def test_window_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="^window_length_s must be positive$"):
         WindowConfig(window_length_s=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"^overlap must lie in \[0, 1\)$"):
         WindowConfig(overlap=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match=r"^overlap must lie in \[0, 1\)$"):
         WindowConfig(overlap=-0.1)
     assert WindowConfig(window_length_s=30.0, overlap=0.5).stride_s == 15.0
 

@@ -1,6 +1,7 @@
 """Network construction, inference, training, footprint, serialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -650,6 +651,26 @@ def test_a_column_reaching_2_52_keeps_the_network_type_s_error():
     with pytest.raises(FixedPointRangeError) as exc:
         load_fann(text)
     assert str(exc.value) == "weight matrix 0: a column's absolute sum reaches 2^52"
+
+
+def test_token_scan_holds_no_token_lists():
+    # a fixed-point body the per-matrix reader does not take, refused at its
+    # last token: the scan may hold the values array, not a list of tokens
+    sizes, per_line = [1023, 64], 4
+    tokens = ["-1234567"] * (1024 * 64)
+    tokens[-1] = "x"
+    lines = header(True, sizes) + [" ".join(tokens[i:i + per_line])
+                                   for i in range(0, len(tokens), per_line)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as exc:
+            nn_core._scan_weights(lines, 4, len(tokens), True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (exc.value.line, str(exc.value)) == (
+        len(lines), f"line {len(lines)}: weight token 'x' is not a valid integer")
+    assert peak < 3 * 8 * len(tokens)
 
 
 def save_fann_per_value(model):

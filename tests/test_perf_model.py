@@ -349,6 +349,18 @@ def test_speedups_vs_m4():
     assert speedup(t, "ri5cy_multi8", "B") == pytest.approx(8.3345, abs=5e-4)
 
 
+def test_speedup_looks_both_platforms_up_through_the_table():
+    t = builtin_calibration()
+    keep = [p for p in t.platforms if p != "cortex_m4"]
+    no_m4 = CalibrationTable(*({p: d[p] for p in keep} for d in (t.clock_hz, t.cycles, t.energy_uj)),
+                             t.network_weights)
+    for table, platform, missing in ((no_m4, "ibex", "cortex_m4"), (t, "nope", "nope")):
+        with pytest.raises(ConfigError) as exc:
+            speedup(table, platform, "A")
+        assert str(exc.value) == (f"unknown platform {missing!r}; "
+                                  f"choose from {sorted(table.platforms)}")
+
+
 # ---------------------------------------------------------------------------
 # detection energy
 

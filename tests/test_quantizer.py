@@ -6,6 +6,7 @@ production path must match it bit for bit, including on weight/input
 combinations engineered to overflow a 64-bit accumulator.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ from stresswatch import (
     save_fann,
     tanh_lut_eval,
 )
-from stresswatch.quantizer import _accumulate
+from stresswatch.quantizer import LUT_RANGE, _accumulate
 
 I32_MIN = -(2**31)
 I32_MAX = 2**31 - 1
@@ -164,12 +165,28 @@ def test_fixed_net_counts_match_float_counts():
 def test_lut_is_built_once_per_format():
     assert build_tanh_lut(QFormat(16)) is build_tanh_lut(QFormat())
     assert build_tanh_lut(QFormat(8)).frac_bits == 8
-    assert not build_tanh_lut(QFormat(8)).values.flags.writeable
+
+
+@pytest.mark.parametrize("frac_bits", range(1, 31))
+def test_shared_lut_is_read_only_throughout(frac_bits):
+    # one table per format serves every net in the process, so no array
+    # reachable from it, a view's owner included, may be written
+    lut = build_tanh_lut(QFormat(frac_bits))
+    assert [f.name for f in dataclasses.fields(lut)] == ["frac_bits", "base", "slope"]
+    assert vars(lut).keys() == {"frac_bits", "base", "slope"}
+    for name in ("base", "slope"):
+        arr = getattr(lut, name)
+        assert arr.dtype == np.int64 and arr.shape == (LUT_RANGE * 32 + 1,)
+        while isinstance(arr, np.ndarray):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+            arr = arr.base
 
 
 def test_tanh_tables_compare_and_hash_by_identity():
     a = build_tanh_lut(QFormat(16))
-    b = TanhTable(a.frac_bits, a.values)
+    b = TanhTable(a.frac_bits, a.base, a.slope)
     assert a == a
     assert a != b                        # equal knots, two objects
     assert hash(a) == hash(a)
@@ -180,9 +197,11 @@ def test_lut_knots_match_oracle():
     for frac_bits in (8, 16, 24):
         lut = build_tanh_lut(QFormat(frac_bits))
         knots = oracle_knots(frac_bits)
-        got = {k - 128: int(v) for k, v in enumerate(lut.values)}
-        assert got == knots
-        assert lut.saturation == (1 << frac_bits) - 1
+        n = LUT_RANGE * 32
+        assert lut.base[:n].tolist() == [knots[k] for k in range(n)]
+        assert lut.slope[:n].tolist() == [knots[k + 1] - knots[k] for k in range(n)]
+        # the last slot is the saturation value, one ULP below 1.0, flat
+        assert (int(lut.base[n]), int(lut.slope[n])) == ((1 << frac_bits) - 1, 0)
 
 
 def test_lut_eval_zero_and_knot_exactness():
@@ -192,9 +211,9 @@ def test_lut_eval_zero_and_knot_exactness():
     step = fmt.scale // 32
     # the outermost knots (k = +/-128) sit exactly on the clamp boundary
     for k in range(-127, 128):
-        assert tanh_lut_eval(k * step, lut) == int(lut.values[128 + k])
-    assert tanh_lut_eval(128 * step, lut) == lut.saturation
-    assert tanh_lut_eval(-128 * step, lut) == -lut.saturation
+        assert tanh_lut_eval(k * step, lut) == int(np.sign(k) * lut.base[abs(k)])
+    assert tanh_lut_eval(128 * step, lut) == fmt.scale - 1
+    assert tanh_lut_eval(-128 * step, lut) == -(fmt.scale - 1)
 
 
 def test_lut_eval_is_odd_and_clamps():
@@ -204,7 +223,7 @@ def test_lut_eval_is_odd_and_clamps():
     xs = rng.integers(-6 * fmt.scale, 6 * fmt.scale, size=20000)
     ys = tanh_lut_eval(xs, lut)
     assert np.array_equal(tanh_lut_eval(-xs, lut), -ys)
-    sat = lut.saturation
+    sat = fmt.scale - 1
     for x in (4 * fmt.scale, 4 * fmt.scale + 123, 10 * fmt.scale, I32_MAX):
         assert tanh_lut_eval(x, lut) == sat
         assert tanh_lut_eval(-x, lut) == -sat
@@ -461,7 +480,7 @@ def test_fixed_point_net_caps_each_column_below_2_52():
     assert_accumulate_contract(acc, (a_ext // fmt.scale @ w).astype(object) * fmt.scale)
     half = fmt.scale >> 1
     assert _floor_div_rescale(acc, fmt.scale, half).tolist() == [[I32_MIN], [I32_MAX]]
-    sat = build_tanh_lut(fmt).saturation / fmt.scale
+    sat = (fmt.scale - 1) / fmt.scale
     assert infer_fixed(fp, np.ones(2**21 - 1)).tolist() == [-sat]
     assert infer_fixed(fp, -np.ones(2**21 - 1)).tolist() == [sat]
 
@@ -533,11 +552,10 @@ def test_saturated_accumulator_lands_on_lut_clamp():
     # one huge weight drives the pre-activation past the 32-bit clamp, which
     # is itself far outside the table, so the output is the saturation value
     fmt = QFormat()
-    lut = build_tanh_lut(fmt)
     w = np.array([[I32_MAX, I32_MIN], [I32_MAX, I32_MIN]])
     fp = FixedPointNet((1, 2), (w,), fmt)
     out = infer_fixed(fp, [1.0])
-    sat = lut.saturation / fmt.scale
+    sat = int(build_tanh_lut(fmt).base[-1]) / fmt.scale
     assert out.tolist() == [sat, -sat]
 
 

@@ -2,7 +2,9 @@
 
 The ``python`` block runs in a fresh interpreter against the package in
 ``src/``, and the two ``yaml`` blocks load through the readers they document,
-so a removed export or a stricter check cannot break them unnoticed. The
+so a removed export or a stricter check cannot break them unnoticed. Each
+``$ stresswatch`` transcript that shows output and reads only checked-in
+fixtures runs too, and its stdout must match the README byte for byte. The
 ratios the README quotes are derived from the built-in calibration table.
 """
 
@@ -12,9 +14,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from stresswatch import builtin_calibration, load_calibration, scenario_from_config
 
 ROOT = Path(__file__).resolve().parent.parent
+ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+# the README's input names for the fixtures in tests/data
+FIXTURES = {"ecg.csv": "ecg_60s.csv", "gsr.csv": "gsr_60s.csv"}
 
 
 def readme_blocks(lang):
@@ -22,10 +30,37 @@ def readme_blocks(lang):
     return re.findall(rf"^```{lang}\n(.*?)^```$", text, re.M | re.S)
 
 
+def runnable_transcripts():
+    """``(argv, shown)`` for each ``$ stresswatch`` line of the ``sh`` blocks
+    that shows output and names no file but a fixture; the output runs to
+    the next command, and blank lines before it only separate the two."""
+    for block in readme_blocks("sh"):
+        for command in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            line, _, shown = command.partition("\n")
+            argv = line.split()[1:]
+            files = [arg for arg in argv if re.search(r"\.[a-z]+$", arg)]
+            if shown.strip() and all(arg in FIXTURES for arg in files):
+                yield ([str(ROOT / "tests" / "data" / FIXTURES[arg]) if arg in FIXTURES else arg
+                        for arg in argv], shown.rstrip("\n") + "\n")
+
+
+TRANSCRIPTS = list(runnable_transcripts())
+
+
+def test_readme_transcripts_that_run_are_the_expected_ones():
+    assert [argv[0] for argv, _ in TRANSCRIPTS] == ["features", "report", "budget", "footprint"]
+
+
+@pytest.mark.parametrize("argv, shown", TRANSCRIPTS, ids=[argv[0] for argv, _ in TRANSCRIPTS])
+def test_readme_transcript_runs_as_written(tmp_path, argv, shown):
+    run = subprocess.run([sys.executable, "-m", "stresswatch.cli", *argv], cwd=tmp_path,
+                         env=ENV, capture_output=True, timeout=300)
+    assert (run.returncode, run.stdout) == (0, shown.encode())
+
+
 def test_readme_examples_run(tmp_path):
     (script,) = readme_blocks("python")
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+    run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=ENV,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
 

@@ -16,9 +16,12 @@ The file written holds, for every workload and end-to-end metric that
 ``BENCHMARK.json`` lists, each side's median and quartiles
 (``statistics.quantiles(n=4)``), the number of pairs where the change read
 lower, the relative change of the medians, and whether that change is within
-the metric's bound; beside them the failed operations of each side, the
-seeds, the protocol and the benchmark's environment record. A run that
-exits non-zero stops the tool.
+the metric's bound. Beside those reference figures, ``host_wall_s`` and
+``host_setup_s`` give the same summary, without a bound, of each run's host
+seconds: the median of ``pass_raw_s`` (one timed pass) and of
+``setup_raw_s`` (one fresh import) in the run's result file. Last come the
+failed operations of each side, the seeds, the protocol and the benchmark's
+environment record. A run that exits non-zero stops the tool.
 """
 
 from __future__ import annotations
@@ -37,6 +40,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIRST_SEED = 101
 ENVIRONMENT_KEYS = ("nproc", "machine", "python", "numpy", "blas_threads")
+RESULTS = Path(".bench_build", "stresswatch", "results")
+# host-second figures, unbounded, beside BENCHMARK.json's: each run's median
+# of this list in its result file
+HOST_FIGURES = {"host_wall_s": "pass_raw_s", "host_setup_s": "setup_raw_s"}
 
 
 def build_trees(parent: str, work: Path) -> tuple[str, Path, Path]:
@@ -54,28 +61,35 @@ def build_trees(parent: str, work: Path) -> tuple[str, Path, Path]:
 
 def run_bench(tree: Path, seed: int) -> dict:
     """The last line of ``bench/run.py --workload all --seed SEED`` run in
-    ``tree``: each workload's result, its failed operations and metrics."""
+    ``tree``: each workload's result, its failed operations and metrics, to
+    which the ``HOST_FIGURES`` from the workload's result file are added."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", "all", "--seed", str(seed)],
         cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"bench in {tree} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.splitlines()[-1])
+    results = json.loads(proc.stdout.splitlines()[-1])
+    for name, result in results.items():
+        record = json.loads((tree / RESULTS / f"{name}-seed{seed}-trace0.json")
+                            .read_text(encoding="ascii"))
+        for metric, key in HOST_FIGURES.items():
+            result["metrics"][metric] = {"value": statistics.median(record[key]), "unit": "s"}
+    return results
 
 
 def bench_environment(tree: Path) -> dict:
     """The host the benchmark recorded in ``tree``'s first result file."""
-    record = json.loads(min((tree / ".bench_build" / "stresswatch" / "results")
-                            .glob("*-trace0.json")).read_text(encoding="ascii"))
+    record = json.loads(min((tree / RESULTS).glob("*-trace0.json")).read_text(encoding="ascii"))
     return {key: record["environment"][key] for key in ENVIRONMENT_KEYS}
 
 
 def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
     """Per workload and end-to-end metric, the parent and change medians with
     quartiles, the pairs where the change read lower, the relative change of
-    the medians and whether it is within the metric's bound; and each side's
-    failed operations. ``pairs`` holds (parent, change) results of
-    ``run_bench``, ``end_to_end`` the list of that name in ``BENCHMARK.json``."""
+    the medians and, for a metric with a bound, whether it is within it; and
+    each side's failed operations. ``pairs`` holds (parent, change) results
+    of ``run_bench``, ``end_to_end`` the list of that name in
+    ``BENCHMARK.json`` and any unbounded metrics to summarize beside it."""
     workloads = {}
     for name in pairs[0][0]:
         metrics = {}
@@ -84,16 +98,17 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
                               for sides in zip(*pairs))
             p_mid, c_mid = statistics.median(parent), statistics.median(change)
             rel = (c_mid - p_mid) / p_mid
-            sign = 1 if metric["better"] == "lower" else -1
             p_q1, _, p_q3 = statistics.quantiles(parent, n=4)
             c_q1, _, c_q3 = statistics.quantiles(change, n=4)
-            metrics[metric["name"]] = {
+            summary = metrics[metric["name"]] = {
                 "parent_median": p_mid, "parent_q1": p_q1, "parent_q3": p_q3,
                 "change_median": c_mid, "change_q1": c_q1, "change_q3": c_q3,
                 "change_lower_in_pairs": sum(c < p for p, c in zip(parent, change)),
                 "rel_change": rel,
-                "within_bound": sign * rel <= metric["bound"],
             }
+            if "bound" in metric:
+                sign = 1 if metric["better"] == "lower" else -1
+                summary["within_bound"] = sign * rel <= metric["bound"]
         workloads[name] = metrics
     failed = {side: sum(r["failed"] for run in runs for r in run.values())
               for side, runs in zip(("parent", "change"), zip(*pairs))}
@@ -133,12 +148,13 @@ def main(argv=None) -> int:
             "first; each side runs in its own copy of its tree (parent: git archive of the "
             "parent commit; change: the working tree without .bench_build and .git), so each "
             "run generates its seed's inputs fresh. Times are the benchmark's reference "
-            "seconds. q1/q3 are statistics.quantiles(runs, n=4); change_lower_in_pairs counts "
+            "seconds, except host_wall_s and host_setup_s: each run's median host seconds per "
+            "timed pass and per fresh import, from its result file, with no bound. q1/q3 are statistics.quantiles(runs, n=4); change_lower_in_pairs counts "
             "the pairs where the change's value is lower; within_bound compares rel_change "
             "with the metric's BENCHMARK.json bound."),
         "environment": environment,
         "seeds": seeds,
-        **summarize(pairs, end_to_end),
+        **summarize(pairs, end_to_end + [{"name": name} for name in HOST_FIGURES]),
     }
     Path(args.output).write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     return 0
